@@ -9,9 +9,8 @@ ellipticity lower bounds on pinched surfaces.
 from .errors import (
     SymstabError, DimensionError, ParseError, SymplecticityError,
     UnsupportedNormalForm, NumericalConsistencyError, TangencyError,
-    IndexUnstableError, BottViolationError, SplittingUnstableError,
-    GalerkinError, HessianSingularError, ResonantFormError, GaugeError,
-    FlowError, AlphaInconsistencyError, OrbitSearchError, IterationBoundError,
+    IndexUnstableError, GalerkinError, ResonantFormError, GaugeError,
+    FlowError, OrbitSearchError,
 )
 from .sympl import (
     standard_J, expJ, rotation2, sympl_dim, symplectic_residual,
@@ -38,7 +37,7 @@ from .galerkin import (
 )
 from .dynamics import (
     SurfaceSpec, ClosedCharacteristic, FlowResult, find_orbits,
-    integrate_flow, monodromy_path, plane_circle_radius, shoot_orbit,
+    integrate_flow, monodromy_path, plane_circle_radius,
     minimal_period, action_quadrature, enclosing_radii, convexity_margin,
 )
 from .classify import (

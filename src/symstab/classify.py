@@ -15,7 +15,8 @@ import numpy as np
 
 from .dynamics import (SurfaceSpec, enclosing_radii, find_orbits,
                        monodromy_path)
-from .index import IndexOptions, IndexResult, index_nu, iterate_indices, mean_index
+from .errors import DimensionError
+from .index import IndexOptions, IndexResult, iterate_indices, mean_index
 from .spectral import SpectralSummary, spectral_summary
 
 PINCH_RATIO = 1.5   # gate: R^2 < (3/2) r^2 for the sharpened multiplicity bounds
@@ -219,7 +220,10 @@ def verify_surface(spec: SurfaceSpec, alpha: float = 1.5, m_max: int = 2,
     classification.  The trivial pair at 1 is defective, so an endpoint
     residual r perturbs its eigenvalues by order sqrt(r); the default
     absorbs that for integrated monodromies accurate to ~1e-9.
+    m_max below 1 raises DimensionError.
     """
+    if m_max < 1:
+        raise DimensionError(f"m_max must be at least 1, got {m_max}")
     opts = opts or IndexOptions()
     n = spec.n
     lo, hi = enclosing_radii(spec)

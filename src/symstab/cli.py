@@ -43,8 +43,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m-max", type=int, default=None,
                        help="iterates in index tables")
         p.add_argument("--seed", type=int, default=0,
-                       help="seed recorded in reports; reserved for "
-                            "randomized searches")
+                       help="seed recorded in reports; no computation "
+                            "uses it")
         p.add_argument("--out", metavar="FILE", default=None,
                        help="write the report here instead of stdout")
         p.add_argument("--format", choices=("json", "csv"), default=None,
@@ -248,6 +248,8 @@ def cmd_verify(args) -> int:
     alpha = _check_alpha(file_alpha if file_alpha is not None else args.alpha)
     opts = _opts_from(args)
     m_max = args.m_max if args.m_max is not None else 2
+    if m_max < 1:
+        raise ParseError(f"--m-max must be at least 1, got {m_max}")
     rep = verify_surface(spec, alpha=alpha, m_max=m_max, opts=opts)
     doc = rep.to_dict()
     doc["seed"] = args.seed

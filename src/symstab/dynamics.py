@@ -258,52 +258,6 @@ def find_orbits(spec: SurfaceSpec, alpha: float = 1.5, confirm: bool = True,
     return sorted(orbits, key=lambda o: o.action)
 
 
-def shoot_orbit(spec: SurfaceSpec, alpha: float, x0: np.ndarray, T: float,
-                max_iter: int = 30, tol: float = 1e-10,
-                rtol: float = 1e-11) -> ClosedCharacteristic:
-    """Gauss-Newton refinement of a periodic-orbit seed (x0, T).
-
-    Solves Phi_T(x) = x together with H(x) = 1 and a phase anchor fixing
-    translation along the orbit.
-    """
-    ham = AlphaHamiltonian(spec, alpha)
-    J = standard_J(spec.n)
-    d = 2 * spec.n
-    x = np.asarray(x0, float).copy()
-    T = float(T)
-    v_ref = J @ ham.grad(x)
-    x_ref = x.copy()
-
-    for _ in range(max_iter):
-        res = integrate_flow(spec, alpha, x, T, rtol=rtol)
-        xT, W = res.x, res.W
-        r = np.concatenate([xT - x,
-                            [ham.value(x) - 1.0],
-                            [float(np.dot(v_ref, x - x_ref))]])
-        if np.linalg.norm(r) < tol:
-            return ClosedCharacteristic(spec=spec, alpha=alpha, x0=tuple(x),
-                                        period=T, plane=_plane_of(spec, x))
-        A = np.zeros((d + 2, d + 1))
-        A[:d, :d] = W - np.eye(d)
-        A[:d, d] = J @ ham.grad(xT)
-        A[d, :d] = ham.grad(x)
-        A[d + 1, :d] = v_ref
-        step, *_ = np.linalg.lstsq(A, -r, rcond=None)
-        x += step[:d]
-        T += step[d]
-        if T <= 0:
-            raise OrbitSearchError("shooting drove the period negative")
-    raise OrbitSearchError(
-        f"shooting did not converge (last residual {np.linalg.norm(r):.2e})")
-
-
-def _plane_of(spec: SurfaceSpec, x: np.ndarray, tol: float = 1e-8) -> int | None:
-    n = spec.n
-    r2 = _plane_r2(spec, x)
-    live = np.flatnonzero(r2 > tol * r2.max())
-    return int(live[0]) if live.size == 1 else None
-
-
 def minimal_period(spec: SurfaceSpec, orbit: ClosedCharacteristic,
                    k_max: int = 8, tol: float = 1e-8) -> float:
     """Earliest return time T/k among integer divisors of the stored period."""

@@ -37,8 +37,8 @@ class NumericalConsistencyError(SymstabError, ArithmeticError):
 class TangencyError(SymstabError, ArithmeticError):
     """A crossing could not be resolved to transversality.
 
-    The crossing form stayed degenerate after the perturbation ladder
-    (endpoint twist, then randomized interior jitter with shrinking size).
+    The crossing form, or the endpoint, stayed degenerate through the
+    whole ladder of halving endpoint twists.
     """
 
 
@@ -46,20 +46,8 @@ class IndexUnstableError(SymstabError, ArithmeticError):
     """Crossing count failed to stabilize under grid/perturbation refinement."""
 
 
-class BottViolationError(SymstabError, ArithmeticError):
-    """Direct iterate index disagrees with the root-of-unity decomposition."""
-
-
-class SplittingUnstableError(SymstabError, ArithmeticError):
-    """One-sided index limits did not settle during epsilon halving."""
-
-
 class GalerkinError(SymstabError, ArithmeticError):
     """Galerkin index/nullity did not stabilize under mode doubling."""
-
-
-class HessianSingularError(SymstabError, ArithmeticError):
-    """The surface Hessian could not be inverted along the orbit."""
 
 
 class ResonantFormError(SymstabError, ValueError):
@@ -76,14 +64,5 @@ class FlowError(SymstabError, ArithmeticError):
     symplectic residual, or step-size collapse)."""
 
 
-class AlphaInconsistencyError(SymstabError, ArithmeticError):
-    """Floquet data changed under a Hamiltonian power-law reparametrization."""
-
-
 class OrbitSearchError(SymstabError, ArithmeticError):
     """Closed-characteristic search failed to produce a usable orbit set."""
-
-
-class IterationBoundError(SymstabError, ValueError):
-    """Index pairs violate an unconditional iteration inequality, which
-    indicates corrupted upstream data rather than a borderline surface."""

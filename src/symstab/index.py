@@ -1,8 +1,7 @@
 """Index and nullity of symplectic paths at unit-circle parameters.
 
-The pair (i_omega, nu_omega) is computed by crossing counting.  A path
-gamma starting at the identity is extended backwards through a
-hyperbolic sleeve (which carries no crossings), then the count is
+The pair (i_omega, nu_omega) of a path gamma starting at the identity is
+computed by crossing counting:
 
     i = [half signature of the start form, only at omega = 1]
       + sum over interior crossings of the signature of the crossing form
@@ -14,26 +13,33 @@ gamma(t) exp(+-eps t J / tau) are counted; the lower one is the index
 (lower semicontinuous convention) and their difference must equal the
 endpoint nullity, which is asserted on every call.  Degenerate crossing
 forms trigger an eps ladder; persistent degeneracy raises TangencyError.
+Points within 1e-4 of omega = 1, other than 1 itself up to 1e-12
+rounding, are refused: their crossings sit at the very start of the
+path, where the count cannot resolve them.
+
+Mean indices, iterate tables and splitting numbers need i_omega at many
+points of the circle U.  By the Bott-type formula i_omega is constant on
+each arc of U between unit eigenvalues of the endpoint gamma(tau), nu_omega
+vanishes there, and i_conj(omega) = i_omega.  So these are read from one
+count per arc of the upper half circle cut at +-1 and at the endpoint
+eigenvalue angles, plus direct counts at points close to a cut.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from math import gcd
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from .errors import (
-    BottViolationError,
     DimensionError,
     IndexUnstableError,
     NumericalConsistencyError,
-    SplittingUnstableError,
     TangencyError,
 )
-from .paths import SymplecticPath, iterate_path, twisted_path
-from .spectral import SplittingPair
+from .paths import SymplecticPath, twisted_path
+from .spectral import SplittingPair, _principal_angle
 from .sympl import sympl_dim
 
 __all__ = [
@@ -46,7 +52,16 @@ __all__ = [
     "splitting_numbers_numeric",
 ]
 
-TWO_PI = 2.0 * np.pi
+# omega closer to 1 than _AT_ONE is read as 1 (rounding of angle tokens
+# like 2pi); omega closer than _NEAR_ONE otherwise is refused, because its
+# crossings fall at the very start of the path
+_AT_ONE = 1e-12
+_NEAR_ONE = 1e-4
+# endpoint eigenvalues within _CIRCLE_TOL of |z| = 1 cut the circle, and
+# cuts closer than _CUT_TOL merge; both must exceed the sqrt(residual)
+# splitting of the defective trivial pair in integrated monodromies
+_CIRCLE_TOL = 1e-3
+_CUT_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -59,7 +74,6 @@ class IndexOptions:
     trigger: float = 0.05
     refine_rtol: float = 1e-12
     form_tol: float = 1e-7
-    strict: bool = True
     check_start: bool = True
 
 
@@ -167,7 +181,7 @@ def _count_once(path: SymplecticPath, omega: complex, sign: int, eps: float,
 
     atol = opts.refine_rtol * tau
     t_floor = 1e-9 * tau
-    at_one = abs(omega - 1.0) < 1e-12
+    at_one = abs(omega - 1.0) < _AT_ONE
 
     def vals_on(xs):
         evs = np.linalg.eigvals(tw.values(np.asarray(xs)))
@@ -312,7 +326,7 @@ def _count_once(path: SymplecticPath, omega: complex, sign: int, eps: float,
 def _count_total(path, omega, sign, eps, opts, verify_grid):
     N = max(opts.grid, path.grid_hint)
     t1, c1 = _count_once(path, omega, sign, eps, opts, N)
-    if not (verify_grid and opts.strict):
+    if not verify_grid:
         return t1, c1
     t2, c2 = _count_once(path, omega, sign, eps, opts, 2 * N)
     if t2 == t1:
@@ -327,11 +341,19 @@ def _count_total(path, omega, sign, eps, opts, verify_grid):
 
 def index_nu(path: SymplecticPath, omega=1.0, opts: IndexOptions | None = None,
              ) -> IndexResult:
-    """Index and nullity of the path at the given unit-circle parameter."""
+    """Index and nullity of the path at the given unit-circle parameter.
+
+    Raises DimensionError for omega off the unit circle, and for
+    1e-12 < |omega - 1| < 1e-4.
+    """
     opts = opts or IndexOptions()
     if opts.check_start:
         path.check_start()
     w = _normalize_omega(omega)
+    if _AT_ONE <= abs(w - 1.0) < _NEAR_ONE:
+        raise DimensionError(
+            f"omega={w:.6g} lies within {_NEAR_ONE:g} of 1 but is not 1; "
+            "the crossing count cannot resolve it")
     nu, _ = _kernel_basis(path.endpoint, w, opts.rank_tol)
 
     eps = opts.eps
@@ -356,63 +378,76 @@ def index_nu(path: SymplecticPath, omega=1.0, opts: IndexOptions | None = None,
 
 
 # ---------------------------------------------------------------------------
-# iteration
+# many omega: the arc rule
 # ---------------------------------------------------------------------------
 
-def _reduced(k: int, m: int) -> tuple[int, int]:
-    if k == 0:
-        return (0, 1)
-    g = gcd(k, m)
-    return (k // g, m // g)
+class _ArcRule:
+    """(i_omega, nu_omega) anywhere on U from one count per arc.
 
+    The closed upper half circle is cut at 1, at -1 and at the clustered
+    angles of the endpoint eigenvalues near U; each cut is an angle range
+    [lo, hi].  Between cuts the index is that of the arc midpoint and the
+    nullity is 0.  Within _CUT_TOL of a cut, omega is counted directly.
+    Lower half points are read through conjugate symmetry.  Counts are
+    cached, so a rule serves any number of queries on one path.
+    """
 
-def _root_table(m_max: int):
-    """Reduced fractions k/m needed for all iterate counts up to m_max."""
-    seen = {}
-    for m in range(1, m_max + 1):
-        for k in range(m):
-            seen.setdefault(_reduced(k, m), None)
-    return list(seen)
+    def __init__(self, path: SymplecticPath, opts: IndexOptions):
+        self.path, self.opts = path, opts
+        ev = np.linalg.eigvals(path.endpoint)
+        angles = sorted([0.0, np.pi] + [_principal_angle(z) for z in ev
+                                        if abs(abs(z) - 1.0) < _CIRCLE_TOL])
+        self.cuts = [[0.0, 0.0]]
+        for a in angles[1:]:
+            if a - self.cuts[-1][1] <= _CUT_TOL:
+                self.cuts[-1][1] = a
+            else:
+                self.cuts.append([a, a])
+        self._arcs: dict[int, int] = {}
+        self._direct: dict[float, tuple[int, int]] = {}
+
+    def arc(self, j: int) -> int:
+        """Index on the open arc between cuts j and j + 1."""
+        if j not in self._arcs:
+            mid = 0.5 * (self.cuts[j][1] + self.cuts[j + 1][0])
+            self._arcs[j] = index_nu(self.path, np.exp(1j * mid),
+                                     self.opts).index
+        return self._arcs[j]
+
+    def locate(self, a: float) -> tuple[int, bool]:
+        """(j, True) if angle a in [0, pi] is near cut j, else (j, False)
+        for a inside arc j."""
+        j = sum(lo - _CUT_TOL <= a for lo, _ in self.cuts) - 1
+        return j, a <= self.cuts[j][1] + _CUT_TOL
+
+    def __call__(self, omega) -> tuple[int, int]:
+        w = _normalize_omega(omega)
+        a = _principal_angle(w)
+        j, near = self.locate(a)
+        if not near:
+            return self.arc(j), 0
+        key = round(a, 12)
+        if key not in self._direct:
+            up = w if w.imag >= 0.0 else w.conjugate()
+            self._direct[key] = index_nu(self.path, up, self.opts).as_tuple()
+        return self._direct[key]
 
 
 def iterate_indices(path: SymplecticPath, m_max: int,
-                    opts: IndexOptions | None = None,
-                    cross_check: int = 0) -> list[IndexResult]:
+                    opts: IndexOptions | None = None) -> list[IndexResult]:
     """(i, nu) of the m-fold iterates, m = 1..m_max, via the root sum
 
         i(gamma, m) = sum over omega^m = 1 of i_omega(gamma),
 
-    using conjugate symmetry i_conj(omega) = i_omega.  For m <= cross_check
-    the result is recomputed by direct counting on the iterated path and a
-    mismatch raises BottViolationError.
+    with every i_omega read from the arc rule.
     """
-    opts = opts or IndexOptions()
-    per_root: dict[tuple[int, int], IndexResult] = {}
-    for (k, m) in _root_table(m_max):
-        conj = _reduced((m - k) % m, m)
-        if conj in per_root:
-            r = per_root[conj]
-            per_root[(k, m)] = IndexResult(r.index, r.nullity,
-                                           np.conj(r.omega), r.crossings, r.eps)
-            continue
-        w = np.exp(2j * np.pi * k / m) if k else 1.0 + 0.0j
-        per_root[(k, m)] = index_nu(path, w, opts)
-
+    rule = _ArcRule(path, opts or IndexOptions())
     out = []
     for m in range(1, m_max + 1):
-        i_m = nu_m = 0
-        for k in range(m):
-            r = per_root[_reduced(k, m)]
-            i_m += r.index
-            nu_m += r.nullity
-        out.append(IndexResult(index=i_m, nullity=nu_m,
+        pairs = [rule(np.exp(2j * np.pi * k / m)) for k in range(m)]
+        out.append(IndexResult(index=sum(i for i, _ in pairs),
+                               nullity=sum(nu for _, nu in pairs),
                                omega=1.0 + 0.0j, crossings=(), eps=0.0))
-        if m <= cross_check and m > 1:
-            direct = index_nu(iterate_path(path, m), 1.0, opts)
-            if direct.as_tuple() != (i_m, nu_m):
-                raise BottViolationError(
-                    f"iterate m={m}: root sum gives (i, nu) = ({i_m}, {nu_m}) "
-                    f"but direct counting gives {direct.as_tuple()}")
     return out
 
 
@@ -422,52 +457,40 @@ def mean_index(path: SymplecticPath, K: int = 1024,
 
     Returns (i(gamma, K) / K, bound) where the first entry differs from
     the true mean index by at most 2n/K; the reported bound is 4n/K.
-    The average is the index of the K-th iterate divided by K, evaluated
-    as the sum over K-th roots of unity.  Conjugate roots share an index,
-    so only the closed upper half circle is visited.  Counting the iterate
-    path directly would be no faster: periodic orbit paths return to a
-    parabolic in-plane block at every seam, and those tangential touches
-    defeat the small-twist perturbation.
+    i(gamma, K) is the sum of i_omega over the K-th roots of unity, read
+    from the arc rule: the count scales with the endpoint spectrum, not
+    with K.  Conjugate roots share an index, so only the closed upper
+    half circle is visited.
     """
-    opts = opts or IndexOptions()
-    half = replace(opts, strict=False)
-    total = index_nu(path, 1.0, half).index
+    rule = _ArcRule(path, opts or IndexOptions())
+    total = rule(1.0)[0]
     if K % 2 == 0:
-        total += index_nu(path, -1.0, half).index
+        total += rule(-1.0)[0]
     for k in range(1, (K + 1) // 2):
-        w = np.exp(2j * np.pi * k / K)
-        total += 2 * index_nu(path, w, half).index
+        total += 2 * rule(np.exp(2j * np.pi * k / K))[0]
     return total / K, 4.0 * path.n / K
 
 
 def splitting_numbers_numeric(path: SymplecticPath, omega,
                               opts: IndexOptions | None = None,
-                              deltas=(0.08, 0.04, 0.02, 0.01),
                               ) -> SplittingPair:
     """Splitting numbers at omega by one-sided index limits.
 
     S+-(omega) = lim as delta -> 0+ of i at omega e^{+-i delta} minus
-    i at omega; each limit must stabilize over two consecutive deltas.
-    The index is exactly constant between adjacent endpoint eigenvalue
-    angles, so the probes stay at moderate offsets: pushing delta toward
-    zero only drives the endpoint into the near-degenerate regime where
-    crossing detection needs ever tighter tolerances.
+    i at omega.  The index is constant on the arcs of the arc rule, so
+    each limit is the index at the midpoint of the arc next to omega on
+    that side, minus i_omega; omega counts as the cut it lies near.  At
+    +-1 both sides are the same arc by conjugate symmetry.
     """
-    opts = opts or IndexOptions()
+    rule = _ArcRule(path, opts or IndexOptions())
     w = _normalize_omega(omega)
-    i0 = index_nu(path, w, opts).index
-    out = {}
-    for sgn in (1, -1):
-        prev = None
-        got = None
-        for d in deltas:
-            cur = index_nu(path, w * np.exp(1j * sgn * d), opts).index - i0
-            if prev is not None and cur == prev:
-                got = cur
-                break
-            prev = cur
-        if got is None:
-            raise SplittingUnstableError(
-                f"one-sided limit at omega={w:.6g}, side {sgn:+d} did not settle")
-        out[sgn] = got
-    return SplittingPair(out[1], out[-1])
+    i0 = rule(w)[0]
+    j, near = rule.locate(_principal_angle(w))
+    if not near:
+        return SplittingPair(0, 0)
+    last = len(rule.cuts) - 2
+    above = rule.arc(min(j, last)) - i0
+    below = rule.arc(max(j - 1, 0)) - i0
+    if w.imag < 0.0:
+        above, below = below, above
+    return SplittingPair(above, below)

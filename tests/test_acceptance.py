@@ -3,9 +3,10 @@
 Each test pins one external promise of the library: the two-orbit report on
 the nearly round ellipsoid, exact index tables, agreement between the dual
 variational (Galerkin) route and the crossing-count engine, the two-iterate
-decomposition, splitting-number limits, action-window bounds, mean-index
-pinching, the position-counting identity, and numerical hygiene of the
-integrated monodromies.
+decomposition, splitting-number limits, the arc rule against per-root
+index sums, action-window bounds, mean-index pinching, the
+position-counting identity, and numerical hygiene of the integrated
+monodromies.
 """
 
 import math
@@ -40,6 +41,7 @@ from symstab import (
     mean_index,
     nonhyperbolic_bound,
     normal_form_path,
+    rotation_path,
     spectral_summary,
     splitting_table,
     stabilized_index,
@@ -47,6 +49,7 @@ from symstab import (
 )
 from symstab.errors import ResonantFormError
 from symstab.index import splitting_numbers_numeric
+from symstab.sympl import N1_block, N2_block, R_block
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +129,50 @@ def test_splitting_tables_match_numeric_limits():
         table = splitting_table(spectral_summary(M), w).as_tuple()
         num = splitting_numbers_numeric(normal_form_path(M), w).as_tuple()
         assert table == num, f"case {k} at omega {w:.4f}"
+
+
+def test_splitting_next_to_a_close_eigenvalue():
+    # a second unit eigenvalue about 0.015 rad from omega
+    cases = [
+        (diamond_all([R_block(2.0), R_block(2.015)]), np.exp(2j)),
+        (diamond_all([N1_block(1.0, 1.0), R_block(0.015)]), 1.0),
+        (diamond_all([N1_block(-1.0, 1.0), R_block(math.pi - 0.015)]), -1.0),
+    ]
+    for M, w in cases:
+        table = splitting_table(spectral_summary(M), w).as_tuple()
+        num = splitting_numbers_numeric(normal_form_path(M), w).as_tuple()
+        assert table == num, f"omega {w:.4f}"
+
+
+# ---------------------------------------------------------------------------
+# arc rule vs the per-root sum it replaces
+# ---------------------------------------------------------------------------
+
+def test_arc_rule_matches_per_root_sums(corpus, perturbed_entries):
+    paths = [
+        rotation_path(2 * math.pi),
+        corpus[1].paths[0],
+        perturbed_entries[1].paths[1],
+        normal_form_path(diamond_all([R_block(2 * math.pi / 3),
+                                      N1_block(-1.0, 1.0)])),
+        normal_form_path(N2_block(math.pi / 2, trivial=False)),
+    ]
+    for path in paths:
+        counts = {}
+
+        def root(k, m):
+            key = Fraction(k, m)
+            if key not in counts:
+                w = np.exp(2j * np.pi * k / m) if k else 1.0
+                counts[key] = index_nu(path, w).as_tuple()
+            return counts[key]
+
+        total = sum(root(k, 24)[0] for k in range(24))
+        assert mean_index(path, K=24) == (total / 24, 4.0 * path.n / 24)
+        oracle = [tuple(map(sum, zip(*(root(k, m) for k in range(m)))))
+                  for m in range(1, 7)]
+        table = [r.as_tuple() for r in iterate_indices(path, 6)]
+        assert table == oracle, path.label
 
 
 # ---------------------------------------------------------------------------

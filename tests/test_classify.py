@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from symstab import (
     PINCH_RATIO,
+    SurfaceSpec,
     action_index_bounds,
     counting_identity,
     diamond_all,
@@ -20,7 +21,9 @@ from symstab import (
     iteration_case,
     nonhyperbolic_bound,
     spectral_summary,
+    verify_surface,
 )
+from symstab.errors import DimensionError
 from symstab.sympl import D_block, N1_block, N2_block, R_block
 
 
@@ -146,3 +149,8 @@ def test_floor_ceil_phi_rationals(num, den):
     assert f <= x <= c
     assert phi == (0 if f == c else 1)
     assert c - f == phi
+
+
+def test_verify_surface_rejects_no_iterates():
+    with pytest.raises(DimensionError):
+        verify_surface(SurfaceSpec((1.0, 1.1)), m_max=0)

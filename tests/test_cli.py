@@ -79,6 +79,11 @@ def test_bad_alpha(files, capsys):
     assert "--alpha" in capsys.readouterr().err
 
 
+def test_bad_m_max(files, capsys):
+    assert main(["verify", str(files / "e11.json"), "--m-max", "0"]) == 2
+    assert "--m-max" in capsys.readouterr().err
+
+
 def test_orbits_find_json(files, capsys):
     assert main(["orbits-find", str(files / "e11.json"),
                  "--format", "json"]) == 0

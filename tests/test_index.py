@@ -17,6 +17,7 @@ from symstab import (
     rotation_path,
     shear_path,
 )
+from symstab.errors import DimensionError
 from symstab.index import D_omega
 from symstab.sympl import N1_block, R_block
 
@@ -108,6 +109,21 @@ def test_mean_index_circle_exact():
     # total over 64th roots of unity is 1 + 2 * 63 = 127
     assert mi == pytest.approx(127 / 64, abs=1e-12)
     assert bound == pytest.approx(4 / 64)
+
+
+@pytest.mark.parametrize("path, truth", [
+    (rotation_path(2.0), (1, 0)),
+    (exp_path(np.diag([0.4, 0.9, 0.4, 0.9])), (2, 0)),
+])
+def test_near_one_band_is_refused(path, truth):
+    # crossings of omega close to 1 fall at the very start of the path,
+    # where the count returned wrong integers; such omega are refused
+    for arg in (1e-10, 1e-8, 1e-7, 1e-6, 5e-5):
+        for sgn in (1, -1):
+            with pytest.raises(DimensionError):
+                index_nu(path, np.exp(1j * sgn * arg))
+    assert tup(path, np.exp(1e-2j)) == truth
+    assert tup(path, np.exp(-1e-2j)) == truth
 
 
 def test_conjugate_symmetry():
