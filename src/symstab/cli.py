@@ -35,7 +35,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--tol", type=float, default=None,
-                       help="override the engine acceptance tolerance")
+                       help="override the engine tolerance on the twisted "
+                            "endpoint's distance to omega")
         p.add_argument("--alpha", type=float, default=1.5,
                        help="Hamiltonian homogeneity degree in (1, 2)")
         p.add_argument("--modes", type=int, default=None, metavar="K",

@@ -17,6 +17,16 @@ Points within 1e-4 of omega = 1, other than 1 itself up to 1e-12
 rounding, are refused: their crossings sit at the very start of the
 path, where the count cannot resolve them.
 
+Crossings are located on a grid of the twisted path.  Every run of grid
+cells that holds a sign change of the real function D_omega, or a local
+minimum below `trigger` of the eigenvalue distance to omega, is a
+bracket; all brackets are cut into 16 cells per level, with one batched
+evaluation per level, until they are narrower than 64 refine_rtol tau.
+Their midpoints, merged within one radius, are the candidate crossings.
+A candidate counts only if P(t) - omega I has a numerical kernel
+(smallest singular value below rank_tol relative); the crossing form is
+restricted to that kernel.
+
 Mean indices, iterate tables and splitting numbers need i_omega at many
 points of the circle U.  By the Bott-type formula i_omega is constant on
 each arc of U between unit eigenvalues of the endpoint gamma(tau), nu_omega
@@ -30,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .errors import (
     DimensionError,
@@ -62,6 +71,14 @@ _NEAR_ONE = 1e-4
 # splitting of the defective trivial pair in integrated monodromies
 _CIRCLE_TOL = 1e-3
 _CUT_TOL = 1e-3
+# the crossing search cuts each bracket into _SPLIT cells per level: few
+# enough levels that the batched calls stay cheap, fine enough that nearby
+# crossings fall into different cells after a level or two.  For the first
+# _ALL_MINIMA levels a bracket follows every sampled distance minimum, so
+# clustered crossings separate; after that only its lowest one, so the
+# number of brackets stays bounded
+_SPLIT = 16
+_ALL_MINIMA = 3
 
 
 @dataclass(frozen=True)
@@ -150,157 +167,90 @@ def _grid(path: SymplecticPath, N: int) -> np.ndarray:
     return arr[(arr >= 0.0) & (arr <= tau)]
 
 
+def _brackets(xs, D, dist, trigger: float, all_minima: bool) -> list:
+    """Runs of cells of the sample xs that hold a sign change of D or sit
+    next to a sampled local minimum of dist below trigger."""
+    m = len(xs) - 1
+    spans = [(i, i) for i in np.flatnonzero(D[:-1] * D[1:] < 0.0)]
+    left = np.r_[True, dist[1:] <= dist[:-1]]
+    right = np.r_[dist[:-1] <= dist[1:], True]
+    mins = np.flatnonzero((dist < trigger) & left & right)
+    if not all_minima and len(mins):
+        mins = mins[[np.argmin(dist[mins])]]
+    spans += [(max(j - 1, 0), min(j, m - 1)) for j in mins]
+    runs: list[list[int]] = []
+    for lo, hi in sorted(spans):
+        if runs and lo <= runs[-1][1]:
+            runs[-1][1] = max(runs[-1][1], hi)
+        else:
+            runs.append([lo, hi])
+    return [(float(xs[lo]), float(xs[hi + 1])) for lo, hi in runs]
+
+
 def _count_once(path: SymplecticPath, omega: complex, sign: int, eps: float,
                 opts: IndexOptions, N: int):
     tau = path.tau
     tw = twisted_path(path, eps, sign)
-    ts = _grid(tw, N)
-    P = tw.values(ts)
-    ev = np.linalg.eigvals(P)
-    dist = np.abs(ev - omega).min(axis=1)
-
     n = path.n
     pref = (-1.0) ** (n - 1) * np.conj(omega) ** n
-    Draw = pref * np.prod(ev - omega, axis=1)
+
+    def sample(ts):
+        ev = np.linalg.eigvals(tw.values(ts))
+        diff = ev - omega
+        return pref * diff.prod(axis=-1), np.abs(diff).min(axis=-1)
+
+    ts = _grid(tw, N)
+    Draw, dist = sample(ts)
     if np.abs(Draw.imag).max() > 1e-6 * max(np.abs(Draw).max(), 1e-12):
         raise NumericalConsistencyError(
             "determinant function not real; input path may not be symplectic")
-    D = Draw.real
-
     if dist[-1] < 3.0 * opts.accept_tol:
         raise _RetryEps(f"twisted endpoint still degenerate (eps={eps:.1e})")
 
-    def value_at(t):
-        return tw.value(t)
+    # every bracket is cut into _SPLIT cells per level, and all new points
+    # of a level are evaluated in one batched call; a bracket narrower than
+    # `width` becomes a candidate crossing at its midpoint
+    width = 64.0 * opts.refine_rtol * tau
+    live = np.reshape(_brackets(ts, Draw.real, dist, opts.trigger, True),
+                      (-1, 2))
+    found: list[float] = []
+    level = 0
+    while True:
+        narrow = live[:, 1] - live[:, 0] < width
+        found.extend(live[narrow].mean(axis=1))
+        live = live[~narrow]
+        if not len(live):
+            break
+        level += 1
+        xs = np.linspace(live[:, 0], live[:, 1], _SPLIT + 1, axis=1)
+        Dv, dv = sample(xs.ravel())
+        live = np.reshape(
+            [br for x, D, d in zip(xs, Dv.real.reshape(xs.shape),
+                                   dv.reshape(xs.shape))
+             for br in _brackets(x, D, d, opts.trigger, level <= _ALL_MINIMA)],
+            (-1, 2))
 
-    def dist_at(t):
-        return float(np.abs(np.linalg.eigvals(value_at(t)) - omega).min())
-
-    def d_at(t):
-        return float((pref * np.prod(np.linalg.eigvals(value_at(t)) - omega)).real)
-
-    atol = opts.refine_rtol * tau
-    t_floor = 1e-9 * tau
-    at_one = abs(omega - 1.0) < _AT_ONE
-
-    def vals_on(xs):
-        evs = np.linalg.eigvals(tw.values(np.asarray(xs)))
-        diff = evs - omega
-        return (pref * diff.prod(axis=-1)).real, np.abs(diff).min(axis=-1)
-
-    def bisect(a, b, fa):
-        try:
-            return float(brentq(d_at, a, b, xtol=atol, rtol=1e-14))
-        except ValueError:
-            # scalar evaluation can flip a borderline endpoint sign seen by
-            # the batched sampler; plain bisection against the sampled sign
-            # still converges
-            while b - a > atol:
-                mid = 0.5 * (a + b)
-                fm = d_at(mid)
-                if fm == 0.0:
-                    return mid
-                if fa * fm < 0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            return 0.5 * (a + b)
-
-    # hierarchical scan: cells with a sign change of D are subdivided until
-    # nearby crossings separate, then resolved by bisection; cells where the
-    # eigenvalue distance dips below the trigger with no sign change are
-    # merged into maximal runs, and each run is refined around its sampled
-    # local minima (one bounded minimization per minimum, not per cell)
-    bis_roots: list[float] = []
-    dip_roots: list[float] = []
-    max_depth = 3
-
-    def scan(xs, Dv, depth):
-        m = len(xs)
-        for i in range(m - 1):
-            a, b = float(xs[i]), float(xs[i + 1])
-            fa, fb = float(Dv[i]), float(Dv[i + 1])
-            if fa == 0.0:
-                # exact zero at a sample point; t=0 (omega=1 junction) excluded
-                if a > 0.0:
-                    bis_roots.append(a)
-                continue
-            if fa * fb < 0.0:
-                if depth >= max_depth or b - a <= 64.0 * atol:
-                    bis_roots.append(bisect(a, b, fa))
-                else:
-                    sub = np.linspace(a, b, 17)
-                    sD, _ = vals_on(sub)
-                    scan(sub, sD, depth + 1)
-
-    def refine_dip(a, b, depth):
-        sub = np.linspace(a, b, 33)
-        sD, sd = vals_on(sub)
-        for i in range(32):
-            if sD[i] == 0.0:
-                if sub[i] > 0.0:
-                    bis_roots.append(float(sub[i]))
-            elif sD[i] * sD[i + 1] < 0.0:
-                # finer sampling split an even cluster into odd crossings
-                bis_roots.append(bisect(float(sub[i]), float(sub[i + 1]),
-                                        float(sD[i])))
-        # a region can hold several events, e.g. an even pair next to an odd
-        # root in the same cell; minima refining onto a bisected root are
-        # dropped later by the dedup guard
-        for j in range(33):
-            if sd[j] >= opts.trigger:
-                continue
-            if (j > 0 and sd[j] > sd[j - 1]) or (j < 32 and sd[j] > sd[j + 1]):
-                continue
-            lo, hi = float(sub[max(j - 1, 0)]), float(sub[min(j + 1, 32)])
-            if depth < max_depth and hi - lo > 64.0 * atol:
-                refine_dip(lo, hi, depth + 1)
-            else:
-                res = minimize_scalar(dist_at, bounds=(lo, hi), method="bounded",
-                                      options={"xatol": max(atol, 1e-13 * tau)})
-                if res.fun < opts.accept_tol:
-                    dip_roots.append(float(res.x))
-
-    scan(ts, D, 0)
-    low = np.minimum(dist[:-1], dist[1:]) < opts.trigger
-    ncell = len(ts) - 1
-    i = 0
-    while i < ncell:
-        if not low[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < ncell and low[j + 1]:
-            j += 1
-        refine_dip(float(ts[i]), float(ts[j + 1]), 0)
-        i = j + 1
-
-    # the same root can be located twice (bisection from two adjacent cells
-    # under sign noise, or a dip refining onto a sign-change root); genuine
-    # distinct crossings closer than these radii would be indistinguishable
-    # to the form evaluation anyway
-    merge_bis = max(100.0 * atol, 1e-7 * tau)
-    dip_guard = max(200.0 * atol, 1e-6 * tau)
+    # neighbouring brackets can close in on one crossing from both sides;
+    # distinct crossings closer than this radius would be
+    # indistinguishable to the form evaluation anyway
+    radius = max(200.0 * opts.refine_rtol * tau, 1e-6 * tau)
     crossings: list[float] = []
-    for t in sorted(bis_roots):
-        if crossings and t - crossings[-1] < merge_bis:
-            continue
-        crossings.append(t)
-    for t in sorted(dip_roots):
-        if crossings and min(abs(t - r) for r in crossings) < dip_guard:
-            continue
-        crossings.append(t)
-    crossings = [t for t in sorted(crossings)
-                 if t_floor <= t <= tau * (1.0 - 1e-13)]
+    for t in sorted(found):
+        if 1e-9 * tau <= t <= tau * (1.0 - 1e-13) and not (
+                crossings and t - crossings[-1] < radius):
+            crossings.append(t)
 
+    # the kernel test is the only acceptance test: near a Krein collision
+    # the eigenvalue distance to omega grows like sqrt|t - t_c|, while the
+    # smallest singular value of P - omega I grows linearly in t
     total = 0
     counted = []
     seam_atol = 1e-9 * tau
-    for t in crossings:
-        M = value_at(t)
+    mats = tw.values(np.array(crossings)) if crossings else ()
+    for t, M in zip(crossings, mats):
         k, B = _kernel_basis(M, omega, opts.rank_tol)
         if k == 0:
-            continue  # refinement artifact, not an actual crossing
+            continue  # a distance minimum that is no crossing
         near = [s for s in tw.seams if abs(s - t) < seam_atol]
         if near:
             s = near[0]
@@ -314,7 +264,7 @@ def _count_once(path: SymplecticPath, omega: complex, sign: int, eps: float,
             total += _signature(B.conj().T @ tw.sform(t, 1) @ B, opts.form_tol)
         counted.append(t)
 
-    if at_one:
+    if abs(omega - 1.0) < _AT_ONE:
         sig0 = _signature(tw.sform(0.0, 1), opts.form_tol)
         if sig0 % 2:
             raise NumericalConsistencyError("odd start-form signature")
@@ -410,8 +360,15 @@ class _ArcRule:
         """Index on the open arc between cuts j and j + 1."""
         if j not in self._arcs:
             mid = 0.5 * (self.cuts[j][1] + self.cuts[j + 1][0])
-            self._arcs[j] = index_nu(self.path, np.exp(1j * mid),
-                                     self.opts).index
+            res = index_nu(self.path, np.exp(1j * mid), self.opts)
+            if res.nullity:
+                # nu vanishes on an open arc; a kernel at the midpoint means
+                # it sits within the twist's reach of a cut (a Jordan block
+                # splits by ~sqrt(eps)), so its index cannot be trusted
+                raise TangencyError(
+                    f"arc midpoint at angle {mid:.6g} reports nullity "
+                    f"{res.nullity}")
+            self._arcs[j] = res.index
         return self._arcs[j]
 
     def locate(self, a: float) -> tuple[int, bool]:

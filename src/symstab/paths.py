@@ -163,7 +163,8 @@ def exp_path(S_sym: np.ndarray, tau: float = 1.0, label="") -> SymplecticPath:
         def value_r(t):
             return expm(t * L)
 
-        values = None
+        def values(ts):
+            return expm(np.multiply.outer(ts, L))
 
     def sform(t, side):
         return S_sym

@@ -13,6 +13,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from conftest import (
     ALPHA,
@@ -41,13 +42,15 @@ from symstab import (
     mean_index,
     nonhyperbolic_bound,
     normal_form_path,
+    random_symplectic,
+    resymplectify,
     rotation_path,
     spectral_summary,
     splitting_table,
     stabilized_index,
     verify_surface,
 )
-from symstab.errors import ResonantFormError
+from symstab.errors import ResonantFormError, SymstabError, TangencyError
 from symstab.index import splitting_numbers_numeric
 from symstab.sympl import N1_block, N2_block, R_block
 
@@ -118,6 +121,16 @@ def test_second_iterate_splits_at_plus_and_minus_one():
         assert r2.nullity == r1.nullity + rm.nullity, p.label
 
 
+def test_second_iterate_at_minus_one_is_the_root_sum():
+    # i_{-1}(gamma^2) = i_i + i_{-i} = 2 i_i on the 54 normal-form paths of
+    # the pool; their endpoints are degenerate at +-1, so the doubled paths
+    # cross -1 right after the seam, where one crossing must count once
+    for p in bott_path_pool()[140:194]:
+        ri = index_nu(p, 1j)
+        r2 = index_nu(iterate_path(p, 2), -1.0)
+        assert r2.as_tuple() == (2 * ri.index, 2 * ri.nullity), p.label
+
+
 # ---------------------------------------------------------------------------
 # splitting numbers: table vs one-sided numeric limits
 # ---------------------------------------------------------------------------
@@ -142,6 +155,37 @@ def test_splitting_next_to_a_close_eigenvalue():
         table = splitting_table(spectral_summary(M), w).as_tuple()
         num = splitting_numbers_numeric(normal_form_path(M), w).as_tuple()
         assert table == num, f"omega {w:.4f}"
+
+
+def test_double_n1_splitting_at_minus_one():
+    # two shears at -1: the numeric limits may refuse, never disagree
+    must_resolve = {(1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)}
+    for b in (1.0, -1.0, 0.0):
+        for c in (1.0, -1.0, 0.0):
+            M = diamond_all([N1_block(-1.0, b), N1_block(-1.0, c)])
+            table = splitting_table(spectral_summary(M), -1.0).as_tuple()
+            try:
+                num = splitting_numbers_numeric(normal_form_path(M), -1.0)
+            except SymstabError:
+                assert (b, c) not in must_resolve, (b, c)
+                continue
+            assert num.as_tuple() == table, (b, c)
+
+
+def test_arc_midpoint_with_a_kernel_is_refused():
+    # a conjugate of N1(-1, -1) ◇ R(pi + 0.0085): the midpoint of the arc
+    # between the two cuts lies within the sqrt(eps) split of the twisted
+    # Jordan block and reports a kernel; trusting its index yields (0, 0)
+    rng = np.random.default_rng(5)
+    for _ in range(17):
+        random_symplectic(2, rng)
+    g = random_symplectic(2, rng)
+    M = resymplectify(g @ diamond_all([N1_block(-1.0, -1.0),
+                                       R_block(math.pi + 0.0085)])
+                      @ np.linalg.inv(g))
+    assert splitting_table(spectral_summary(M), -1.0).as_tuple() == (1, 1)
+    with pytest.raises(TangencyError):
+        splitting_numbers_numeric(normal_form_path(M), -1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,15 @@ def test_exp_path_matches_expm():
     assert np.allclose(p.value(t), expm(t * standard_J(1) @ S), atol=1e-12)
 
 
+def test_exp_path_values_on_defective_generator():
+    # a shear plane makes J S nilpotent there, so the eigenbasis is unusable
+    S = np.diag([0.0, 0.8, 1.0, 0.8])
+    p = exp_path(S, tau=2.0)
+    ts = np.linspace(0.0, 2.0, 9)
+    ref = np.stack([p.value(t) for t in ts])
+    assert np.abs(p.values(ts) - ref).max() < 1e-12
+
+
 def test_product_and_concat():
     a, b = rotation_path(1.0), rotation_path(0.5)
     prod = product_path(a, b)
