@@ -10,11 +10,13 @@ along the orbit, the mode-k block in suitably rescaled coordinates is
 plus Fourier coupling between modes when G depends on t.  The Morse index
 of this form equals the path index minus n, and its nullity equals the
 path nullity plus one.  Conjugating G by a constant rotation relabels the
-mode basis and leaves index and nullity unchanged.
+mode basis and leaves index and nullity unchanged.  The memo of G in
+`stabilized_index` is exact: its doublings share grid points bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +69,9 @@ def assemble_dual_form(G, s: float, n: int, K: int, samples: int | None = None,
 
     G may be a constant (2n, 2n) symmetric matrix or a callable t -> matrix
     on [0, s).  The callable case assembles the dense matrix through FFT
-    coefficients of G; `samples` overrides the sampling resolution.
+    coefficients of G; `samples` overrides the sampling resolution.  Dense
+    layout: d x d blocks, 0..K-1 for the -sin coefficients of modes 1..K,
+    K..2K-1 for the cos ones, stored for all pairs a <= b and mirrored.
     """
     d = 2 * n
     if not callable(G):
@@ -83,37 +87,27 @@ def assemble_dual_form(G, s: float, n: int, K: int, samples: int | None = None,
         raise GalerkinError(f"G(t) returned shape {Gs.shape[1:]}, expected {(d, d)}")
     Ghat = np.fft.fft(Gs, axis=0) / Nt   # Ghat[m] ~ (1/s) int G e^{-i w_m t}
 
-    def coef(m: int) -> np.ndarray:
-        return Ghat[m % Nt]
-
-    J = standard_J(n)
-    w = mode_frequencies(s, K)
+    J, w = standard_J(n), mode_frequencies(s, K)
     M = np.zeros((2 * d * K, 2 * d * K))
+    B = M.reshape(2 * K, d, 2 * K, d)   # B[p, :, q, :] is block (p, q) of M
+    a, b = np.triu_indices(K)           # block pairs a <= b, modes a+1, b+1
+    dif, tot = (a - b) % Nt, (a + b + 2) % Nt
 
-    def put(bi: int, bj: int, val: np.ndarray) -> None:
-        M[bi * d:(bi + 1) * d, bj * d:(bj + 1) * d] = val
+    def put(p, q, val):   # val at (p, q), val.T at (q, p); on p == q val wins
+        B[q, :, p, :] = val.transpose(0, 2, 1)
+        B[p, :, q, :] = val
 
-    # layout: blocks 0..K-1 hold the -sin coefficients, K..2K-1 the cos ones
-    for i in range(K):
-        k = i + 1
-        for j in range(i, K):
-            kp = j + 1
-            diff, tot = coef(k - kp), coef(k + kp)
-            ss = diff.real - tot.real           # (-sin_k, -sin_kp) pairing
-            cc = diff.real + tot.real           # (cos_k, cos_kp) pairing
-            sc = tot.imag + diff.imag           # (-sin_k, cos_kp) pairing
-            put(i, j, ss)
-            put(K + i, K + j, cc)
-            put(i, K + j, sc)
-            if j != i:
-                put(j, i, ss.T)
-                put(K + j, K + i, cc.T)
-                cs = coef(kp + k).imag + coef(kp - k).imag
-                put(j, K + i, cs)
-                put(K + i, j, cs.T)
-                put(K + j, i, sc.T)
-        put(i, K + i, M[i * d:(i + 1) * d, (K + i) * d:(K + i + 1) * d] + J / w[i])
-        put(K + i, i, M[i * d:(i + 1) * d, (K + i) * d:(K + i + 1) * d].T)
+    re_dif, re_tot = Ghat.real[dif], Ghat.real[tot]
+    put(a, b, re_dif - re_tot)                     # (-sin_a, -sin_b)
+    put(K + a, K + b, re_dif + re_tot)             # (cos_a, cos_b)
+    del re_dif, re_tot
+    im_tot = Ghat.imag[tot]
+    put(a, K + b, im_tot + Ghat.imag[dif])         # (-sin_a, cos_b)
+    put(b, K + a, im_tot + Ghat.imag[(b - a) % Nt])  # (-sin_b, cos_a)
+    del im_tot
+    i = np.arange(K)
+    B[i, :, K + i, :] += J / w[:, None, None]
+    B[K + i, :, i, :] = B[i, :, K + i, :].transpose(0, 2, 1)
 
     M = 0.5 * (M + M.T)
     return DualForm(s=s, n=n, K=K, dense=M)
@@ -136,6 +130,12 @@ def stabilized_index(G, s: float, n: int, K0: int | None = None,
 
     Returns (index, nullity, K) for the first stable mode count.
     """
+    if callable(G):
+        # sample G once per grid point t_k = k s / Nt, Nt = max(512,
+        # 2^ceil(log2(8K + 8))): for K <= 63 every doubling reuses the same 512
+        # points, and when Nt doubles the even points of the new grid equal the
+        # old ones bit for bit, as 2k (s / 2Nt) = k (s / Nt) exactly
+        G = functools.cache(G)
     K = K0 or max(8, int(np.ceil(2.0 * s)))
     prev = None
     for _ in range(max_doublings + 1):

@@ -142,7 +142,9 @@ def spectral_summary(M: np.ndarray, circle_tol: float = 1e-7,
     """Cluster and classify the unit-circle spectrum of M.
 
     circle_tol: relative distance of |lambda| from 1 below which an
-        eigenvalue is snapped onto the circle.
+        eigenvalue is snapped onto the circle.  The snap width used is
+        max(circle_tol, angle_tol): a defective pair splits by
+        O(sqrt(eps cond)) across the circle as well as along it.
     angle_tol: angular width used to merge eigenvalues into one cluster.
         Must exceed the O(sqrt(eps)) splitting of defective pairs.
     rank_tol: relative singular-value threshold for kernel dimensions.
@@ -153,7 +155,8 @@ def spectral_summary(M: np.ndarray, circle_tol: float = 1e-7,
     scale = max(1.0, float(np.linalg.norm(M, 2)))
 
     evals = np.linalg.eigvals(M)
-    on_mask = np.abs(np.abs(evals) - 1.0) <= circle_tol * np.abs(evals).clip(min=1.0)
+    snap = max(circle_tol, angle_tol)
+    on_mask = np.abs(np.abs(evals) - 1.0) <= snap * np.abs(evals).clip(min=1.0)
     on = evals[on_mask]
     off = [complex(z) for z in evals[~on_mask]]
 

@@ -50,6 +50,7 @@ from symstab import (
     stabilized_index,
     verify_surface,
 )
+from symstab.dynamics import gauge_grad_hess
 from symstab.errors import ResonantFormError, SymstabError, TangencyError
 from symstab.index import splitting_numbers_numeric
 from symstab.sympl import N1_block, N2_block, R_block
@@ -104,6 +105,28 @@ def test_galerkin_counts_match_crossing_engine(corpus, corpus_tables):
                 assert (gi, gn) == (i_m - n, nu_m + 1)
                 assert i_m - n == exact_orbit_index(
                     entry.spec.radii, orb.plane, m)
+
+
+def test_time_dependent_galerkin_matches_crossing_engine(perturbed_entries):
+    # G(t) = (Hess j^2)^{-1} along the plane circle, integrated under the
+    # H_2 flow, whose period is the circle's action pi |x0|^2
+    entry = perturbed_entries[1]
+    assert entry.spec == SurfaceSpec(**PERTURBED)
+    n = entry.spec.n
+    for orb, path in zip(entry.orbits, entry.paths):
+        x0 = np.asarray(orb.x0, float)
+        s1 = math.pi * float(x0 @ x0)
+        sol = integrate_flow(entry.spec, 2.0, x0, s1, variational=False,
+                             dense=True).sol
+
+        def G(t, sol=sol, s1=s1):
+            j, gj, Hj = gauge_grad_hess(entry.spec, sol.sol(t % s1))
+            return np.linalg.inv(2.0 * np.outer(gj, gj) + 2.0 * j * Hj)
+
+        for m, res in enumerate(iterate_indices(path, 3), start=1):
+            i_m, nu_m = res.as_tuple()
+            gi, gn, _K = stabilized_index(G, m * s1, n)
+            assert (gi, gn) == (i_m - n, nu_m + 1), (orb.plane, m)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from symstab import (
     mode_frequencies,
     morse_index_nullity,
     stabilized_index,
+    standard_J,
 )
 from symstab.errors import GalerkinError, ResonantFormError
 
@@ -80,6 +81,90 @@ def test_ellipsoid_orbit_morse_count():
     G = diamond_all([np.eye(2) * 0.5, np.eye(2) * 0.605])
     gi, gn, _ = stabilized_index(G, PI, 2)
     assert (gi, gn) == (0, 2)
+
+
+def _loop_dual_form(G, s, n, K, samples=None):
+    """Reference assembly: one Python pass per block pair (a, b)."""
+    d = 2 * n
+    Nt = samples or max(512, 1 << int(np.ceil(np.log2(8 * K + 8))))
+    Gs = np.stack([np.asarray(G(t), float) for t in np.arange(Nt) * (s / Nt)])
+    Ghat = np.fft.fft(Gs, axis=0) / Nt
+
+    def coef(m):
+        return Ghat[m % Nt]
+
+    J = standard_J(n)
+    w = mode_frequencies(s, K)
+    M = np.zeros((2 * d * K, 2 * d * K))
+
+    def put(bi, bj, val):
+        M[bi * d:(bi + 1) * d, bj * d:(bj + 1) * d] = val
+
+    for i in range(K):
+        k = i + 1
+        for j in range(i, K):
+            kp = j + 1
+            diff, tot = coef(k - kp), coef(k + kp)
+            ss = diff.real - tot.real
+            cc = diff.real + tot.real
+            sc = tot.imag + diff.imag
+            put(i, j, ss)
+            put(K + i, K + j, cc)
+            put(i, K + j, sc)
+            if j != i:
+                put(j, i, ss.T)
+                put(K + j, K + i, cc.T)
+                cs = coef(kp + k).imag + coef(kp - k).imag
+                put(j, K + i, cs)
+                put(K + i, j, cs.T)
+                put(K + j, i, sc.T)
+        put(i, K + i, M[i * d:(i + 1) * d, (K + i) * d:(K + i + 1) * d] + J / w[i])
+        put(K + i, i, M[i * d:(i + 1) * d, (K + i) * d:(K + i + 1) * d].T)
+    return 0.5 * (M + M.T)
+
+
+def _loop_G(n, seed):
+    """Time-dependent symmetric positive G(t); inv() leaves it only nearly
+    symmetric, which the block placement must reproduce as is."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((3, 2 * n, 2 * n))
+
+    def G(t):
+        X = (2.0 * np.eye(2 * n) + 0.3 * np.cos(t) * A[0]
+             + 0.2 * np.sin(3 * t) * A[1] + 0.1 * np.cos(7 * t + 1) * A[2])
+        return np.linalg.inv(X @ X.T)
+    return G
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_callable_assembly_equals_block_loop(n):
+    G = _loop_G(n, seed=n)
+    for K in (1, 2, 9, 40):
+        for samples in (None, 300):
+            got = assemble_dual_form(G, 5.3, n, K, samples=samples).dense
+            assert np.array_equal(got, _loop_dual_form(G, 5.3, n, K, samples))
+
+
+def test_stabilized_index_samples_each_grid_point_once():
+    base = _loop_G(2, seed=7)
+    for s in (3.1, 20.0):   # 512 points for every K; 512 then 1024 points
+        calls = []
+
+        def G(t):
+            calls.append(float(t))
+            return base(t)
+        got = stabilized_index(G, s, 2)
+        Nt = max(512, 1 << int(np.ceil(np.log2(8 * got[2] + 8))))
+        assert len(calls) == len(set(calls)) == Nt
+
+        K0 = K = max(8, int(np.ceil(2.0 * s)))
+        prev = None
+        while True:
+            cur = morse_index_nullity(assemble_dual_form(base, s, 2, K))
+            if cur == prev:
+                break
+            prev, K = cur, 2 * K
+        assert got == (*cur, K) and K > K0
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,6 +1,7 @@
 """Unit-circle eigenstructure, Krein signatures, splitting tables."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from symstab import (
@@ -110,3 +111,14 @@ def test_elliptic_height_conjugation_invariant(seed):
     base = diamond_all([R_block(1.1), N1_block(-1, 1)])
     assert (spectral_summary(conj(base, seed)).elliptic_height
             == spectral_summary(base).elliptic_height)
+
+
+@pytest.mark.parametrize("seed", [262145, 2204])
+def test_split_jordan_pair_at_minus_one_stays_on_circle(seed):
+    # the defective pair at -1 splits to -1 +- 1e-7 on the real axis, across
+    # the circle, so it must still snap onto it
+    M = conj(diamond_all([R_block(1.1), N1_block(-1, 1)]), seed)
+    s = spectral_summary(M)
+    assert s.elliptic_height == 4
+    assert not s.off_circle
+    assert s.cluster_at(-1.0).alg == 2
