@@ -15,7 +15,7 @@ from .errors import (
 from .sympl import (
     standard_J, expJ, rotation2, sympl_dim, symplectic_residual,
     is_symplectic, check_symplectic, plane_embedding, diamond, diamond_all,
-    plane_block, resymplectify, random_symplectic,
+    resymplectify, random_symplectic,
     D_block, N1_block, R_block, N2_block,
 )
 from .spectral import (
@@ -24,7 +24,7 @@ from .spectral import (
 )
 from .paths import (
     SymplecticPath, exp_path, rotation_path, shear_path, lower_shear_path,
-    xi_path, product_path, concat_path, iterate_path, conjugate_path,
+    product_path, concat_path, iterate_path, conjugate_path,
     diamond_paths, normal_form_path, path_from_samples, twisted_path,
 )
 from .index import (
@@ -63,14 +63,14 @@ __all__ = [
     # sympl
     "standard_J", "expJ", "rotation2", "sympl_dim", "symplectic_residual",
     "is_symplectic", "check_symplectic", "plane_embedding", "diamond",
-    "diamond_all", "plane_block", "resymplectify", "random_symplectic",
+    "diamond_all", "resymplectify", "random_symplectic",
     "D_block", "N1_block", "R_block", "N2_block",
     # spectral
     "SplittingPair", "ClusterInfo", "SpectralSummary", "spectral_summary",
     "krein_gram", "splitting_table",
     # paths
     "SymplecticPath", "exp_path", "rotation_path", "shear_path",
-    "lower_shear_path", "xi_path", "product_path", "concat_path",
+    "lower_shear_path", "product_path", "concat_path",
     "iterate_path", "conjugate_path", "diamond_paths", "normal_form_path",
     "path_from_samples", "twisted_path",
     # index

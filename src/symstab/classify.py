@@ -9,15 +9,17 @@ a surface report record which convention they use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import (SurfaceSpec, enclosing_radii, find_orbits,
                        monodromy_path)
 from .errors import DimensionError
+from .galerkin import stabilized_index
 from .index import IndexOptions, IndexResult, iterate_indices, mean_index
 from .spectral import SpectralSummary, spectral_summary
+from .sympl import diamond_all
 
 PINCH_RATIO = 1.5   # gate: R^2 < (3/2) r^2 for the sharpened multiplicity bounds
 
@@ -150,9 +152,10 @@ class OrbitReport:
     floquet: FloquetClass
     iteration_case_label: str | None
     multipliers: tuple[complex, ...]
+    galerkin: tuple[int, int, int] | None = None   # dual-form (i, nu, K)
 
     def to_dict(self) -> dict:
-        return {
+        doc = {
             "plane": self.plane,
             "action": self.action,
             "period": self.period,
@@ -167,6 +170,10 @@ class OrbitReport:
             "iteration_case": self.iteration_case_label,
             "multipliers": [[z.real, z.imag] for z in self.multipliers],
         }
+        if self.galerkin is not None:
+            gi, gn, K = self.galerkin
+            doc["galerkin"] = {"index": gi, "nullity": gn, "modes": K}
+        return doc
 
 
 @dataclass(frozen=True)
@@ -221,6 +228,11 @@ def verify_surface(spec: SurfaceSpec, alpha: float = 1.5, m_max: int = 2,
     residual r perturbs its eigenvalues by order sqrt(r); the default
     absorbs that for integrated monodromies accurate to ~1e-9.
     m_max below 1 raises DimensionError.
+
+    On an exact ellipsoid the inverse Hessian G of the dual action form is
+    constant, so each orbit also gets the Galerkin Morse counts of that form,
+    and the required last check `dual-form-agreement` compares them with
+    the crossing engine.
     """
     if m_max < 1:
         raise DimensionError(f"m_max must be at least 1, got {m_max}")
@@ -230,6 +242,8 @@ def verify_surface(spec: SurfaceSpec, alpha: float = 1.5, m_max: int = 2,
     ratio = (hi / lo) ** 2
     gate = ratio < PINCH_RATIO
     enforced = gate and n >= 2
+    G = (diamond_all([np.eye(2) * (r * r / 2.0) for r in spec.radii])
+         if spec.is_ellipsoid() else None)
 
     orbit_reports: list[OrbitReport] = []
     for orb in find_orbits(spec, alpha):
@@ -254,6 +268,8 @@ def verify_surface(spec: SurfaceSpec, alpha: float = 1.5, m_max: int = 2,
             floquet=fc,
             iteration_case_label=case,
             multipliers=tuple(np.linalg.eigvals(path.endpoint)),
+            galerkin=(None if G is None
+                      else stabilized_index(G, orb.action, n)),
         ))
     orbit_reports.sort(key=lambda o: o.action)
 
@@ -310,6 +326,13 @@ def verify_surface(spec: SurfaceSpec, alpha: float = 1.5, m_max: int = 2,
                  for i, o in enumerate(orbit_reports) if o.floquet.hyperbolic)
     add("hyperbolic-positions", hyp_ok, enforced,
         f"admissible sorted positions [{p_lo}, {p_hi}]")
+
+    if G is not None:
+        agree = all(o.galerkin[:2] == (o.indices_path[0][0] - n,
+                                       o.indices_path[0][1] + 1)
+                    for o in orbit_reports)
+        add("dual-form-agreement", agree, True,
+            "Galerkin Morse counts match the crossing engine on every orbit")
 
     return StabilityReport(
         spec=spec, alpha=alpha, n=n,

@@ -1,7 +1,10 @@
 """Symplectic paths and the algebra used to build them.
 
-A path is a piecewise-smooth map gamma: [0, tau] -> Sp(2n).  Besides
-values, the index machinery needs the symmetric coefficient
+A path is a piecewise-smooth map gamma: [0, tau] -> Sp(2n), given by one
+batched evaluator: a function from a 1-d array of times to the stacked
+matrices.  `SymplecticPath.value(t)` reads that evaluator at one time, so
+each matrix formula is written once.  Besides values, the index machinery
+needs the symmetric coefficient
 
     S(t) = J^{-1} dgamma/dt gamma(t)^{-1},
 
@@ -19,7 +22,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import DimensionError, NumericalConsistencyError, SymplecticityError
-from .sympl import diamond_all, expJ, rotation2, standard_J, sympl_dim
+from .sympl import diamond_all, expJ, standard_J, sympl_dim
 
 __all__ = [
     "SymplecticPath",
@@ -27,7 +30,6 @@ __all__ = [
     "rotation_path",
     "shear_path",
     "lower_shear_path",
-    "xi_path",
     "normal_form_path",
     "product_path",
     "concat_path",
@@ -42,19 +44,19 @@ __all__ = [
 class SymplecticPath:
     """Piecewise-smooth symplectic path on [0, tau].
 
-    value_fn(t) returns the 2n x 2n matrix; values_fn, if given, accepts a
-    1-d array of times and returns a stacked (m, 2n, 2n) array.  sform_fn,
-    if given, returns the symmetric coefficient S(t) with a side argument
-    (+1 right limit, -1 left limit) honoured at seams.
+    values_fn, the only evaluator, takes a 1-d float array of times and
+    returns the stacked (m, 2n, 2n) matrices; `value(t)` is values_fn at
+    the single time t.  sform_fn, if given, returns the symmetric
+    coefficient S(t) with a side argument (+1 right limit, -1 left limit)
+    honoured at seams.
     """
 
-    def __init__(self, n, tau, value_fn, sform_fn=None, values_fn=None,
-                 seams=(), grid_hint=96, label=""):
+    def __init__(self, n, tau, values_fn, sform_fn=None, seams=(),
+                 grid_hint=96, label=""):
         if tau <= 0:
             raise DimensionError(f"path needs tau > 0, got {tau}")
         self.n = int(n)
         self.tau = float(tau)
-        self._value = value_fn
         self._values = values_fn
         self._sform = sform_fn
         self.seams = tuple(sorted(s for s in seams if 0.0 < s < self.tau))
@@ -66,15 +68,14 @@ class SymplecticPath:
     # -- evaluation ---------------------------------------------------------
 
     def value(self, t: float) -> np.ndarray:
-        return self._value(float(t))
+        # the stored evaluator, not self.values: a traced `values` must not
+        # count scalar reads
+        return self._values(np.array([float(t)]))[0]
 
     __call__ = value
 
     def values(self, ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        if self._values is not None:
-            return self._values(ts)
-        return np.stack([self._value(float(t)) for t in ts])
+        return self._values(np.asarray(ts, dtype=float))
 
     @property
     def endpoint(self) -> np.ndarray:
@@ -150,19 +151,10 @@ def exp_path(S_sym: np.ndarray, tau: float = 1.0, label="") -> SymplecticPath:
         use_eig = np.abs((V @ Vinv).real - np.eye(2 * n)).max() < 1e-12
     if use_eig:
 
-        def value(t):
-            return (V * np.exp(t * evals)) @ Vinv
-
         def values(ts):
             E = np.exp(np.multiply.outer(ts, evals))      # (m, 2n)
             return np.einsum("ij,tj,jk->tik", V, E, Vinv).real
-
-        def value_r(t):
-            return value(t).real
     else:
-        def value_r(t):
-            return expm(t * L)
-
         def values(ts):
             return expm(np.multiply.outer(ts, L))
 
@@ -170,16 +162,13 @@ def exp_path(S_sym: np.ndarray, tau: float = 1.0, label="") -> SymplecticPath:
         return S_sym
 
     hint = 96 + int(16 * min(np.linalg.norm(L, 2) * tau, 400))
-    return SymplecticPath(n, tau, value_r, sform_fn=sform, values_fn=values,
+    return SymplecticPath(n, tau, values, sform_fn=sform,
                           grid_hint=hint, label=label or "exp")
 
 
 def rotation_path(theta: float, tau: float = 1.0) -> SymplecticPath:
     """R(theta t / tau) in one plane."""
     rate = theta / tau
-
-    def value(t):
-        return rotation2(rate * t)
 
     def values(ts):
         c, s = np.cos(rate * ts), np.sin(rate * ts)
@@ -191,67 +180,35 @@ def rotation_path(theta: float, tau: float = 1.0) -> SymplecticPath:
         return out
 
     S = rate * np.eye(2)
-    return SymplecticPath(1, tau, value, sform_fn=lambda t, side: S,
-                          values_fn=values,
+    return SymplecticPath(1, tau, values, sform_fn=lambda t, side: S,
                           grid_hint=96 + int(16 * abs(theta)),
                           label=f"rotation({theta:.4g})")
+
+
+def _shear_values(ts, beta, row, col):
+    """Identity stack with beta t in entry (row, col)."""
+    out = np.zeros((len(ts), 2, 2))
+    out[:, 0, 0] = out[:, 1, 1] = 1.0
+    out[:, row, col] = beta * ts
+    return out
 
 
 def shear_path(b: float, tau: float = 1.0) -> SymplecticPath:
     """[[1, b t/tau], [0, 1]], the straight upper shear."""
     beta = b / tau
-
-    def value(t):
-        return np.array([[1.0, beta * t], [0.0, 1.0]])
-
     S = np.array([[0.0, 0.0], [0.0, -beta]])
-    return SymplecticPath(1, tau, value, sform_fn=lambda t, side: S,
+    return SymplecticPath(1, tau, lambda ts: _shear_values(ts, beta, 0, 1),
+                          sform_fn=lambda t, side: S,
                           label=f"shear({b:.4g})")
 
 
 def lower_shear_path(b: float, tau: float = 1.0) -> SymplecticPath:
     """[[1, 0], [b t/tau, 1]], the straight lower shear."""
     beta = b / tau
-
-    def value(t):
-        return np.array([[1.0, 0.0], [beta * t, 1.0]])
-
     S = np.array([[beta, 0.0], [0.0, 0.0]])
-    return SymplecticPath(1, tau, value, sform_fn=lambda t, side: S,
+    return SymplecticPath(1, tau, lambda ts: _shear_values(ts, beta, 1, 0),
+                          sform_fn=lambda t, side: S,
                           label=f"lshear({b:.4g})")
-
-
-def xi_path(n: int, tau: float = 1.0) -> SymplecticPath:
-    """Hyperbolic sleeve from diag(2, 1/2) per plane down to the identity.
-
-    a(t) = 2 - t/tau stays > 1 before the final instant, so the path
-    carries no unit-circle eigenvalues in its interior for any omega.
-    """
-
-    def value(t):
-        a = 2.0 - t / tau
-        return np.diag([a] * n + [1.0 / a] * n)
-
-    def values(ts):
-        a = 2.0 - np.asarray(ts) / tau
-        d = np.concatenate([np.repeat(a[:, None], n, 1),
-                            np.repeat((1.0 / a)[:, None], n, 1)], axis=1)
-        out = np.zeros((len(ts), 2 * n, 2 * n))
-        idx = np.arange(2 * n)
-        out[:, idx, idx] = d
-        return out
-
-    def sform(t, side):
-        a = 2.0 - t / tau
-        u = -1.0 / (tau * a)
-        S = np.zeros((2 * n, 2 * n))
-        for j in range(n):
-            S[j, n + j] = -u
-            S[n + j, j] = -u
-        return S
-
-    return SymplecticPath(n, tau, value, sform_fn=sform, values_fn=values,
-                          grid_hint=64, label="xi")
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +222,6 @@ def product_path(p1: SymplecticPath, p2: SymplecticPath,
         raise DimensionError("product needs equal dimension and tau")
     n, tau = p1.n, p1.tau
 
-    def value(t):
-        return p1.value(t) @ p2.value(t)
-
     def values(ts):
         return p1.values(ts) @ p2.values(ts)
 
@@ -276,7 +230,7 @@ def product_path(p1: SymplecticPath, p2: SymplecticPath,
         Ait = np.linalg.inv(A).T
         return p1.sform(t, side) + Ait @ p2.sform(t, side) @ Ait.T
 
-    return SymplecticPath(n, tau, value, sform_fn=sform, values_fn=values,
+    return SymplecticPath(n, tau, values, sform_fn=sform,
                           seams=sorted(set(p1.seams) | set(p2.seams)),
                           grid_hint=max(p1.grid_hint, p2.grid_hint),
                           label=label or f"{p1.label}*{p2.label}")
@@ -291,13 +245,7 @@ def concat_path(p1: SymplecticPath, p2: SymplecticPath,
     tau = t1 + p2.tau
     M1 = p1.endpoint
 
-    def value(t):
-        if t <= t1:
-            return p1.value(t)
-        return p2.value(t - t1) @ M1
-
     def values(ts):
-        ts = np.asarray(ts, dtype=float)
         left = ts <= t1
         out = np.empty((len(ts), 2 * n, 2 * n))
         if left.any():
@@ -312,8 +260,7 @@ def concat_path(p1: SymplecticPath, p2: SymplecticPath,
         return p2.sform(t - t1, side)
 
     seams = sorted(set(p1.seams) | {t1} | {t1 + s for s in p2.seams})
-    return SymplecticPath(n, tau, value, sform_fn=sform, values_fn=values,
-                          seams=seams,
+    return SymplecticPath(n, tau, values, sform_fn=sform, seams=seams,
                           grid_hint=p1.grid_hint + p2.grid_hint,
                           label=label or f"{p1.label};{p2.label}")
 
@@ -335,12 +282,7 @@ def iterate_path(p: SymplecticPath, m: int) -> SymplecticPath:
         j = min(max(j, 0), m - 1)
         return t - j * tau, j
 
-    def value(t):
-        s, j = split(t)
-        return p.value(s) @ powers[j]
-
     def values(ts):
-        ts = np.asarray(ts, dtype=float)
         js = np.clip(np.floor(ts / tau + 1e-13).astype(int), 0, m - 1)
         out = np.empty((len(ts), 2 * n, 2 * n))
         for j in range(m):
@@ -359,8 +301,7 @@ def iterate_path(p: SymplecticPath, m: int) -> SymplecticPath:
 
     seams = sorted({j * tau for j in range(1, m)}
                    | {j * tau + s for j in range(m) for s in p.seams})
-    return SymplecticPath(n, m * tau, value, sform_fn=sform,
-                          values_fn=values, seams=seams,
+    return SymplecticPath(n, m * tau, values, sform_fn=sform, seams=seams,
                           grid_hint=m * p.grid_hint,
                           label=f"{p.label}^^{m}")
 
@@ -373,17 +314,13 @@ def conjugate_path(p: SymplecticPath, C: np.ndarray) -> SymplecticPath:
     Cinv = np.linalg.inv(C)
     Cit = Cinv.T
 
-    def value(t):
-        return C @ p.value(t) @ Cinv
-
     def values(ts):
         return C @ p.values(ts) @ Cinv
 
     def sform(t, side):
         return Cit @ p.sform(t, side) @ Cit.T
 
-    return SymplecticPath(p.n, p.tau, value, sform_fn=sform,
-                          values_fn=values, seams=p.seams,
+    return SymplecticPath(p.n, p.tau, values, sform_fn=sform, seams=p.seams,
                           grid_hint=p.grid_hint, label=f"conj({p.label})")
 
 
@@ -396,11 +333,7 @@ def diamond_paths(paths) -> SymplecticPath:
             raise DimensionError("direct sum needs a common tau")
     n = sum(q.n for q in paths)
 
-    def value(t):
-        return diamond_all([q.value(t) for q in paths])
-
     def values(ts):
-        ts = np.asarray(ts, dtype=float)
         parts = [q.values(ts) for q in paths]
         out = np.zeros((len(ts), 2 * n, 2 * n))
         off = 0
@@ -414,8 +347,7 @@ def diamond_paths(paths) -> SymplecticPath:
         return diamond_all([q.sform(t, side) for q in paths])
 
     seams = sorted(set().union(*(q.seams for q in paths)))
-    return SymplecticPath(n, tau, value, sform_fn=sform, values_fn=values,
-                          seams=seams,
+    return SymplecticPath(n, tau, values, sform_fn=sform, seams=seams,
                           grid_hint=max(q.grid_hint for q in paths),
                           label="(" + "|".join(q.label for q in paths) + ")")
 
@@ -430,11 +362,7 @@ def twisted_path(p: SymplecticPath, eps: float, sign: int) -> SymplecticPath:
     J = standard_J(n)
     rate = sign * eps / tau
 
-    def value(t):
-        return p.value(t) @ expJ(rate * t, n)
-
     def values(ts):
-        ts = np.asarray(ts, dtype=float)
         base = p.values(ts)
         c, s = np.cos(rate * ts), np.sin(rate * ts)
         tw = c[:, None, None] * np.eye(2 * n) + s[:, None, None] * J
@@ -444,7 +372,7 @@ def twisted_path(p: SymplecticPath, eps: float, sign: int) -> SymplecticPath:
         G = J @ p.value(t)
         return p.sform(t, side) + rate * (G @ G.T)
 
-    return SymplecticPath(n, tau, value, sform_fn=sform, values_fn=values,
+    return SymplecticPath(n, tau, values, sform_fn=sform,
                           seams=p.seams, grid_hint=p.grid_hint,
                           label=f"{p.label}~tw({sign * eps:.1e})")
 
@@ -524,16 +452,9 @@ def path_from_samples(ts, mats, label="samples") -> SymplecticPath:
     dspl = spl.derivative()
     J = standard_J(n)
 
-    def value(t):
-        return spl(t)
-
-    def values(tt):
-        return spl(np.asarray(tt, dtype=float))
-
     def sform(t, side):
         P = spl(t)
         return -J @ dspl(t) @ np.linalg.inv(P)
 
-    return SymplecticPath(n, float(ts[-1]), value, sform_fn=sform,
-                          values_fn=values,
+    return SymplecticPath(n, float(ts[-1]), spl, sform_fn=sform,
                           grid_hint=max(96, 2 * len(ts)), label=label)

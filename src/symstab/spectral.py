@@ -27,7 +27,6 @@ __all__ = [
     "spectral_summary",
     "splitting_table",
     "krein_gram",
-    "TWO_PI",
 ]
 
 TWO_PI = 2.0 * np.pi

@@ -26,7 +26,6 @@ __all__ = [
     "diamond",
     "diamond_all",
     "plane_embedding",
-    "plane_block",
     "resymplectify",
     "random_symplectic",
     "D_block",
@@ -123,25 +122,6 @@ def diamond_all(mats) -> np.ndarray:
         out[np.ix_(sl, sl)] = M
         off += ni
     return out
-
-
-def plane_block(M: np.ndarray, j: int, k: int | None = None) -> np.ndarray:
-    """Sub-block of M on planes j (and k if given): rows/cols (j, n+j[, k, n+k])."""
-    n = sympl_dim(M)
-    planes = (j,) if k is None else (j, k)
-    for p in planes:
-        if not 0 <= p < n:
-            raise DimensionError(f"plane {p} out of range for n={n}")
-    idx = []
-    for p in planes:
-        idx += [p, n + p]
-    # reorder to local (x..., y...) convention
-    if k is None:
-        loc = [0, 1]
-    else:
-        loc = [0, 2, 1, 3]
-    idx = [idx[i] for i in loc]
-    return M[np.ix_(idx, idx)]
 
 
 def resymplectify(W: np.ndarray, tol: float = 1e-13, max_iter: int = 8) -> np.ndarray:

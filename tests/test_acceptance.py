@@ -9,6 +9,7 @@ position-counting identity, and numerical hygiene of the integrated
 monodromies.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -88,6 +89,21 @@ def test_index_table_on_near_round_ellipsoid(e11_report):
     assert (j2 - n) + mu2 == 7 == 4 * n - 1
     assert short.iteration_case_label in ("i", "i+ii")
     assert long.iteration_case_label in ("ii", "i+ii")
+
+
+def test_report_carries_dual_form_route_on_ellipsoids(e11_report):
+    n = 2
+    last = e11_report.checks[-1]
+    assert (last.name, last.required, last.passed) == (
+        "dual-form-agreement", True, True)
+    for orb in e11_report.orbits:
+        gi, gn, K = orb.galerkin
+        assert (gi, gn) == (orb.indices_path[0][0] - n, orb.nullity + 1)
+        assert orb.to_dict()["galerkin"] == {"index": gi, "nullity": gn,
+                                             "modes": K}
+        # integrated orbits carry no Galerkin entry
+        assert "galerkin" not in dataclasses.replace(
+            orb, galerkin=None).to_dict()
 
 
 # ---------------------------------------------------------------------------

@@ -122,3 +122,22 @@ def test_verify_smoke(files, capsys):
     assert names["dual-form-agreement"]["passed"]
     for od in doc["orbits"]:
         assert od["galerkin"]["nullity"] == od["indices_path"][0][1] + 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "{e11}", "--format", "csv"],
+    ["verify", "{e11}", "--modes", "8"],
+    ["matrix-analyze", "{id4}", "--alpha", "1.2"],
+    ["matrix-analyze", "{id4}", "--m-max", "2"],
+    ["matrix-analyze", "{id4}", "--format", "json"],
+    ["orbits-find", "{e11}", "--tol", "1e-6"],
+    ["orbits-find", "{e11}", "--m-max", "2"],
+])
+def test_unread_flags_are_rejected(files, argv, capsys):
+    # a subcommand declares only the options it reads
+    argv = [a.format(e11=files / "e11.json", id4=files / "id4.txt")
+            for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

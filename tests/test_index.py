@@ -38,7 +38,8 @@ def test_D_omega_values():
 
 
 def test_constant_path():
-    const = SymplecticPath(1, 1.0, lambda t: np.eye(2),
+    const = SymplecticPath(1, 1.0,
+                           lambda ts: np.tile(np.eye(2), (len(ts), 1, 1)),
                            sform_fn=lambda t, s: np.zeros((2, 2)))
     assert tup(const, 1.0) == (-1, 2)
 

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
 from symstab import (
     SymplecticPath,
     concat_path,
     conjugate_path,
+    diamond_all,
     diamond_paths,
+    expJ,
     exp_path,
     iterate_path,
     lower_shear_path,
@@ -18,9 +21,9 @@ from symstab import (
     random_symplectic,
     rotation_path,
     shear_path,
+    standard_J,
     symplectic_residual,
     twisted_path,
-    xi_path,
 )
 from symstab.errors import DimensionError
 from symstab.sympl import rotation2
@@ -32,13 +35,6 @@ def test_constructors_start_at_identity():
     for p in paths:
         p.check_start()
         assert np.abs(p.value(0.0) - np.eye(2 * p.n)).max() < 1e-12
-
-
-def test_xi_path_sleeve():
-    # deliberately starts at diag(2, 1/2) per plane and ends at the identity
-    p = xi_path(2)
-    assert np.allclose(p.value(0.0), np.diag([2.0, 2.0, 0.5, 0.5]))
-    assert np.allclose(p.endpoint, np.eye(4))
 
 
 def test_rotation_endpoint():
@@ -53,8 +49,6 @@ def test_shear_endpoints_total():
 
 
 def test_exp_path_matches_expm():
-    from scipy.linalg import expm
-    from symstab import standard_J
     S = np.array([[0.6, 0.2], [0.2, 0.9]])
     p = exp_path(S, tau=1.5)
     t = 0.77
@@ -66,8 +60,69 @@ def test_exp_path_values_on_defective_generator():
     S = np.diag([0.0, 0.8, 1.0, 0.8])
     p = exp_path(S, tau=2.0)
     ts = np.linspace(0.0, 2.0, 9)
-    ref = np.stack([p.value(t) for t in ts])
+    ref = np.stack([expm(t * standard_J(2) @ S) for t in ts])
     assert np.abs(p.values(ts) - ref).max() < 1e-12
+
+
+def _close(p, ts, ref, tol=1e-12):
+    got = p.values(ts)
+    assert got.shape == (len(ts), 2 * p.n, 2 * p.n)
+    ref = np.stack([ref(t) for t in ts])
+    assert np.abs(got - ref).max() < tol, p.label
+    # the scalar read is the batched evaluator at one time
+    assert all(np.abs(p.value(t) - m).max() <= 1e-14
+               for t, m in zip(ts, got))
+
+
+def test_values_match_independent_formulas():
+    J1, J2 = standard_J(1), standard_J(2)
+    ts = np.linspace(0.0, 1.0, 7)
+
+    _close(shear_path(0.8), ts, lambda t: np.array([[1, 0.8 * t], [0, 1]]))
+    _close(lower_shear_path(-0.5, tau=2.0), 2 * ts,
+           lambda t: np.array([[1, 0], [-0.25 * t, 1]]))
+    _close(rotation_path(1.9, tau=2.0), 2 * ts,
+           lambda t: rotation2(0.95 * t))
+    S_eig = np.array([[0.6, 0.2], [0.2, 0.9]])         # eigenbasis branch
+    S_def = np.diag([0.0, 0.8, 1.0, 0.8])             # defective: expm branch
+    _close(exp_path(S_eig), ts, lambda t: expm(t * J1 @ S_eig))
+    _close(exp_path(S_def), ts, lambda t: expm(t * J2 @ S_def))
+
+    a, b = rotation_path(1.0), shear_path(0.4)
+    _close(product_path(a, b), ts,
+           lambda t: rotation2(t) @ np.array([[1, 0.4 * t], [0, 1]]))
+
+    # concat: p1 up to and at t1 = 1, then p2(t - 1) p1(1)
+    t1 = 1.0
+    ct = np.array([0.0, 0.5, t1 - 1e-9, t1, t1 + 1e-9, 1.5, 2.0])
+    _close(concat_path(a, b), ct,
+           lambda t: rotation2(t) if t <= t1
+           else np.array([[1, 0.4 * (t - t1)], [0, 1]]) @ rotation2(1.0),
+           tol=1e-9)
+
+    # iterate: p(t - j tau) p(tau)^j, with the seams j tau included
+    e = expm(J1 @ S_eig)
+    it = np.array([0.0, 0.3, 1.0, 1.0 + 1e-12, 1.7, 2.0, 2.5, 3.0])
+    _close(iterate_path(exp_path(S_eig), 3), it,
+           lambda t: (expm((t - min(int(t), 2)) * J1 @ S_eig)
+                      @ np.linalg.matrix_power(e, min(int(t), 2))),
+           tol=1e-11)
+
+    C = random_symplectic(1, np.random.default_rng(3))
+    _close(conjugate_path(a, C), ts,
+           lambda t: C @ rotation2(t) @ np.linalg.inv(C))
+    _close(diamond_paths([a, b]), ts,
+           lambda t: diamond_all([rotation2(t),
+                                  np.array([[1, 0.4 * t], [0, 1]])]))
+    _close(twisted_path(exp_path(S_def), 1e-3, -1), ts,
+           lambda t: expm(t * J2 @ S_def) @ expm(-1e-3 * t * J2))
+
+    # a spline through samples of exp(t J S) passes through the samples
+    knots = np.linspace(0.0, 1.0, 9)
+    q = path_from_samples(knots,
+                          np.stack([expm(t * J1 @ S_eig) for t in knots]))
+    _close(q, knots, lambda t: expm(t * J1 @ S_eig))
+    _close(q, ts, lambda t: expm(t * J1 @ S_eig), tol=1e-4)
 
 
 def test_product_and_concat():
@@ -104,7 +159,6 @@ def test_conjugate_path():
 
 
 def test_twisted_path_endpoint():
-    from symstab import expJ
     p = rotation_path(1.0)
     tw = twisted_path(p, 1e-3, -1)
     assert np.allclose(tw.endpoint, p.endpoint @ expJ(-1e-3, 1), atol=1e-14)
