@@ -17,7 +17,7 @@ from .dynamics import (SurfaceSpec, enclosing_radii, find_orbits,
                        monodromy_path)
 from .errors import DimensionError
 from .galerkin import stabilized_index
-from .index import IndexOptions, IndexResult, iterate_indices, mean_index
+from .index import IndexOptions, iterates_and_mean
 from .spectral import SpectralSummary, spectral_summary
 from .sympl import diamond_all
 
@@ -248,10 +248,9 @@ def verify_surface(spec: SurfaceSpec, alpha: float = 1.5, m_max: int = 2,
     orbit_reports: list[OrbitReport] = []
     for orb in find_orbits(spec, alpha):
         path = monodromy_path(spec, alpha, orb)
-        results: list[IndexResult] = iterate_indices(path, m_max, opts)
+        results, (mi, mb) = iterates_and_mean(path, m_max, mean_K, opts)
         summary = spectral_summary(path.endpoint, circle_tol=circle_tol)
         fc = floquet_classify(summary)
-        mi, mb = mean_index(path, K=mean_K, opts=opts)
         case = None
         if m_max >= 2:
             (i1, nu1), (i2, nu2) = results[0].as_tuple(), results[1].as_tuple()

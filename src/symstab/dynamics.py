@@ -307,7 +307,7 @@ def monodromy_path(spec: SurfaceSpec, alpha: float,
                          rtol=rtol, dense=True)
     d = 2 * spec.n
     ts = np.linspace(0.0, orbit.period, N + 1)
-    Ws = np.array([res.sol.sol(t)[d:].reshape(d, d) for t in ts])
+    Ws = res.sol.sol(ts)[d:].T.reshape(-1, d, d)
     Ws[0] = np.eye(d)
     Ws[-1] = res.W  # resymplectified endpoint
     return path_from_samples(ts, Ws, label="integrated monodromy")
@@ -321,7 +321,7 @@ def action_quadrature(spec: SurfaceSpec, alpha: float,
     J = standard_J(spec.n)
     ham = AlphaHamiltonian(spec, alpha)
     ts = np.linspace(0.0, orbit.period, N + 1)
-    xs = np.array([res.sol.sol(t) for t in ts])
+    xs = res.sol.sol(ts).T
     dots = np.array([J @ ham.grad(x) for x in xs])
     integrand = 0.5 * np.einsum('ij,ij->i', xs @ J.T, dots)
     return float(np.trapezoid(integrand, ts))

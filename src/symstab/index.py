@@ -17,9 +17,14 @@ Points within 1e-4 of omega = 1, other than 1 itself up to 1e-12
 rounding, are refused: their crossings sit at the very start of the
 path, where the count cannot resolve them.
 
-Crossings are located on a grid of the twisted path.  Every run of grid
-cells that holds a sign change of the real function D_omega, or a local
-minimum below `trigger` of the eigenvalue distance to omega, is a
+Crossings are located on a grid of the twisted path.  The grid and the
+eigenvalues of the twisted path there depend on the twist sign, eps and
+the grid size N, not on omega, so one `index_nu` call or one arc rule
+(below) samples each grid once for all the omega it counts; the N grid
+of the grid check is a subset of its 2N grid and is read from the 2N
+samples.  Every run of
+grid cells that holds a sign change of the real function D_omega, or a
+local minimum below `trigger` of the eigenvalue distance to omega, is a
 bracket; all brackets are cut into 16 cells per level, with one batched
 evaluation per level, until they are narrower than 64 refine_rtol tau.
 Their midpoints, merged within one radius, are the candidate crossings.
@@ -32,7 +37,9 @@ points of the circle U.  By the Bott-type formula i_omega is constant on
 each arc of U between unit eigenvalues of the endpoint gamma(tau), nu_omega
 vanishes there, and i_conj(omega) = i_omega.  So these are read from one
 count per arc of the upper half circle cut at +-1 and at the endpoint
-eigenvalue angles, plus direct counts at points close to a cut.
+eigenvalue angles, plus direct counts at points close to a cut.  All
+counts of one such rule share the grid samples; `iterates_and_mean` reads
+an iterate table and a mean index from one rule.
 """
 
 from __future__ import annotations
@@ -57,6 +64,7 @@ __all__ = [
     "D_omega",
     "index_nu",
     "iterate_indices",
+    "iterates_and_mean",
     "mean_index",
     "splitting_numbers_numeric",
 ]
@@ -187,20 +195,56 @@ def _brackets(xs, D, dist, trigger: float, all_minima: bool) -> list:
     return [(float(xs[lo]), float(xs[hi + 1])) for lo, hi in runs]
 
 
-def _count_once(path: SymplecticPath, omega: complex, sign: int, eps: float,
+class _Samples:
+    """Eigenvalues of the twisted grids of one path, shared by every omega.
+
+    The twisted path gamma(t) exp(sign eps t J / tau) and its eigenvalues on
+    `_grid(tw, N)` depend on (sign, eps, N) only, so each such grid is
+    sampled once however many omega are counted against it.  The points of
+    the N grid are all points of the 2N grid (the even half of its
+    linspace, the same geometric and seam points), so once the 2N grid is
+    sampled, the N grid is read from it.  One instance lives for one
+    `index_nu` call or one arc rule; nothing outlives a public call.
+    """
+
+    def __init__(self, path: SymplecticPath):
+        self.path = path
+        self._twisted: dict[tuple, SymplecticPath] = {}
+        self._grids: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+
+    def twisted(self, sign: int, eps: float) -> SymplecticPath:
+        key = (sign, eps)
+        if key not in self._twisted:
+            self._twisted[key] = twisted_path(self.path, eps, sign)
+        return self._twisted[key]
+
+    def grid(self, sign: int, eps: float, N: int):
+        """Times of `_grid(tw, N)` and the eigenvalues of tw there."""
+        key = (sign, eps, N)
+        if key not in self._grids:
+            tw = self.twisted(sign, eps)
+            ts = _grid(tw, N)
+            fine = self._grids.get((sign, eps, 2 * N))
+            if fine is not None:
+                ev = fine[1][np.searchsorted(fine[0], ts)]
+            else:
+                ev = np.linalg.eigvals(tw.values(ts))
+            self._grids[key] = ts, ev
+        return self._grids[key]
+
+
+def _count_once(samples: _Samples, omega: complex, sign: int, eps: float,
                 opts: IndexOptions, N: int):
-    tau = path.tau
-    tw = twisted_path(path, eps, sign)
-    n = path.n
+    tw = samples.twisted(sign, eps)
+    tau, n = tw.tau, tw.n
     pref = (-1.0) ** (n - 1) * np.conj(omega) ** n
 
-    def sample(ts):
-        ev = np.linalg.eigvals(tw.values(ts))
+    def measure(ev):
         diff = ev - omega
         return pref * diff.prod(axis=-1), np.abs(diff).min(axis=-1)
 
-    ts = _grid(tw, N)
-    Draw, dist = sample(ts)
+    ts, ev = samples.grid(sign, eps, N)
+    Draw, dist = measure(ev)
     if np.abs(Draw.imag).max() > 1e-6 * max(np.abs(Draw).max(), 1e-12):
         raise NumericalConsistencyError(
             "determinant function not real; input path may not be symplectic")
@@ -223,7 +267,7 @@ def _count_once(path: SymplecticPath, omega: complex, sign: int, eps: float,
             break
         level += 1
         xs = np.linspace(live[:, 0], live[:, 1], _SPLIT + 1, axis=1)
-        Dv, dv = sample(xs.ravel())
+        Dv, dv = measure(np.linalg.eigvals(tw.values(xs.ravel())))
         live = np.reshape(
             [br for x, D, d in zip(xs, Dv.real.reshape(xs.shape),
                                    dv.reshape(xs.shape))
@@ -273,15 +317,17 @@ def _count_once(path: SymplecticPath, omega: complex, sign: int, eps: float,
     return total, tuple(counted)
 
 
-def _count_total(path, omega, sign, eps, opts, verify_grid):
-    N = max(opts.grid, path.grid_hint)
-    t1, c1 = _count_once(path, omega, sign, eps, opts, N)
+def _count_total(samples, omega, sign, eps, opts, verify_grid):
+    N = max(opts.grid, samples.path.grid_hint)
+    if verify_grid:
+        samples.grid(sign, eps, 2 * N)  # the count at N reads its grid here
+    t1, c1 = _count_once(samples, omega, sign, eps, opts, N)
     if not verify_grid:
         return t1, c1
-    t2, c2 = _count_once(path, omega, sign, eps, opts, 2 * N)
+    t2, c2 = _count_once(samples, omega, sign, eps, opts, 2 * N)
     if t2 == t1:
         return t2, c2
-    t4, c4 = _count_once(path, omega, sign, eps, opts, 4 * N)
+    t4, c4 = _count_once(samples, omega, sign, eps, opts, 4 * N)
     if t4 == t2:
         return t4, c4
     raise IndexUnstableError(
@@ -299,19 +345,25 @@ def index_nu(path: SymplecticPath, omega=1.0, opts: IndexOptions | None = None,
     opts = opts or IndexOptions()
     if opts.check_start:
         path.check_start()
+    return _index_nu(_Samples(path), omega, opts)
+
+
+def _index_nu(samples: _Samples, omega, opts: IndexOptions) -> IndexResult:
     w = _normalize_omega(omega)
     if _AT_ONE <= abs(w - 1.0) < _NEAR_ONE:
         raise DimensionError(
             f"omega={w:.6g} lies within {_NEAR_ONE:g} of 1 but is not 1; "
             "the crossing count cannot resolve it")
-    nu, _ = _kernel_basis(path.endpoint, w, opts.rank_tol)
+    nu, _ = _kernel_basis(samples.path.endpoint, w, opts.rank_tol)
 
     eps = opts.eps
     last = "no attempt"
     for _ in range(opts.eps_ladder):
         try:
-            i_minus, cr = _count_total(path, w, -1, eps, opts, verify_grid=True)
-            i_plus, _ = _count_total(path, w, 1, eps, opts, verify_grid=False)
+            i_minus, cr = _count_total(samples, w, -1, eps, opts,
+                                       verify_grid=True)
+            i_plus, _ = _count_total(samples, w, 1, eps, opts,
+                                     verify_grid=False)
         except (_Degenerate, _RetryEps) as e:
             last = str(e)
             eps *= 0.5
@@ -339,11 +391,15 @@ class _ArcRule:
     [lo, hi].  Between cuts the index is that of the arc midpoint and the
     nullity is 0.  Within _CUT_TOL of a cut, omega is counted directly.
     Lower half points are read through conjugate symmetry.  Counts are
-    cached, so a rule serves any number of queries on one path.
+    cached, so a rule serves any number of queries on one path, and all
+    its counts share one sampling of the twisted grids.
     """
 
     def __init__(self, path: SymplecticPath, opts: IndexOptions):
+        if opts.check_start:
+            path.check_start()
         self.path, self.opts = path, opts
+        self.samples = _Samples(path)
         ev = np.linalg.eigvals(path.endpoint)
         angles = sorted([0.0, np.pi] + [_principal_angle(z) for z in ev
                                         if abs(abs(z) - 1.0) < _CIRCLE_TOL])
@@ -360,7 +416,7 @@ class _ArcRule:
         """Index on the open arc between cuts j and j + 1."""
         if j not in self._arcs:
             mid = 0.5 * (self.cuts[j][1] + self.cuts[j + 1][0])
-            res = index_nu(self.path, np.exp(1j * mid), self.opts)
+            res = _index_nu(self.samples, np.exp(1j * mid), self.opts)
             if res.nullity:
                 # nu vanishes on an open arc; a kernel at the midpoint means
                 # it sits within the twist's reach of a cut (a Jordan block
@@ -386,7 +442,8 @@ class _ArcRule:
         key = round(a, 12)
         if key not in self._direct:
             up = w if w.imag >= 0.0 else w.conjugate()
-            self._direct[key] = index_nu(self.path, up, self.opts).as_tuple()
+            self._direct[key] = _index_nu(self.samples, up,
+                                          self.opts).as_tuple()
         return self._direct[key]
 
 
@@ -398,7 +455,10 @@ def iterate_indices(path: SymplecticPath, m_max: int,
 
     with every i_omega read from the arc rule.
     """
-    rule = _ArcRule(path, opts or IndexOptions())
+    return _iterate_table(_ArcRule(path, opts or IndexOptions()), m_max)
+
+
+def _iterate_table(rule: _ArcRule, m_max: int) -> list[IndexResult]:
     out = []
     for m in range(1, m_max + 1):
         pairs = [rule(np.exp(2j * np.pi * k / m)) for k in range(m)]
@@ -419,13 +479,25 @@ def mean_index(path: SymplecticPath, K: int = 1024,
     with K.  Conjugate roots share an index, so only the closed upper
     half circle is visited.
     """
-    rule = _ArcRule(path, opts or IndexOptions())
+    return _mean(_ArcRule(path, opts or IndexOptions()), K)
+
+
+def _mean(rule: _ArcRule, K: int) -> tuple[float, float]:
     total = rule(1.0)[0]
     if K % 2 == 0:
         total += rule(-1.0)[0]
     for k in range(1, (K + 1) // 2):
         total += 2 * rule(np.exp(2j * np.pi * k / K))[0]
-    return total / K, 4.0 * path.n / K
+    return total / K, 4.0 * rule.path.n / K
+
+
+def iterates_and_mean(path: SymplecticPath, m_max: int, K: int = 1024,
+                      opts: IndexOptions | None = None,
+                      ) -> tuple[list[IndexResult], tuple[float, float]]:
+    """`iterate_indices(path, m_max)` and `mean_index(path, K)` from one
+    arc rule, so the counts both need (omega = +-1, the arcs) run once."""
+    rule = _ArcRule(path, opts or IndexOptions())
+    return _iterate_table(rule, m_max), _mean(rule, K)
 
 
 def splitting_numbers_numeric(path: SymplecticPath, omega,
@@ -439,8 +511,8 @@ def splitting_numbers_numeric(path: SymplecticPath, omega,
     that side, minus i_omega; omega counts as the cut it lies near.  At
     +-1 both sides are the same arc by conjugate symmetry.
     """
-    rule = _ArcRule(path, opts or IndexOptions())
     w = _normalize_omega(omega)
+    rule = _ArcRule(path, opts or IndexOptions())
     i0 = rule(w)[0]
     j, near = rule.locate(_principal_angle(w))
     if not near:

@@ -1,12 +1,16 @@
 """Crossing-count engine: anchor values, additivity, grid stability."""
 
+import collections
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from symstab import (
     IndexOptions,
+    SurfaceSpec,
     SymplecticPath,
+    diamond_all,
     diamond_paths,
     exp_path,
     index_nu,
@@ -14,12 +18,17 @@ from symstab import (
     iterate_path,
     lower_shear_path,
     mean_index,
+    normal_form_path,
     rotation_path,
     shear_path,
+    splitting_numbers_numeric,
+    twisted_path,
+    verify_surface,
 )
-from symstab.errors import DimensionError
+from symstab import index as ix
+from symstab.errors import DimensionError, NumericalConsistencyError
 from symstab.index import D_omega
-from symstab.sympl import N1_block, R_block
+from symstab.sympl import N1_block, N2_block, R_block
 
 PI = np.pi
 
@@ -141,3 +150,173 @@ def test_positive_definite_random(seed):
     S = A @ A.T + 0.05 * np.eye(2)
     S *= 1.8 / max(1.0, np.linalg.norm(S, 2))
     assert tup(exp_path(S), 1.0) == (1, 0)
+
+
+# ---------------------------------------------------------------------------
+# one sampling of the twisted grids per count
+# ---------------------------------------------------------------------------
+
+def _per_omega_count_once(path, omega, sign, eps, opts, N):
+    """The crossing count as it was before the grid samples were shared:
+    every omega builds its own twisted path and samples its grid afresh."""
+    tau = path.tau
+    tw = twisted_path(path, eps, sign)
+    n = path.n
+    pref = (-1.0) ** (n - 1) * np.conj(omega) ** n
+
+    def sample(ts):
+        ev = np.linalg.eigvals(tw.values(ts))
+        diff = ev - omega
+        return pref * diff.prod(axis=-1), np.abs(diff).min(axis=-1)
+
+    ts = ix._grid(tw, N)
+    Draw, dist = sample(ts)
+    if np.abs(Draw.imag).max() > 1e-6 * max(np.abs(Draw).max(), 1e-12):
+        raise NumericalConsistencyError(
+            "determinant function not real; input path may not be symplectic")
+    if dist[-1] < 3.0 * opts.accept_tol:
+        raise ix._RetryEps(f"twisted endpoint still degenerate (eps={eps:.1e})")
+
+    width = 64.0 * opts.refine_rtol * tau
+    live = np.reshape(ix._brackets(ts, Draw.real, dist, opts.trigger, True),
+                      (-1, 2))
+    found = []
+    level = 0
+    while True:
+        narrow = live[:, 1] - live[:, 0] < width
+        found.extend(live[narrow].mean(axis=1))
+        live = live[~narrow]
+        if not len(live):
+            break
+        level += 1
+        xs = np.linspace(live[:, 0], live[:, 1], ix._SPLIT + 1, axis=1)
+        Dv, dv = sample(xs.ravel())
+        live = np.reshape(
+            [br for x, D, d in zip(xs, Dv.real.reshape(xs.shape),
+                                   dv.reshape(xs.shape))
+             for br in ix._brackets(x, D, d, opts.trigger,
+                                    level <= ix._ALL_MINIMA)],
+            (-1, 2))
+
+    radius = max(200.0 * opts.refine_rtol * tau, 1e-6 * tau)
+    crossings = []
+    for t in sorted(found):
+        if 1e-9 * tau <= t <= tau * (1.0 - 1e-13) and not (
+                crossings and t - crossings[-1] < radius):
+            crossings.append(t)
+
+    total = 0
+    counted = []
+    seam_atol = 1e-9 * tau
+    mats = tw.values(np.array(crossings)) if crossings else ()
+    for t, M in zip(crossings, mats):
+        k, B = ix._kernel_basis(M, omega, opts.rank_tol)
+        if k == 0:
+            continue
+        near = [s for s in tw.seams if abs(s - t) < seam_atol]
+        if near:
+            s = near[0]
+            f1 = ix._signature(B.conj().T @ tw.sform(s, -1) @ B, opts.form_tol)
+            f2 = ix._signature(B.conj().T @ tw.sform(s, 1) @ B, opts.form_tol)
+            if (f1 + f2) % 2:
+                raise NumericalConsistencyError(
+                    f"odd corner signature pair ({f1},{f2}) at t={s:.6g}")
+            total += (f1 + f2) // 2
+        else:
+            total += ix._signature(B.conj().T @ tw.sform(t, 1) @ B,
+                                   opts.form_tol)
+        counted.append(t)
+
+    if abs(omega - 1.0) < ix._AT_ONE:
+        sig0 = ix._signature(tw.sform(0.0, 1), opts.form_tol)
+        if sig0 % 2:
+            raise NumericalConsistencyError("odd start-form signature")
+        total += sig0 // 2
+
+    return total, tuple(counted)
+
+
+# a positive definite generator: an elliptic endpoint, several arcs
+_GEN = exp_path(np.array([[0.9, 0.2, 0.1, 0.0], [0.2, 1.3, 0.0, 0.3],
+                          [0.1, 0.0, 2.1, 0.4], [0.0, 0.3, 0.4, 1.7]]))
+
+
+@pytest.mark.parametrize("path, omegas, ladder", [
+    pytest.param(_GEN, [1.0, -1.0, np.exp(0.777j), np.exp(2.3j)], False,
+                 id="lower and upper twist"),
+    pytest.param(iterate_path(_GEN, 2), [1.0, -1.0, np.exp(0.777j)], False,
+                 id="seams"),
+    pytest.param(iterate_path(rotation_path(2 * PI), 2), [1.0, -1.0, 1j],
+                 False, id="crossings at the seams"),
+    pytest.param(iterate_path(normal_form_path(diamond_all(
+        [N2_block(2.0, trivial=True), R_block(2.0)])), 2), [np.exp(2j)],
+        True, id="eps ladder"),
+])
+def test_shared_sampling_leaves_results_unchanged(path, omegas, ladder,
+                                                  monkeypatch):
+    def results():
+        direct = [index_nu(path, w) for w in omegas]
+        rule = ix._ArcRule(path, IndexOptions())
+        served = ([rule(w) for w in omegas]
+                  + [rule.arc(j) for j in range(len(rule.cuts) - 1)])
+        return direct, served, iterate_indices(path, 4), mean_index(path, 32)
+
+    new = results()
+    assert any(r.eps < IndexOptions().eps for r in new[0]) == ladder
+    monkeypatch.setattr(ix, "_count_once",
+                        lambda samples, *a: _per_omega_count_once(
+                            samples.path, *a))
+    assert new == results()
+
+
+def _counting(path):
+    """path with a values_fn that records every batch of times it gets."""
+    calls = []
+
+    def values(ts):
+        calls.append(np.array(ts))
+        return path.values(ts)
+
+    return SymplecticPath(path.n, path.tau, values, sform_fn=path.sform,
+                          seams=path.seams, grid_hint=path.grid_hint), calls
+
+
+def _grid_reads(path, calls):
+    N = max(IndexOptions().grid, path.grid_hint)
+    return [sum(np.array_equal(ts, ix._grid(path, k * N)) for ts in calls)
+            for k in (1, 2, 4)]
+
+
+def test_twisted_grids_are_sampled_once_per_count():
+    for K in (64, 256):
+        path, calls = _counting(_GEN)
+        assert mean_index(path, K) == mean_index(_GEN, K)
+        # lower twist: the 2N grid, which also serves N; upper twist: N;
+        # so one read of each, however many omega the rule counts
+        n1, n2, n4 = _grid_reads(path, calls)
+        assert (n1, n2) == (1, 1) and n4 <= 1, (K, n1, n2, n4)
+    M = diamond_all([R_block(2.0), R_block(4.0)])
+    for w in (np.exp(2j), np.exp(4j), np.exp(0.777j)):
+        path, calls = _counting(normal_form_path(M))
+        assert (splitting_numbers_numeric(path, w)
+                == splitting_numbers_numeric(normal_form_path(M), w))
+        n1, n2, n4 = _grid_reads(path, calls)
+        assert (n1, n2) == (1, 1) and n4 <= 1, (w, n1, n2, n4)
+
+
+def test_verify_surface_counts_plus_minus_one_once_per_orbit(monkeypatch):
+    seen = collections.Counter()
+    count_once = ix._count_once
+
+    def recorded(first, omega, sign, eps, opts, N):
+        if abs(omega.imag) < 1e-9:  # omega = +-1, up to rounding of e^{i pi}
+            path = getattr(first, "path", first)
+            seen[id(path), round(omega.real), sign, eps, N] += 1
+        return count_once(first, omega, sign, eps, opts, N)
+
+    monkeypatch.setattr(ix, "_count_once", recorded)
+    rep = verify_surface(SurfaceSpec((1.0, 1.1)), m_max=2, mean_K=16)
+    assert len(rep.orbits) == 2
+    assert {w for _, w, *_ in seen} == {1, -1}
+    assert len({p for p, *_ in seen}) == 2
+    assert set(seen.values()) == {1}, seen
