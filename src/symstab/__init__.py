@@ -10,7 +10,7 @@ from .errors import (
     SymstabError, DimensionError, ParseError, SymplecticityError,
     UnsupportedNormalForm, NumericalConsistencyError, TangencyError,
     IndexUnstableError, GalerkinError, ResonantFormError, GaugeError,
-    FlowError, OrbitSearchError,
+    FlowError, OrbitSearchError, MergedCutError,
 )
 from .sympl import (
     standard_J, expJ, rotation2, sympl_dim, symplectic_residual,
@@ -59,7 +59,7 @@ __all__ = [
     "SymstabError", "DimensionError", "ParseError", "SymplecticityError",
     "UnsupportedNormalForm", "NumericalConsistencyError", "TangencyError",
     "IndexUnstableError", "GalerkinError", "ResonantFormError",
-    "GaugeError", "FlowError", "OrbitSearchError",
+    "GaugeError", "FlowError", "OrbitSearchError", "MergedCutError",
     # sympl
     "standard_J", "expJ", "rotation2", "sympl_dim", "symplectic_residual",
     "is_symplectic", "check_symplectic", "plane_embedding", "diamond",

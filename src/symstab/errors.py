@@ -42,6 +42,20 @@ class TangencyError(SymstabError, ArithmeticError):
     """
 
 
+class MergedCutError(SymstabError, ArithmeticError):
+    """Splitting numbers asked away from +-1 at the merged cut of +-1.
+
+    An endpoint eigenvalue within the cut tolerance of +1 or -1 merges its
+    cut with theirs, so the arc between the two is never counted and the
+    one-sided limits at omega cannot be read.  `gap` is the angle in
+    radians between omega and the nearer of +-1.
+    """
+
+    def __init__(self, message: str, gap: float):
+        super().__init__(message)
+        self.gap = gap
+
+
 class IndexUnstableError(SymstabError, ArithmeticError):
     """Crossing count failed to stabilize under grid/perturbation refinement."""
 

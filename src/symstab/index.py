@@ -51,6 +51,7 @@ import numpy as np
 from .errors import (
     DimensionError,
     IndexUnstableError,
+    MergedCutError,
     NumericalConsistencyError,
     TangencyError,
 )
@@ -510,14 +511,29 @@ def splitting_numbers_numeric(path: SymplecticPath, omega,
     each limit is the index at the midpoint of the arc next to omega on
     that side, minus i_omega; omega counts as the cut it lies near.  At
     +-1 both sides are the same arc by conjugate symmetry.
+
+    Raises MergedCutError when omega is farther than rank_tol from +-1
+    but its cut merged with the cut at +-1: the arc between omega and +-1
+    is then never counted.
     """
     w = _normalize_omega(omega)
-    rule = _ArcRule(path, opts or IndexOptions())
+    opts = opts or IndexOptions()
+    rule = _ArcRule(path, opts)
+    a = _principal_angle(w)
+    j, near = rule.locate(a)
+    last = len(rule.cuts) - 2
+    lo, hi = rule.cuts[j]
+    # within rank_tol of +-1 the kernel test cannot tell omega from +-1
+    gap = min(a, np.pi - a)
+    if near and j in (0, last + 1) and lo < hi and gap > opts.rank_tol:
+        raise MergedCutError(
+            f"omega at angle {a:.9g} lies {gap:.2e} rad from "
+            f"{'+1' if j == 0 else '-1'}, at the merged cut "
+            f"[{lo:.9g}, {hi:.9g}]; the splitting numbers there are not "
+            "resolved", gap)
     i0 = rule(w)[0]
-    j, near = rule.locate(_principal_angle(w))
     if not near:
         return SplittingPair(0, 0)
-    last = len(rule.cuts) - 2
     above = rule.arc(min(j, last)) - i0
     below = rule.arc(max(j - 1, 0)) - i0
     if w.imag < 0.0:

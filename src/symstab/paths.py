@@ -3,7 +3,10 @@
 A path is a piecewise-smooth map gamma: [0, tau] -> Sp(2n), given by one
 batched evaluator: a function from a 1-d array of times to the stacked
 matrices.  `SymplecticPath.value(t)` reads that evaluator at one time, so
-each matrix formula is written once.  Besides values, the index machinery
+each matrix formula is written once.  Constant generators L are evaluated
+through an eigenbasis of L or, when L is defective, through one batched
+degree-13 Pade scaling and squaring built from the powers of L; neither
+loops over the times in Python.  Besides values, the index machinery
 needs the symmetric coefficient
 
     S(t) = J^{-1} dgamma/dt gamma(t)^{-1},
@@ -134,8 +137,58 @@ class SymplecticPath:
 # elementary constructors
 # ---------------------------------------------------------------------------
 
+# Pade [13/13] coefficients of exp, and theta13, the 1-norm of A up to
+# which that approximant has a backward error below double rounding
+# (Higham, SIAM J. Matrix Anal. Appl. 26, 2005)
+_PADE13 = np.array([
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0,
+    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+    16380.0, 182.0, 1.0])
+_THETA13 = 5.371920351148152
+
+
+def _pade_exp(L: np.ndarray):
+    """Batched evaluator ts -> exp(t L), by scaling and squaring.
+
+    Every t L is a multiple of the same L, so the powers L^0..L^13 are
+    formed once; a stack of times then costs two coefficient contractions,
+    one batched solve and at most s_max masked squarings, where s_t is the
+    smallest s with |t| ||L||_1 / 2^s <= theta13.
+    """
+    d = L.shape[0]
+    powers = np.empty((14, d, d))
+    powers[0] = np.eye(d)
+    for k in range(1, 14):
+        powers[k] = powers[k - 1] @ L
+    odd = powers[1::2].reshape(7, d * d)
+    even = powers[0::2].reshape(7, d * d)
+    norm = np.abs(L).sum(axis=0).max()
+
+    def values(ts):
+        ratio = np.maximum(np.abs(ts) * norm / _THETA13, 1.0)
+        s = np.ceil(np.log2(ratio)).astype(int)
+        C = np.ldexp(ts, -s)[:, None] ** np.arange(14) * _PADE13
+        U = (C[:, 1::2] @ odd).reshape(-1, d, d)
+        V = (C[:, 0::2] @ even).reshape(-1, d, d)
+        R = np.linalg.solve(V - U, V + U)
+        for level in range(1, int(s.max(initial=0)) + 1):
+            sel = s >= level
+            Rs = R[sel]
+            R[sel] = Rs @ Rs
+        return R
+
+    return values
+
+
 def exp_path(S_sym: np.ndarray, tau: float = 1.0, label="") -> SymplecticPath:
-    """Path exp(t J S) of the constant linear system x' = J S x."""
+    """Path exp(t J S) of the constant linear system x' = J S x.
+
+    With a well-conditioned eigenbasis of L = J S the values are
+    V exp(t Lambda) V^{-1}; a defective L (a shear plane, a Jordan block of
+    `normal_form_path`) goes through the batched Pade evaluator
+    `_pade_exp`, which serves a whole time stack from the powers of L.
+    """
     S_sym = np.asarray(S_sym, dtype=float)
     n = sympl_dim(S_sym)
     J = standard_J(n)
@@ -155,8 +208,7 @@ def exp_path(S_sym: np.ndarray, tau: float = 1.0, label="") -> SymplecticPath:
             E = np.exp(np.multiply.outer(ts, evals))      # (m, 2n)
             return np.einsum("ij,tj,jk->tik", V, E, Vinv).real
     else:
-        def values(ts):
-            return expm(np.multiply.outer(ts, L))
+        values = _pade_exp(L)
 
     def sform(t, side):
         return S_sym
@@ -396,18 +448,12 @@ def normal_form_path(M: np.ndarray, tau: float = 1.0) -> SymplecticPath:
     n = sympl_dim(M)
     J = standard_J(n)
 
-    def margin(A):
-        ev = np.linalg.eigvals(A)
-        # distance of eigenvalue arguments from pi, guarding tiny moduli
-        return float(np.min(np.abs(np.abs(np.angle(ev)) - np.pi)))
-
-    best = None
-    for th in _ROT_CANDIDATES:
-        A = expJ(-th, n) @ M
-        mg = margin(A)
-        if best is None or mg > best[0]:
-            best = (mg, th, A)
-    mg, theta, A = best
+    cands = np.stack([expJ(-th, n) @ M for th in _ROT_CANDIDATES])
+    # distance of eigenvalue arguments from pi, guarding tiny moduli; the
+    # first candidate with the largest margin wins
+    margins = np.abs(np.abs(np.angle(np.linalg.eigvals(cands))) - np.pi)
+    k = int(np.argmax(margins.min(axis=1)))
+    mg, theta, A = float(margins[k].min()), _ROT_CANDIDATES[k], cands[k]
     if mg < 1e-4:
         raise NumericalConsistencyError(
             "could not rotate the spectrum away from the branch cut")

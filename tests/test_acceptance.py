@@ -21,6 +21,7 @@ from conftest import (
     PERTURBED,
     PERTURBED_N1,
     CorpusEntry,
+    _random_normal_form,
     bott_path_pool,
     exact_mean_index,
     exact_orbit_index,
@@ -52,7 +53,12 @@ from symstab import (
     verify_surface,
 )
 from symstab.dynamics import gauge_grad_hess
-from symstab.errors import ResonantFormError, SymstabError, TangencyError
+from symstab.errors import (
+    MergedCutError,
+    ResonantFormError,
+    SymstabError,
+    TangencyError,
+)
 from symstab.index import splitting_numbers_numeric
 from symstab.sympl import N1_block, N2_block, R_block
 
@@ -225,6 +231,21 @@ def test_arc_midpoint_with_a_kernel_is_refused():
     assert splitting_table(spectral_summary(M), -1.0).as_tuple() == (1, 1)
     with pytest.raises(TangencyError):
         splitting_numbers_numeric(normal_form_path(M), -1.0)
+
+
+def test_eigenvalue_in_the_merged_cut_at_minus_one_is_refused():
+    # the 185th random normal form of default_rng(99) has eigenvalues
+    # e^{+-0.386i} and -1 +- 8.5e-5 i; the cut at the latter merges with
+    # the cut at -1, so the arc between them is never counted, and the
+    # limits used to read (0, 0) where the block table gives (1, 0)
+    rng = np.random.default_rng(99)
+    for _ in range(185):
+        M = _random_normal_form(rng, rng.integers(1, 3))
+    w = np.exp(3.141507j)
+    assert splitting_table(spectral_summary(M), w).as_tuple() == (1, 0)
+    with pytest.raises(MergedCutError) as info:
+        splitting_numbers_numeric(normal_form_path(M), w)
+    assert info.value.gap == pytest.approx(math.pi - 3.141507)
 
 
 # ---------------------------------------------------------------------------

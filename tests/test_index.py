@@ -5,6 +5,7 @@ import collections
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
 from symstab import (
     IndexOptions,
@@ -19,6 +20,7 @@ from symstab import (
     lower_shear_path,
     mean_index,
     normal_form_path,
+    random_symplectic,
     rotation_path,
     shear_path,
     splitting_numbers_numeric,
@@ -26,7 +28,12 @@ from symstab import (
     verify_surface,
 )
 from symstab import index as ix
-from symstab.errors import DimensionError, NumericalConsistencyError
+from symstab import paths as paths_mod
+from symstab.errors import (
+    DimensionError,
+    NumericalConsistencyError,
+    SymstabError,
+)
 from symstab.index import D_omega
 from symstab.sympl import N1_block, N2_block, R_block
 
@@ -302,6 +309,44 @@ def test_twisted_grids_are_sampled_once_per_count():
                 == splitting_numbers_numeric(normal_form_path(M), w))
         n1, n2, n4 = _grid_reads(path, calls)
         assert (n1, n2) == (1, 1) and n4 <= 1, (w, n1, n2, n4)
+
+
+def _outcome(call):
+    try:
+        return call().as_tuple()
+    except SymstabError as exc:
+        return type(exc).__name__
+
+
+def test_batched_exponential_keeps_jordan_block_integers(monkeypatch):
+    # reference copies take the exponential of each defective generator
+    # with scipy's expm, one matrix at a time
+    rng = np.random.default_rng(8)
+    forms = [N1_block(1, 1), N1_block(1, -1), N2_block(2.0, True),
+             N2_block(2.0, False),
+             diamond_all([N1_block(1, 1), N2_block(2.0, False)])]
+    mats = forms + [C @ M @ np.linalg.inv(C) for M in forms
+                    for C in [random_symplectic(M.shape[0] // 2, rng)]]
+    batched = [normal_form_path(M) for M in mats]
+    generators = []
+
+    def per_matrix(L):
+        generators.append(L)
+        return lambda ts: np.array([expm(t * L) for t in ts]).reshape(
+            len(ts), *L.shape)
+
+    monkeypatch.setattr(paths_mod, "_pade_exp", per_matrix)
+    reference = [normal_form_path(M) for M in mats]
+    assert len(generators) >= len(forms)
+    for M, p, q in zip(mats, batched, reference):
+        units = {complex(np.exp(1j * round(np.angle(lam), 6)))
+                 for lam in np.linalg.eigvals(M) if abs(abs(lam) - 1) < 1e-9}
+        for w in units | {1.0, -1.0, np.exp(0.777j), np.exp(2.3j)}:
+            assert (_outcome(lambda: index_nu(p, w))
+                    == _outcome(lambda: index_nu(q, w))), (p.label, w)
+        for w in units:
+            assert (_outcome(lambda: splitting_numbers_numeric(p, w))
+                    == _outcome(lambda: splitting_numbers_numeric(q, w)))
 
 
 def test_verify_surface_counts_plus_minus_one_once_per_orbit(monkeypatch):

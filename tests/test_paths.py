@@ -25,8 +25,9 @@ from symstab import (
     symplectic_residual,
     twisted_path,
 )
+from symstab import paths as paths_mod
 from symstab.errors import DimensionError
-from symstab.sympl import rotation2
+from symstab.sympl import N1_block, N2_block, rotation2
 
 
 def test_constructors_start_at_identity():
@@ -62,6 +63,72 @@ def test_exp_path_values_on_defective_generator():
     ts = np.linspace(0.0, 2.0, 9)
     ref = np.stack([expm(t * standard_J(2) @ S) for t in ts])
     assert np.abs(p.values(ts) - ref).max() < 1e-12
+
+
+def _defective_generators(monkeypatch):
+    """Generators L that `exp_path` cannot diagonalize: nilpotent shear
+    planes, the logarithms `normal_form_path` takes of Jordan blocks, and
+    random ones with one shear plane beside an elliptic rest."""
+    gens = [standard_J(1) @ np.diag([0.0, b]) for b in (0.3, -2.0, 7.5)]
+    build = paths_mod._pade_exp
+    seen = []
+
+    def record(L):
+        seen.append(L)
+        return build(L)
+
+    monkeypatch.setattr(paths_mod, "_pade_exp", record)
+    rng = np.random.default_rng(5)
+    # a block at -1 gets rotated off the branch cut first, which leaves
+    # the remainder diagonalizable, so these are the blocks at 1 and N2
+    for M in (N1_block(1, 1), N1_block(1, -1), N2_block(2.0, True),
+              N2_block(2.0, False),
+              diamond_all([N1_block(1, 1), N2_block(2.0, False)])):
+        C = random_symplectic(M.shape[0] // 2, rng)
+        normal_form_path(M)
+        normal_form_path(C @ M @ np.linalg.inv(C))
+    monkeypatch.undo()
+    assert len(seen) >= 6
+    gens += seen
+    for n in (2, 3, 3):
+        A = rng.standard_normal((2 * n - 2, 2 * n - 2))
+        rest = A @ A.T + 0.1 * np.eye(2 * n - 2)
+        rest *= rng.uniform(2.0, 20.0) / np.linalg.norm(rest, 2)
+        S = diamond_all([np.diag([0.0, rng.uniform(-3.0, 3.0)]), rest])
+        Ci = np.linalg.inv(random_symplectic(n, rng))
+        gens.append(standard_J(n) @ Ci.T @ S @ Ci)
+    return gens
+
+
+def test_defective_exp_path_matches_expm_matrix_by_matrix(monkeypatch):
+    rng = np.random.default_rng(17)
+    for L in _defective_generators(monkeypatch):
+        n = L.shape[0] // 2
+        S = -standard_J(n) @ L
+        norm = np.abs(L).sum(axis=0).max()
+        # up to ||t L||_1 = 160, five squarings; shuffled, with repeats
+        ts = np.linspace(0.0, 160.0 / norm, 41)
+        ts = rng.permutation(np.concatenate([ts, ts[::7], [0.0]]))
+        p = exp_path(S, tau=ts.max())
+        got = p.values(ts)
+        for t, m in zip(ts, got):
+            ref = expm(t * L)
+            err = (np.abs(m - ref) / (1.0 + np.abs(ref))).max()
+            assert err < (1e-12 if t * norm <= 25.0 else 1e-11), (t * norm,
+                                                                  err)
+
+
+def test_defective_exp_path_makes_no_scipy_call(monkeypatch):
+    p = exp_path(np.diag([0.0, 0.8, 1.0, 0.8]), tau=2.0)
+    calls = []
+
+    def counted(A):
+        calls.append(np.shape(A))
+        return expm(A)
+
+    monkeypatch.setattr(paths_mod, "expm", counted)
+    assert p.values(np.linspace(0.0, 2.0, 200)).shape == (200, 4, 4)
+    assert calls == []
 
 
 def _close(p, ts, ref, tol=1e-12):
