@@ -13,6 +13,14 @@ genuinely non-diagonal.
 The dynamics use the homogeneous Hamiltonians H_alpha = j^alpha, with j the
 gauge (Minkowski functional) of the surface, which here admits the closed
 form j^2 = (Q + sqrt(Q^2 + 4 delta P4)) / 2.
+
+Its derivatives come from one pass per point (`_gauge_derivs`): j,
+z = x / j, the plane coefficients and grad j, with Hess j built on top
+only when a caller needs it.  Each SurfaceSpec builds the arrays that pass
+reads (weights, quartic coefficients, the Hessian mask, the identity) once.
+The variational flow makes one pass per right-hand side call, the plain
+flow a gradient-only one; `enclosing_radii` evaluates the closed form on
+all its directions as one array expression.
 """
 
 from __future__ import annotations
@@ -46,8 +54,20 @@ class SurfaceSpec:
         quartic = tuple(float(q) for q in self.quartic)
         if quartic and len(quartic) != len(radii):
             raise GaugeError("quartic coefficients must match the number of planes")
+        quartic = quartic or (0.0,) * len(radii)
         object.__setattr__(self, "radii", radii)
-        object.__setattr__(self, "quartic", quartic or (0.0,) * len(radii))
+        object.__setattr__(self, "quartic", quartic)
+        # read-only constants of every gauge evaluation, built once; the
+        # mask holds 8 delta q_l on the entries (l, n+l) x (l, n+l)
+        q = np.asarray(quartic)
+        consts = dict(
+            _w=1.0 / np.asarray(radii) ** 2, _q=q,
+            _dq2=2.0 * self.delta * q,
+            _mask=np.kron(np.ones((2, 2)), np.diag(8.0 * self.delta * q)),
+            _eye=np.eye(2 * len(radii)))
+        for name, arr in consts.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
@@ -55,7 +75,7 @@ class SurfaceSpec:
 
     @property
     def weights(self) -> np.ndarray:
-        return 1.0 / np.asarray(self.radii) ** 2
+        return self._w
 
     def is_ellipsoid(self) -> bool:
         return self.delta == 0.0 or all(q == 0.0 for q in self.quartic)
@@ -66,63 +86,71 @@ def _plane_r2(spec: SurfaceSpec, x: np.ndarray) -> np.ndarray:
     return x[:n] ** 2 + x[n:] ** 2
 
 
-def surface_value(spec: SurfaceSpec, x: np.ndarray) -> float:
-    r2 = _plane_r2(spec, np.asarray(x, float))
-    q = np.asarray(spec.quartic)
-    return float(np.dot(spec.weights, r2) + spec.delta * np.dot(q, r2 * r2))
-
-
-def surface_grad(spec: SurfaceSpec, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, float)
-    r2 = _plane_r2(spec, x)
-    c = spec.weights + 2.0 * spec.delta * np.asarray(spec.quartic) * r2
-    return 2.0 * np.concatenate([c, c]) * x
-
-
-def surface_hess(spec: SurfaceSpec, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, float)
-    n = spec.n
-    r2 = _plane_r2(spec, x)
-    c = spec.weights + 2.0 * spec.delta * np.asarray(spec.quartic) * r2
-    H = np.diag(np.concatenate([c, c]) * 2.0)
-    for l in range(n):
-        v = np.zeros(2 * n)
-        v[l], v[n + l] = x[l], x[n + l]
-        H += 8.0 * spec.delta * spec.quartic[l] * np.outer(v, v)
-    return H
-
-
 def gauge(spec: SurfaceSpec, x: np.ndarray) -> float:
     """Minkowski functional: the unique j > 0 with F(x / j) = 1."""
     x = np.asarray(x, float)
     r2 = _plane_r2(spec, x)
-    Q = float(np.dot(spec.weights, r2))
+    Q = float(np.dot(spec._w, r2))
     if Q == 0.0:
         return 0.0
-    P4 = float(np.dot(spec.quartic, r2 * r2))
+    P4 = float(np.dot(spec._q, r2 * r2))
     j2 = 0.5 * (Q + math.sqrt(Q * Q + 4.0 * spec.delta * P4))
     if j2 <= 0:
         raise GaugeError("surface is not star-shaped at this point")
     return math.sqrt(j2)
 
 
-def gauge_grad_hess(spec: SurfaceSpec, x: np.ndarray):
-    """Gauge value with gradient and Hessian by implicit differentiation."""
+def _gauge_derivs(spec: SurfaceSpec, x: np.ndarray, hess: bool):
+    """(j, grad j, Hess j) at x, the Hessian None unless asked for.
+
+    One pass: the gauge j, z = x / j on the level set, the plane
+    coefficients c_l = w_l + 2 delta q_l rho_l(z)^2 and grad F(z) = 2 c z,
+    then grad j = grad F(z) / <grad F(z), z> by implicit differentiation
+    of F(x / j) = 1.  Hess F(z) = diag(2 c) + mask * z z^T reads the
+    per-spec mask of 8 delta q_l on each plane's 2x2 entries.
+    """
     x = np.asarray(x, float)
     j = gauge(spec, x)
     if j == 0.0:
         raise GaugeError("gauge derivatives undefined at the origin")
     z = x / j
-    g = surface_grad(spec, z)
+    c = spec._w + spec._dq2 * _plane_r2(spec, z)
+    c2 = 2.0 * np.concatenate([c, c])
+    g = c2 * z
     s = float(np.dot(g, z))
     if s <= 0:
         raise GaugeError("degenerate radial derivative; surface not transverse")
     grad = g / s
-    Fzz = surface_hess(spec, z)
-    Z = (np.eye(x.size) - np.outer(z, grad)) / j
-    hess = (Fzz @ Z) / s - np.outer(g, Z.T @ (Fzz @ z + g)) / (s * s)
-    hess = 0.5 * (hess + hess.T)
-    return j, grad, hess
+    if not hess:
+        return j, grad, None
+    # outer products by broadcasting: a[:, None] * b is np.outer(a, b)
+    Fzz = spec._eye * c2 + spec._mask * (z[:, None] * z)
+    Z = (spec._eye - z[:, None] * grad) / j
+    H = (Fzz @ Z) / s - g[:, None] * (Z.T @ (Fzz @ z + g)) / (s * s)
+    return j, grad, 0.5 * (H + H.T)
+
+
+def _gauge_rows(spec: SurfaceSpec, u: np.ndarray) -> np.ndarray:
+    """`gauge` of each nonzero row of u, as one array expression.
+
+    np.vecdot takes the same dot product per row as np.dot does, so every
+    value equals the scalar `gauge` bit for bit.
+    """
+    n = spec.n
+    r2 = u[:, :n] ** 2 + u[:, n:] ** 2
+    Q = np.vecdot(r2, spec._w)
+    P4 = np.vecdot(r2 * r2, spec._q)
+    with np.errstate(invalid="ignore"):
+        j2 = 0.5 * (Q + np.sqrt(Q * Q + 4.0 * spec.delta * P4))
+    if not np.all(j2 > 0):
+        raise GaugeError("surface is not star-shaped in a sampled direction")
+    return np.sqrt(j2)
+
+
+def gauge_grad_hess(spec: SurfaceSpec, x: np.ndarray):
+    """Gauge value with gradient and Hessian by implicit differentiation,
+    in one pass (`_gauge_derivs`) over the constants the spec built once."""
+    return _gauge_derivs(spec, x, True)
 
 
 @dataclass(frozen=True)
@@ -136,14 +164,8 @@ class AlphaHamiltonian:
         return gauge(self.spec, x) ** self.alpha
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        j, gj, _ = gauge_grad_hess(self.spec, x)
+        j, gj, _ = _gauge_derivs(self.spec, x, False)
         return self.alpha * j ** (self.alpha - 1.0) * gj
-
-    def hess(self, x: np.ndarray) -> np.ndarray:
-        a = self.alpha
-        j, gj, Hj = gauge_grad_hess(self.spec, x)
-        return a * (a - 1.0) * j ** (a - 2.0) * np.outer(gj, gj) \
-            + a * j ** (a - 1.0) * Hj
 
 
 @dataclass
@@ -168,10 +190,15 @@ def integrate_flow(spec: SurfaceSpec, alpha: float, x0: np.ndarray, T: float,
 
     if variational:
         def rhs(_, y):
+            # H' = a j^(a-1) j',  H'' = a (a-1) j^(a-2) j' j'^T + a j^(a-1) j''
             x, W = y[:d], y[d:].reshape(d, d)
+            j, gj, Hj = _gauge_derivs(spec, x, True)
+            a1 = alpha * j ** (alpha - 1.0)
+            a2 = alpha * (alpha - 1.0) * j ** (alpha - 2.0)
+            S = a2 * (gj[:, None] * gj) + a1 * Hj
             out = np.empty_like(y)
-            out[:d] = J @ ham.grad(x)
-            out[d:] = (J @ ham.hess(x) @ W).ravel()
+            out[:d] = J @ (a1 * gj)
+            out[d:] = (J @ S @ W).ravel()
             return out
         y0 = np.concatenate([x0, np.eye(d).ravel()])
     else:
@@ -337,7 +364,7 @@ def enclosing_radii(spec: SurfaceSpec, samples: int = 4096, seed: int = 0,
     rng = np.random.default_rng(seed)
     u = rng.standard_normal((samples, 2 * spec.n))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    radii = np.array([1.0 / gauge(spec, ui) for ui in u])
+    radii = 1.0 / _gauge_rows(spec, u)
     exact = [plane_circle_radius(spec, l) for l in range(spec.n)]
     lo = min(radii.min(), min(exact))
     hi = max(radii.max(), max(exact))

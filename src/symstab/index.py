@@ -512,9 +512,10 @@ def splitting_numbers_numeric(path: SymplecticPath, omega,
     that side, minus i_omega; omega counts as the cut it lies near.  At
     +-1 both sides are the same arc by conjugate symmetry.
 
-    Raises MergedCutError when omega is farther than rank_tol from +-1
-    but its cut merged with the cut at +-1: the arc between omega and +-1
-    is then never counted.
+    At omega within rank_tol of +-1 with nullity 0, +-1 is no eigenvalue
+    and the pair is (0, 0).  Raises MergedCutError when omega is farther
+    than rank_tol from +-1 but its cut merged with the cut at +-1: the arc
+    between omega and +-1 is then never counted.
     """
     w = _normalize_omega(omega)
     opts = opts or IndexOptions()
@@ -531,8 +532,10 @@ def splitting_numbers_numeric(path: SymplecticPath, omega,
             f"{'+1' if j == 0 else '-1'}, at the merged cut "
             f"[{lo:.9g}, {hi:.9g}]; the splitting numbers there are not "
             "resolved", gap)
-    i0 = rule(w)[0]
-    if not near:
+    i0, nu0 = rule(w)
+    if not near or (nu0 == 0 and gap <= opts.rank_tol):
+        # omega is no eigenvalue: the splitting numbers vanish there, so
+        # a cut at +-1 merged with a nearby eigenvalue is not read
         return SplittingPair(0, 0)
     above = rule.arc(min(j, last)) - i0
     below = rule.arc(max(j - 1, 0)) - i0

@@ -248,6 +248,20 @@ def test_eigenvalue_in_the_merged_cut_at_minus_one_is_refused():
     assert info.value.gap == pytest.approx(math.pi - 3.141507)
 
 
+def test_minus_one_off_the_spectrum_splits_by_zero():
+    # the same draw at -1 itself: -1 is no eigenvalue (nullity 0), so the
+    # splitting numbers vanish as in the block table; the limits used to
+    # read the cut at -1 merged with -1 +- 8.5e-5 i and gave (-1, -1)
+    rng = np.random.default_rng(99)
+    for _ in range(185):
+        M = _random_normal_form(rng, rng.integers(1, 3))
+    path = normal_form_path(M)
+    assert index_nu(path, -1.0).nullity == 0
+    for w in (-1.0, np.exp(1j * math.pi), np.exp(-1j * math.pi)):
+        assert splitting_table(spectral_summary(M), w).as_tuple() == (0, 0)
+        assert splitting_numbers_numeric(path, w).as_tuple() == (0, 0)
+
+
 # ---------------------------------------------------------------------------
 # arc rule vs the per-root sum it replaces
 # ---------------------------------------------------------------------------

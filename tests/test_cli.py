@@ -1,10 +1,15 @@
 """End-to-end runs of the command-line front end via main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import symstab
 from symstab.cli import main
 
 IDENTITY_4 = "n=2\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n"
@@ -122,6 +127,21 @@ def test_verify_smoke(files, capsys):
     assert names["dual-form-agreement"]["passed"]
     for od in doc["orbits"]:
         assert od["galerkin"]["nullity"] == od["indices_path"][0][1] + 1
+
+
+def test_python_dash_m_runs_the_cli(files, capsys):
+    # `python -m symstab` is the console script: same exit code, same bytes
+    argv = ["verify", str(files / "ball1.json")]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    src = str(Path(symstab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "symstab", *argv],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == want
+    assert json.loads(proc.stdout)["passed"] is True
 
 
 @pytest.mark.parametrize("argv", [

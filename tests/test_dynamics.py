@@ -1,7 +1,10 @@
 """Surfaces, flows, closed orbits, monodromies."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from conftest import ALPHA, PERTURBED
 from symstab import (
@@ -14,8 +17,11 @@ from symstab import (
     minimal_period,
     monodromy_path,
     plane_circle_radius,
+    standard_J,
     symplectic_residual,
 )
+from symstab import dynamics
+from symstab.dynamics import gauge_grad_hess
 from symstab.errors import GaugeError
 
 PI = np.pi
@@ -104,3 +110,165 @@ def test_period_scales_with_alpha():
     a12 = find_orbits(spec, 1.2)[0].action
     a18 = find_orbits(spec, 1.8)[0].action
     assert a12 == pytest.approx(a18, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# gauge derivatives: one pass, bit for bit those of the per-call reference
+# ---------------------------------------------------------------------------
+
+def _ref_r2(spec, x):
+    n = spec.n
+    return x[:n] ** 2 + x[n:] ** 2
+
+
+def _ref_gauge(spec, x):
+    x = np.asarray(x, float)
+    r2 = _ref_r2(spec, x)
+    Q = float(np.dot(1.0 / np.asarray(spec.radii) ** 2, r2))
+    if Q == 0.0:
+        return 0.0
+    P4 = float(np.dot(spec.quartic, r2 * r2))
+    j2 = 0.5 * (Q + math.sqrt(Q * Q + 4.0 * spec.delta * P4))
+    if j2 <= 0:
+        raise GaugeError("surface is not star-shaped at this point")
+    return math.sqrt(j2)
+
+
+def _ref_surface_grad(spec, x):
+    r2 = _ref_r2(spec, x)
+    c = (1.0 / np.asarray(spec.radii) ** 2
+         + 2.0 * spec.delta * np.asarray(spec.quartic) * r2)
+    return 2.0 * np.concatenate([c, c]) * x
+
+
+def _ref_surface_hess(spec, x):
+    n = spec.n
+    r2 = _ref_r2(spec, x)
+    c = (1.0 / np.asarray(spec.radii) ** 2
+         + 2.0 * spec.delta * np.asarray(spec.quartic) * r2)
+    H = np.diag(np.concatenate([c, c]) * 2.0)
+    for l in range(n):
+        v = np.zeros(2 * n)
+        v[l], v[n + l] = x[l], x[n + l]
+        H += 8.0 * spec.delta * spec.quartic[l] * np.outer(v, v)
+    return H
+
+
+def _ref_gauge_grad_hess(spec, x):
+    # the two-call form: surface gradient and Hessian rebuilt per point
+    x = np.asarray(x, float)
+    j = _ref_gauge(spec, x)
+    z = x / j
+    g = _ref_surface_grad(spec, z)
+    s = float(np.dot(g, z))
+    grad = g / s
+    Fzz = _ref_surface_hess(spec, z)
+    Z = (np.eye(x.size) - np.outer(z, grad)) / j
+    hess = (Fzz @ Z) / s - np.outer(g, Z.T @ (Fzz @ z + g)) / (s * s)
+    hess = 0.5 * (hess + hess.T)
+    return j, grad, hess
+
+
+_GAUGE_SPECS = [
+    SurfaceSpec((0.9,)), SurfaceSpec((1.0, 1.1)), SurfaceSpec((1.0, 1.1, 1.25)),
+    SurfaceSpec((0.9,), (0.25,), 0.1), SurfaceSpec(**PERTURBED),
+    SurfaceSpec((1.0, 1.08, 1.15), (0.2, -0.1, 0.15), 0.1),
+    SurfaceSpec((0.7, 1.3, 2.0), (-0.4, 1.0, 0.05), 0.3),
+]
+
+
+@pytest.mark.parametrize("spec", _GAUGE_SPECS, ids=repr)
+def test_gauge_derivatives_bit_identical_to_reference(spec):
+    rng = np.random.default_rng(len(spec.radii) + int(100 * spec.delta))
+    u = rng.standard_normal((200, 2 * spec.n))
+    on_level = [ui / _ref_gauge(spec, ui) for ui in u[:100]]
+    off_level = list(u[100:] * rng.uniform(0.05, 4.0, (100, 1)))
+    for x in on_level + off_level:
+        j, grad, hess = gauge_grad_hess(spec, x)
+        rj, rgrad, rhess = _ref_gauge_grad_hess(spec, x)
+        assert j == rj
+        assert np.array_equal(grad, rgrad) and np.array_equal(hess, rhess)
+    with pytest.raises(GaugeError):
+        gauge_grad_hess(spec, np.zeros(2 * spec.n))
+
+
+def _scalar_enclosing_radii(spec, samples, seed):
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((samples, 2 * spec.n))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    radii = np.array([1.0 / _ref_gauge(spec, ui) for ui in u])
+    exact = [plane_circle_radius(spec, l) for l in range(spec.n)]
+    return min(radii.min(), min(exact)), max(radii.max(), max(exact))
+
+
+@pytest.mark.parametrize("spec", _GAUGE_SPECS, ids=repr)
+def test_enclosing_radii_bit_identical_to_scalar_gauge_loop(spec):
+    for samples, seed in ((4096, 0), (257, 3)):
+        assert (enclosing_radii(spec, samples, seed)
+                == _scalar_enclosing_radii(spec, samples, seed))
+
+
+def test_gauge_rows_bit_identical_to_scalar_gauge():
+    rng = np.random.default_rng(11)
+    for spec in _GAUGE_SPECS:
+        u = rng.standard_normal((1000, 2 * spec.n))
+        u *= rng.uniform(0.05, 4.0, (1000, 1))
+        want = [_ref_gauge(spec, ui) for ui in u]
+        assert np.array_equal(dynamics._gauge_rows(spec, u), want)
+
+
+def test_flows_bit_identical_to_reference_right_hand_sides():
+    # H_alpha' and H_alpha'' composed from the reference derivatives give
+    # the same DOP853 solution, step for step
+    spec, a = SurfaceSpec(**PERTURBED), ALPHA
+    d = 2 * spec.n
+    J = standard_J(spec.n)
+
+    def variational(_, y):
+        x, W = y[:d], y[d:].reshape(d, d)
+        j, gj, Hj = _ref_gauge_grad_hess(spec, x)
+        S = a * (a - 1.0) * j ** (a - 2.0) * np.outer(gj, gj) \
+            + a * j ** (a - 1.0) * Hj
+        return np.concatenate([J @ (a * j ** (a - 1.0) * gj),
+                               (J @ S @ W).ravel()])
+
+    def plain(_, x):
+        j, gj, _ = _ref_gauge_grad_hess(spec, x)
+        return J @ (a * j ** (a - 1.0) * gj)
+
+    for o in find_orbits(spec, a, confirm=False):
+        x0 = np.asarray(o.x0)
+        for rhs, y0, var in ((variational,
+                              np.concatenate([x0, np.eye(d).ravel()]), True),
+                             (plain, x0, False)):
+            ref = solve_ivp(rhs, (0.0, o.period), y0, method="DOP853",
+                            rtol=1e-11, atol=1e-12)
+            res = integrate_flow(spec, a, x0, o.period, variational=var)
+            assert np.array_equal(res.sol.t, ref.t)
+            assert np.array_equal(res.sol.y, ref.y)
+
+
+def _count_gauge_derivs(monkeypatch):
+    calls = {True: 0, False: 0}
+    inner = dynamics._gauge_derivs
+
+    def counted(spec, x, hess):
+        calls[hess] += 1
+        return inner(spec, x, hess)
+
+    monkeypatch.setattr(dynamics, "_gauge_derivs", counted)
+    return calls
+
+
+def test_flow_evaluates_gauge_derivatives_once_per_step(monkeypatch):
+    # one derivative pass per right-hand side call (the two-call form took
+    # two), and the plain flow builds no Hessian
+    spec = SurfaceSpec(**PERTURBED)
+    for o in find_orbits(spec, ALPHA, confirm=False):
+        calls = _count_gauge_derivs(monkeypatch)
+        res = integrate_flow(spec, ALPHA, np.asarray(o.x0), o.period)
+        assert calls == {True: res.nfev, False: 0}
+        calls = _count_gauge_derivs(monkeypatch)
+        res = integrate_flow(spec, ALPHA, np.asarray(o.x0), o.period,
+                             variational=False)
+        assert calls == {True: 0, False: res.nfev}
