@@ -22,28 +22,37 @@ eigenvalues of the twisted path there depend on the twist sign, eps and
 the grid size N, not on omega, so one `index_nu` call or one arc rule
 (below) samples each grid once for all the omega it counts; the N grid
 of the grid check is a subset of its 2N grid and is read from the 2N
-samples.  Every run of
-grid cells that holds a sign change of the real function D_omega, or a
-local minimum below `trigger` of the eigenvalue distance to omega, is a
-bracket; all brackets are cut into 16 cells per level, with one batched
-evaluation per level, until they are narrower than 64 refine_rtol tau.
-Their midpoints, merged within one radius, are the candidate crossings.
-A candidate counts only if P(t) - omega I has a numerical kernel
-(smallest singular value below rank_tol relative); the crossing form is
-restricted to that kernel.
+samples.  Every run of grid cells that holds a sign change of the real
+function D_omega, or a local minimum below `trigger` of the eigenvalue
+distance to omega, is a bracket; all brackets are cut into 16 cells per
+level until they are narrower than 64 refine_rtol tau.  Their
+midpoints, merged within one radius, are the candidate crossings.  A
+candidate counts only if P(t) - omega I has a numerical kernel (smallest
+singular value below rank_tol relative); the crossing form is restricted
+to that kernel.
+
+The counts of one twisted path and one step of the eps ladder are swept
+together: all their omega, and the grid sizes N and 2N of the lower
+twist, share one batched evaluation and one bracket detection per
+level.  Each count keeps its own brackets, and the outcomes, errors
+included, are read in the order of one count at a time, so a sweep
+returns what separate counts would.
 
 Mean indices, iterate tables and splitting numbers need i_omega at many
 points of the circle U.  By the Bott-type formula i_omega is constant on
 each arc of U between unit eigenvalues of the endpoint gamma(tau), nu_omega
 vanishes there, and i_conj(omega) = i_omega.  So these are read from one
 count per arc of the upper half circle cut at +-1 and at the endpoint
-eigenvalue angles, plus direct counts at points close to a cut.  All
-counts of one such rule share the grid samples; `iterates_and_mean` reads
-an iterate table and a mean index from one rule.
+eigenvalue angles, plus direct counts at points close to a cut.  The
+rule takes all queries of a call at once and counts every arc and direct
+point they need in one list, so the sweeps above hold all of them;
+`iterates_and_mean` reads an iterate table and a mean index from one
+call.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +62,7 @@ from .errors import (
     IndexUnstableError,
     MergedCutError,
     NumericalConsistencyError,
+    SymstabError,
     TangencyError,
 )
 from .paths import SymplecticPath, twisted_path
@@ -123,6 +133,10 @@ class _RetryEps(Exception):
     pass
 
 
+# what one count can raise; a batched count keeps it as that count's outcome
+_FAILURES = (SymstabError, _Degenerate, np.linalg.LinAlgError)
+
+
 def _normalize_omega(omega) -> complex:
     w = complex(omega)
     r = abs(w)
@@ -176,24 +190,43 @@ def _grid(path: SymplecticPath, N: int) -> np.ndarray:
     return arr[(arr >= 0.0) & (arr <= tau)]
 
 
-def _brackets(xs, D, dist, trigger: float, all_minima: bool) -> list:
-    """Runs of cells of the sample xs that hold a sign change of D or sit
-    next to a sampled local minimum of dist below trigger."""
-    m = len(xs) - 1
-    spans = [(i, i) for i in np.flatnonzero(D[:-1] * D[1:] < 0.0)]
-    left = np.r_[True, dist[1:] <= dist[:-1]]
-    right = np.r_[dist[:-1] <= dist[1:], True]
-    mins = np.flatnonzero((dist < trigger) & left & right)
-    if not all_minima and len(mins):
-        mins = mins[[np.argmin(dist[mins])]]
-    spans += [(max(j - 1, 0), min(j, m - 1)) for j in mins]
-    runs: list[list[int]] = []
-    for lo, hi in sorted(spans):
-        if runs and lo <= runs[-1][1]:
-            runs[-1][1] = max(runs[-1][1], hi)
-        else:
-            runs.append([lo, hi])
-    return [(float(xs[lo]), float(xs[hi + 1])) for lo, hi in runs]
+def _bracket_rows(xs, D, dist, trigger: float, all_minima: bool):
+    """Brackets of every row of the samples xs, shape (R, m + 1).
+
+    A bracket is a run of cells that hold a sign change of D or sit next
+    to a sampled local minimum of dist below trigger (with all_minima
+    false, only the first lowest minimum of each row).  A minimum at an
+    inner sample covers the two cells beside it, and neighbouring cells
+    join one run only there.  Returns the (k, 2) brackets in row-major
+    order and the row of each.
+    """
+    R = xs.shape[0]
+    edge = np.ones((R, 1), dtype=bool)
+    left = np.hstack([edge, dist[:, 1:] <= dist[:, :-1]])
+    right = np.hstack([dist[:, :-1] <= dist[:, 1:], edge])
+    mins = (dist < trigger) & left & right
+    if not all_minima:
+        rows = np.arange(R)
+        best = np.argmin(np.where(mins, dist, np.inf), axis=1)
+        keep = mins[rows, best]
+        mins = np.zeros_like(mins)
+        mins[rows, best] = keep
+    cover = (D[:, :-1] * D[:, 1:] < 0.0) | mins[:, :-1] | mins[:, 1:]
+    link = mins[:, 1:-1]          # cells c and c + 1 share the minimum c + 1
+    start, end = cover.copy(), cover.copy()
+    start[:, 1:] &= ~link
+    end[:, :-1] &= ~link
+    rows, lo = np.nonzero(start)
+    hi = np.nonzero(end)[1]
+    return np.stack([xs[rows, lo], xs[rows, hi + 1]], axis=1), rows
+
+
+def _measure(ev, omega, pref):
+    """D_omega before its real part is taken, and the eigenvalue distance
+    to omega; ev has the eigenvalues on its last axis, and omega and pref
+    broadcast against its other axes."""
+    diff = ev - omega[..., None]
+    return pref * diff.prod(axis=-1), np.abs(diff).min(axis=-1)
 
 
 class _Samples:
@@ -204,8 +237,10 @@ class _Samples:
     sampled once however many omega are counted against it.  The points of
     the N grid are all points of the 2N grid (the even half of its
     linspace, the same geometric and seam points), so once the 2N grid is
-    sampled, the N grid is read from it.  One instance lives for one
-    `index_nu` call or one arc rule; nothing outlives a public call.
+    sampled, the N grid is read from it.  One ladder step counts all its
+    omega on a twisted path in one sweep (`_sweep`).  One instance lives
+    for one `index_nu` call or one arc rule; nothing outlives a public
+    call.
     """
 
     def __init__(self, path: SymplecticPath):
@@ -234,47 +269,80 @@ class _Samples:
         return self._grids[key]
 
 
-def _count_once(samples: _Samples, omega: complex, sign: int, eps: float,
-                opts: IndexOptions, N: int):
+def _sweep(samples: _Samples, sign: int, eps: float, jobs: list,
+           opts: IndexOptions) -> list:
+    """Crossing counts of the jobs (omega, N) on one twisted path.
+
+    Each job counts on its own grid, but every refinement level of all the
+    jobs makes one batched evaluation.  The outcome of a job is
+    (total, crossings) or the exception its count raised.
+    """
+    if not jobs:
+        return []
     tw = samples.twisted(sign, eps)
     tau, n = tw.tau, tw.n
-    pref = (-1.0) ** (n - 1) * np.conj(omega) ** n
+    omegas = np.array([w for w, _ in jobs])
+    prefs = np.array([(-1.0) ** (n - 1) * np.conj(w) ** n for w, _ in jobs])
+    out: list = [None] * len(jobs)
 
-    def measure(ev):
-        diff = ev - omega
-        return pref * diff.prod(axis=-1), np.abs(diff).min(axis=-1)
-
-    ts, ev = samples.grid(sign, eps, N)
-    Draw, dist = measure(ev)
-    if np.abs(Draw.imag).max() > 1e-6 * max(np.abs(Draw).max(), 1e-12):
-        raise NumericalConsistencyError(
-            "determinant function not real; input path may not be symplectic")
-    if dist[-1] < 3.0 * opts.accept_tol:
-        raise _RetryEps(f"twisted endpoint still degenerate (eps={eps:.1e})")
+    live, owner = [], []
+    for N in sorted({N for _, N in jobs}, reverse=True):  # 2N serves N
+        ts, ev = samples.grid(sign, eps, N)
+        ks = np.array([k for k, (_, M) in enumerate(jobs) if M == N])
+        Draw, dist = _measure(ev, omegas[ks, None], prefs[ks, None])
+        skew = np.abs(Draw.imag).max(axis=1) > 1e-6 * np.maximum(
+            np.abs(Draw).max(axis=1), 1e-12)
+        stuck = dist[:, -1] < 3.0 * opts.accept_tol
+        for k, bad, retry in zip(ks, skew, stuck):
+            if bad:
+                out[k] = NumericalConsistencyError(
+                    "determinant function not real; input path may not be "
+                    "symplectic")
+            elif retry:
+                out[k] = _RetryEps(
+                    f"twisted endpoint still degenerate (eps={eps:.1e})")
+        ok = ~(skew | stuck)
+        br, rows = _bracket_rows(np.broadcast_to(ts, dist.shape)[ok],
+                                 Draw.real[ok], dist[ok], opts.trigger, True)
+        live.append(br)
+        owner.append(ks[ok][rows])
 
     # every bracket is cut into _SPLIT cells per level, and all new points
     # of a level are evaluated in one batched call; a bracket narrower than
     # `width` becomes a candidate crossing at its midpoint
     width = 64.0 * opts.refine_rtol * tau
-    live = np.reshape(_brackets(ts, Draw.real, dist, opts.trigger, True),
-                      (-1, 2))
-    found: list[float] = []
+    live, owner = np.concatenate(live), np.concatenate(owner)
+    found: list[list[float]] = [[] for _ in jobs]
     level = 0
     while True:
         narrow = live[:, 1] - live[:, 0] < width
-        found.extend(live[narrow].mean(axis=1))
-        live = live[~narrow]
+        for k, t in zip(owner[narrow], live[narrow].mean(axis=1)):
+            found[k].append(t)
+        live, owner = live[~narrow], owner[~narrow]
         if not len(live):
             break
         level += 1
         xs = np.linspace(live[:, 0], live[:, 1], _SPLIT + 1, axis=1)
-        Dv, dv = measure(np.linalg.eigvals(tw.values(xs.ravel())))
-        live = np.reshape(
-            [br for x, D, d in zip(xs, Dv.real.reshape(xs.shape),
-                                   dv.reshape(xs.shape))
-             for br in _brackets(x, D, d, opts.trigger, level <= _ALL_MINIMA)],
-            (-1, 2))
+        ev = np.linalg.eigvals(tw.values(xs.ravel())).reshape(*xs.shape, -1)
+        Dv, dv = _measure(ev, omegas[owner, None], prefs[owner, None])
+        live, rows = _bracket_rows(xs, Dv.real, dv, opts.trigger,
+                                   level <= _ALL_MINIMA)
+        owner = owner[rows]
 
+    for k, (w, _) in enumerate(jobs):
+        if out[k] is None:
+            try:
+                out[k] = _form_count(tw, w, found[k], opts)
+            except _FAILURES as exc:  # the job's outcome, replayed in order
+                out[k] = exc
+    return out
+
+
+def _form_count(tw: SymplecticPath, omega: complex, found: list,
+                opts: IndexOptions) -> tuple[int, tuple]:
+    """Signature sum of the crossing forms at the candidate crossings
+    `found` of omega on the twisted path, and the crossings counted."""
+    tau = tw.tau
     # neighbouring brackets can close in on one crossing from both sides;
     # distinct crossings closer than this radius would be
     # indistinguishable to the form evaluation anyway
@@ -318,22 +386,97 @@ def _count_once(samples: _Samples, omega: complex, sign: int, eps: float,
     return total, tuple(counted)
 
 
-def _count_total(samples, omega, sign, eps, opts, verify_grid):
+def _ladder_step(samples: _Samples, ws: list, eps: float,
+                 opts: IndexOptions) -> list:
+    """One-sided counts of every omega in ws at one eps of the ladder.
+
+    Per omega the outcome is (i_minus, crossings, i_plus) or an exception,
+    taken in the order of one count at a time: the lower twist at N, then
+    at 2N, at 4N only where those totals differ, and the upper twist at N
+    only where the lower count succeeded.
+    """
     N = max(opts.grid, samples.path.grid_hint)
-    if verify_grid:
-        samples.grid(sign, eps, 2 * N)  # the count at N reads its grid here
-    t1, c1 = _count_once(samples, omega, sign, eps, opts, N)
-    if not verify_grid:
-        return t1, c1
-    t2, c2 = _count_once(samples, omega, sign, eps, opts, 2 * N)
-    if t2 == t1:
-        return t2, c2
-    t4, c4 = _count_once(samples, omega, sign, eps, opts, 4 * N)
-    if t4 == t2:
-        return t4, c4
-    raise IndexUnstableError(
-        f"crossing count kept changing under grid refinement at omega={omega:.6g} "
-        f"({t1}, {t2}, {t4})")
+    lower = _sweep(samples, -1, eps, [(w, N) for w in ws]
+                   + [(w, 2 * N) for w in ws], opts)
+    coarse, fine = lower[:len(ws)], lower[len(ws):]
+    out: list = [None] * len(ws)
+    finest = []
+    for k, (c1, c2) in enumerate(zip(coarse, fine)):
+        if isinstance(c1, Exception):
+            out[k] = c1
+        elif isinstance(c2, Exception) or c2[0] == c1[0]:
+            out[k] = c2
+        else:
+            finest.append(k)
+    for k, c4 in zip(finest, _sweep(samples, -1, eps,
+                                    [(ws[k], 4 * N) for k in finest], opts)):
+        if isinstance(c4, Exception) or c4[0] == fine[k][0]:
+            out[k] = c4
+        else:
+            out[k] = IndexUnstableError(
+                "crossing count kept changing under grid refinement at "
+                f"omega={ws[k]:.6g} ({coarse[k][0]}, {fine[k][0]}, {c4[0]})")
+    done = [k for k in range(len(ws)) if not isinstance(out[k], Exception)]
+    for k, up in zip(done, _sweep(samples, 1, eps,
+                                  [(ws[k], N) for k in done], opts)):
+        out[k] = up if isinstance(up, Exception) else (*out[k], up[0])
+    return out
+
+
+def _index_nus(samples: _Samples, omegas: list,
+               opts: IndexOptions) -> list:
+    """`index_nu` at every omega on one path: an IndexResult or the error
+    that `index_nu` raises there, per omega.  Each step of the eps ladder
+    counts all omega still unresolved together."""
+    out: list = [None] * len(omegas)
+    ws, nus, last = {}, {}, {}
+    for k, omega in enumerate(omegas):
+        try:
+            w = _normalize_omega(omega)
+            if _AT_ONE <= abs(w - 1.0) < _NEAR_ONE:
+                raise DimensionError(
+                    f"omega={w:.6g} lies within {_NEAR_ONE:g} of 1 but is "
+                    "not 1; the crossing count cannot resolve it")
+            nus[k], _ = _kernel_basis(samples.path.endpoint, w, opts.rank_tol)
+        except _FAILURES as exc:  # the query's outcome, replayed in order
+            out[k] = exc
+            continue
+        ws[k], last[k] = w, "no attempt"
+
+    active = list(ws)
+    eps = opts.eps
+    for _ in range(opts.eps_ladder):
+        if not active:
+            break
+        retry = []
+        for k, res in zip(active, _ladder_step(
+                samples, [ws[k] for k in active], eps, opts)):
+            if isinstance(res, (_Degenerate, _RetryEps)):
+                last[k] = str(res)
+                retry.append(k)
+            elif isinstance(res, Exception):
+                out[k] = res
+            elif res[2] - res[0] != nus[k]:
+                last[k] = (f"one-sided counts {res[0]}/{res[2]} inconsistent "
+                           f"with nullity {nus[k]} at eps={eps:.1e}")
+                retry.append(k)
+            else:
+                out[k] = IndexResult(index=res[0], nullity=nus[k], omega=ws[k],
+                                     crossings=res[1], eps=eps)
+        active = retry
+        eps *= 0.5
+    for k in active:
+        out[k] = TangencyError(
+            f"tangency unresolved at omega={ws[k]:.6g} after twist ladder: "
+            f"{last[k]}")
+    return out
+
+
+def _value(outcome):
+    """A replayed outcome: raise it if it is an error."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def index_nu(path: SymplecticPath, omega=1.0, opts: IndexOptions | None = None,
@@ -346,38 +489,7 @@ def index_nu(path: SymplecticPath, omega=1.0, opts: IndexOptions | None = None,
     opts = opts or IndexOptions()
     if opts.check_start:
         path.check_start()
-    return _index_nu(_Samples(path), omega, opts)
-
-
-def _index_nu(samples: _Samples, omega, opts: IndexOptions) -> IndexResult:
-    w = _normalize_omega(omega)
-    if _AT_ONE <= abs(w - 1.0) < _NEAR_ONE:
-        raise DimensionError(
-            f"omega={w:.6g} lies within {_NEAR_ONE:g} of 1 but is not 1; "
-            "the crossing count cannot resolve it")
-    nu, _ = _kernel_basis(samples.path.endpoint, w, opts.rank_tol)
-
-    eps = opts.eps
-    last = "no attempt"
-    for _ in range(opts.eps_ladder):
-        try:
-            i_minus, cr = _count_total(samples, w, -1, eps, opts,
-                                       verify_grid=True)
-            i_plus, _ = _count_total(samples, w, 1, eps, opts,
-                                     verify_grid=False)
-        except (_Degenerate, _RetryEps) as e:
-            last = str(e)
-            eps *= 0.5
-            continue
-        if i_plus - i_minus != nu:
-            last = (f"one-sided counts {i_minus}/{i_plus} inconsistent with "
-                    f"nullity {nu} at eps={eps:.1e}")
-            eps *= 0.5
-            continue
-        return IndexResult(index=i_minus, nullity=nu, omega=w,
-                           crossings=cr, eps=eps)
-    raise TangencyError(
-        f"tangency unresolved at omega={w:.6g} after twist ladder: {last}")
+    return _value(_index_nus(_Samples(path), [omega], opts)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +503,10 @@ class _ArcRule:
     angles of the endpoint eigenvalues near U; each cut is an angle range
     [lo, hi].  Between cuts the index is that of the arc midpoint and the
     nullity is 0.  Within _CUT_TOL of a cut, omega is counted directly.
-    Lower half points are read through conjugate symmetry.  Counts are
-    cached, so a rule serves any number of queries on one path, and all
-    its counts share one sampling of the twisted grids.
+    Lower half points are read through conjugate symmetry.  A call counts
+    every arc and direct point its queries need in one `_index_nus` list;
+    outcomes are cached, so a rule serves any number of calls on one path,
+    and all its counts share one sampling of the twisted grids.
     """
 
     def __init__(self, path: SymplecticPath, opts: IndexOptions):
@@ -410,23 +523,8 @@ class _ArcRule:
                 self.cuts[-1][1] = a
             else:
                 self.cuts.append([a, a])
-        self._arcs: dict[int, int] = {}
-        self._direct: dict[float, tuple[int, int]] = {}
-
-    def arc(self, j: int) -> int:
-        """Index on the open arc between cuts j and j + 1."""
-        if j not in self._arcs:
-            mid = 0.5 * (self.cuts[j][1] + self.cuts[j + 1][0])
-            res = _index_nu(self.samples, np.exp(1j * mid), self.opts)
-            if res.nullity:
-                # nu vanishes on an open arc; a kernel at the midpoint means
-                # it sits within the twist's reach of a cut (a Jordan block
-                # splits by ~sqrt(eps)), so its index cannot be trusted
-                raise TangencyError(
-                    f"arc midpoint at angle {mid:.6g} reports nullity "
-                    f"{res.nullity}")
-            self._arcs[j] = res.index
-        return self._arcs[j]
+        self._arcs: dict[int, int | Exception] = {}
+        self._direct: dict[float, tuple[int, int] | Exception] = {}
 
     def locate(self, a: float) -> tuple[int, bool]:
         """(j, True) if angle a in [0, pi] is near cut j, else (j, False)
@@ -434,18 +532,88 @@ class _ArcRule:
         j = sum(lo - _CUT_TOL <= a for lo, _ in self.cuts) - 1
         return j, a <= self.cuts[j][1] + _CUT_TOL
 
-    def __call__(self, omega) -> tuple[int, int]:
-        w = _normalize_omega(omega)
-        a = _principal_angle(w)
-        j, near = self.locate(a)
-        if not near:
-            return self.arc(j), 0
-        key = round(a, 12)
-        if key not in self._direct:
-            up = w if w.imag >= 0.0 else w.conjugate()
-            self._direct[key] = _index_nu(self.samples, up,
-                                          self.opts).as_tuple()
-        return self._direct[key]
+    def __call__(self, omegas=(), arcs=()) -> tuple[list, list]:
+        """(i_omega, nu_omega) of each omega, and the index on the open arc
+        between cuts j and j + 1 for each j of arcs.
+
+        Errors are raised in query order, omegas before arcs: the first
+        query whose count failed raises its error.
+        """
+        queries = []
+        points: dict[float, complex] = {}
+        for omega in omegas:
+            w = _normalize_omega(omega)
+            a = _principal_angle(w)
+            j, near = self.locate(a)
+            if not near:
+                queries.append((self._arcs, j))
+                continue
+            key = round(a, 12)
+            if key not in self._direct:
+                points.setdefault(key, w if w.imag >= 0.0 else w.conjugate())
+            queries.append((self._direct, key))
+        queries += [(self._arcs, j) for j in arcs]
+        mids = {j: 0.5 * (self.cuts[j][1] + self.cuts[j + 1][0])
+                for store, j in queries
+                if store is self._arcs and j not in self._arcs}
+
+        res = _index_nus(self.samples, [np.exp(1j * mid) for mid in
+                                        mids.values()] + list(points.values()),
+                         self.opts)
+        for (j, mid), r in zip(mids.items(), res):
+            if not isinstance(r, Exception) and r.nullity:
+                # nu vanishes on an open arc; a kernel at the midpoint means
+                # it sits within the twist's reach of a cut (a Jordan block
+                # splits by ~sqrt(eps)), so its index cannot be trusted
+                r = TangencyError(f"arc midpoint at angle {mid:.6g} reports "
+                                  f"nullity {r.nullity}")
+            self._arcs[j] = r if isinstance(r, Exception) else r.index
+        for key, r in zip(points, res[len(mids):]):
+            self._direct[key] = r if isinstance(r, Exception) else r.as_tuple()
+
+        values = [_value(store[key]) for store, key in queries]
+        split = len(queries) - len(arcs)
+        return ([(v, 0) if store is self._arcs else v
+                 for (store, _), v in zip(queries[:split], values)],
+                values[split:])
+
+
+def _check_K(K) -> int:
+    try:
+        k = operator.index(K)
+    except TypeError:
+        k = 0
+    if k < 1:
+        raise DimensionError(f"mean index needs an integer K >= 1, got {K!r}")
+    return k
+
+
+def _mean_roots(K: int) -> list:
+    """The K-th roots of unity on the closed upper half circle."""
+    ends = [1.0, -1.0] if K % 2 == 0 else [1.0]
+    return ends + [np.exp(2j * np.pi * k / K) for k in range(1, (K + 1) // 2)]
+
+
+def _iterates_and_mean(rule: _ArcRule, m_max: int, K: int | None):
+    """The iterate table for m = 1..m_max and, unless K is None, the K-th
+    discrete mean, from one call of the rule."""
+    roots = [np.exp(2j * np.pi * k / m)
+             for m in range(1, m_max + 1) for k in range(m)]
+    pairs, _ = rule(roots + (_mean_roots(K) if K is not None else []))
+    table, start = [], 0
+    for m in range(1, m_max + 1):
+        row = pairs[start:start + m]
+        start += m
+        table.append(IndexResult(index=sum(i for i, _ in row),
+                                 nullity=sum(nu for _, nu in row),
+                                 omega=1.0 + 0.0j, crossings=(), eps=0.0))
+    if K is None:
+        return table, None
+    # conjugate roots share an index: count each upper root off +-1 twice
+    half = pairs[start:]
+    ends = 1 + (K % 2 == 0)
+    total = sum(i for i, _ in half[:ends]) + 2 * sum(i for i, _ in half[ends:])
+    return table, (total / K, 4.0 * rule.path.n / K)
 
 
 def iterate_indices(path: SymplecticPath, m_max: int,
@@ -456,17 +624,8 @@ def iterate_indices(path: SymplecticPath, m_max: int,
 
     with every i_omega read from the arc rule.
     """
-    return _iterate_table(_ArcRule(path, opts or IndexOptions()), m_max)
-
-
-def _iterate_table(rule: _ArcRule, m_max: int) -> list[IndexResult]:
-    out = []
-    for m in range(1, m_max + 1):
-        pairs = [rule(np.exp(2j * np.pi * k / m)) for k in range(m)]
-        out.append(IndexResult(index=sum(i for i, _ in pairs),
-                               nullity=sum(nu for _, nu in pairs),
-                               omega=1.0 + 0.0j, crossings=(), eps=0.0))
-    return out
+    return _iterates_and_mean(_ArcRule(path, opts or IndexOptions()),
+                              m_max, None)[0]
 
 
 def mean_index(path: SymplecticPath, K: int = 1024,
@@ -478,18 +637,11 @@ def mean_index(path: SymplecticPath, K: int = 1024,
     i(gamma, K) is the sum of i_omega over the K-th roots of unity, read
     from the arc rule: the count scales with the endpoint spectrum, not
     with K.  Conjugate roots share an index, so only the closed upper
-    half circle is visited.
+    half circle is visited.  Raises DimensionError unless K is an integer
+    >= 1.
     """
-    return _mean(_ArcRule(path, opts or IndexOptions()), K)
-
-
-def _mean(rule: _ArcRule, K: int) -> tuple[float, float]:
-    total = rule(1.0)[0]
-    if K % 2 == 0:
-        total += rule(-1.0)[0]
-    for k in range(1, (K + 1) // 2):
-        total += 2 * rule(np.exp(2j * np.pi * k / K))[0]
-    return total / K, 4.0 * rule.path.n / K
+    K = _check_K(K)
+    return _iterates_and_mean(_ArcRule(path, opts or IndexOptions()), 0, K)[1]
 
 
 def iterates_and_mean(path: SymplecticPath, m_max: int, K: int = 1024,
@@ -497,8 +649,9 @@ def iterates_and_mean(path: SymplecticPath, m_max: int, K: int = 1024,
                       ) -> tuple[list[IndexResult], tuple[float, float]]:
     """`iterate_indices(path, m_max)` and `mean_index(path, K)` from one
     arc rule, so the counts both need (omega = +-1, the arcs) run once."""
-    rule = _ArcRule(path, opts or IndexOptions())
-    return _iterate_table(rule, m_max), _mean(rule, K)
+    K = _check_K(K)
+    return _iterates_and_mean(_ArcRule(path, opts or IndexOptions()),
+                              m_max, K)
 
 
 def splitting_numbers_numeric(path: SymplecticPath, omega,
@@ -532,13 +685,18 @@ def splitting_numbers_numeric(path: SymplecticPath, omega,
             f"{'+1' if j == 0 else '-1'}, at the merged cut "
             f"[{lo:.9g}, {hi:.9g}]; the splitting numbers there are not "
             "resolved", gap)
-    i0, nu0 = rule(w)
+    # the arcs on both sides, counted with omega unless omega is +-1, where
+    # they are read only if +-1 turns out to be an eigenvalue
+    sides = [min(j, last), max(j - 1, 0)]
+    early = near and gap > opts.rank_tol
+    [(i0, nu0)], arcs = rule([w], sides if early else ())
     if not near or (nu0 == 0 and gap <= opts.rank_tol):
         # omega is no eigenvalue: the splitting numbers vanish there, so
         # a cut at +-1 merged with a nearby eigenvalue is not read
         return SplittingPair(0, 0)
-    above = rule.arc(min(j, last)) - i0
-    below = rule.arc(max(j - 1, 0)) - i0
+    if not early:
+        arcs = rule((), sides)[1]
+    above, below = (i - i0 for i in arcs)
     if w.imag < 0.0:
         above, below = below, above
     return SplittingPair(above, below)

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
+from conftest import _random_normal_form, bott_path_pool
+
 from symstab import (
     IndexOptions,
     SurfaceSpec,
@@ -21,6 +23,7 @@ from symstab import (
     mean_index,
     normal_form_path,
     random_symplectic,
+    resymplectify,
     rotation_path,
     shear_path,
     splitting_numbers_numeric,
@@ -31,10 +34,14 @@ from symstab import index as ix
 from symstab import paths as paths_mod
 from symstab.errors import (
     DimensionError,
+    IndexUnstableError,
+    MergedCutError,
     NumericalConsistencyError,
     SymstabError,
+    TangencyError,
 )
 from symstab.index import D_omega
+from symstab.spectral import SplittingPair, _principal_angle
 from symstab.sympl import N1_block, N2_block, R_block
 
 PI = np.pi
@@ -160,24 +167,69 @@ def test_positive_definite_random(seed):
 
 
 # ---------------------------------------------------------------------------
-# one sampling of the twisted grids per count
+# reference: the crossing engine that counts one omega at a time
 # ---------------------------------------------------------------------------
+#
+# A copy of the engine as it was before the counts of one twisted path were
+# swept together: every (omega, sign, eps, N) count refines its own
+# brackets, and the arc rule counts each arc lazily, on the first query
+# that needs it.  It shares only the unchanged helpers of `index` (grid,
+# kernel basis, signature, normalization).  `levels` records the
+# refinement levels of every count.
 
-def _per_omega_count_once(path, omega, sign, eps, opts, N):
-    """The crossing count as it was before the grid samples were shared:
-    every omega builds its own twisted path and samples its grid afresh."""
-    tau = path.tau
-    tw = twisted_path(path, eps, sign)
-    n = path.n
+def _ref_brackets(xs, D, dist, trigger, all_minima):
+    m = len(xs) - 1
+    spans = [(i, i) for i in np.flatnonzero(D[:-1] * D[1:] < 0.0)]
+    left = np.r_[True, dist[1:] <= dist[:-1]]
+    right = np.r_[dist[:-1] <= dist[1:], True]
+    mins = np.flatnonzero((dist < trigger) & left & right)
+    if not all_minima and len(mins):
+        mins = mins[[np.argmin(dist[mins])]]
+    spans += [(max(j - 1, 0), min(j, m - 1)) for j in mins]
+    runs = []
+    for lo, hi in sorted(spans):
+        if runs and lo <= runs[-1][1]:
+            runs[-1][1] = max(runs[-1][1], hi)
+        else:
+            runs.append([lo, hi])
+    return [(float(xs[lo]), float(xs[hi + 1])) for lo, hi in runs]
+
+
+class _RefSamples:
+    def __init__(self, path):
+        self.path = path
+        self.twisted_paths, self.grids, self.levels = {}, {}, []
+
+    def twisted(self, sign, eps):
+        if (sign, eps) not in self.twisted_paths:
+            self.twisted_paths[sign, eps] = twisted_path(self.path, eps, sign)
+        return self.twisted_paths[sign, eps]
+
+    def grid(self, sign, eps, N):
+        key = (sign, eps, N)
+        if key not in self.grids:
+            tw = self.twisted(sign, eps)
+            ts = ix._grid(tw, N)
+            fine = self.grids.get((sign, eps, 2 * N))
+            if fine is not None:
+                ev = fine[1][np.searchsorted(fine[0], ts)]
+            else:
+                ev = np.linalg.eigvals(tw.values(ts))
+            self.grids[key] = ts, ev
+        return self.grids[key]
+
+
+def _ref_count_once(samples, omega, sign, eps, opts, N):
+    tw = samples.twisted(sign, eps)
+    tau, n = tw.tau, tw.n
     pref = (-1.0) ** (n - 1) * np.conj(omega) ** n
 
-    def sample(ts):
-        ev = np.linalg.eigvals(tw.values(ts))
+    def measure(ev):
         diff = ev - omega
         return pref * diff.prod(axis=-1), np.abs(diff).min(axis=-1)
 
-    ts = ix._grid(tw, N)
-    Draw, dist = sample(ts)
+    ts, ev = samples.grid(sign, eps, N)
+    Draw, dist = measure(ev)
     if np.abs(Draw.imag).max() > 1e-6 * max(np.abs(Draw).max(), 1e-12):
         raise NumericalConsistencyError(
             "determinant function not real; input path may not be symplectic")
@@ -185,7 +237,7 @@ def _per_omega_count_once(path, omega, sign, eps, opts, N):
         raise ix._RetryEps(f"twisted endpoint still degenerate (eps={eps:.1e})")
 
     width = 64.0 * opts.refine_rtol * tau
-    live = np.reshape(ix._brackets(ts, Draw.real, dist, opts.trigger, True),
+    live = np.reshape(_ref_brackets(ts, Draw.real, dist, opts.trigger, True),
                       (-1, 2))
     found = []
     level = 0
@@ -197,13 +249,14 @@ def _per_omega_count_once(path, omega, sign, eps, opts, N):
             break
         level += 1
         xs = np.linspace(live[:, 0], live[:, 1], ix._SPLIT + 1, axis=1)
-        Dv, dv = sample(xs.ravel())
+        Dv, dv = measure(np.linalg.eigvals(tw.values(xs.ravel())))
         live = np.reshape(
             [br for x, D, d in zip(xs, Dv.real.reshape(xs.shape),
                                    dv.reshape(xs.shape))
-             for br in ix._brackets(x, D, d, opts.trigger,
-                                    level <= ix._ALL_MINIMA)],
+             for br in _ref_brackets(x, D, d, opts.trigger,
+                                     level <= ix._ALL_MINIMA)],
             (-1, 2))
+    samples.levels.append((sign, eps, N, level))
 
     radius = max(200.0 * opts.refine_rtol * tau, 1e-6 * tau)
     crossings = []
@@ -243,6 +296,156 @@ def _per_omega_count_once(path, omega, sign, eps, opts, N):
     return total, tuple(counted)
 
 
+def _ref_count_total(samples, omega, sign, eps, opts, verify_grid):
+    N = max(opts.grid, samples.path.grid_hint)
+    if verify_grid:
+        samples.grid(sign, eps, 2 * N)
+    t1, c1 = _ref_count_once(samples, omega, sign, eps, opts, N)
+    if not verify_grid:
+        return t1, c1
+    t2, c2 = _ref_count_once(samples, omega, sign, eps, opts, 2 * N)
+    if t2 == t1:
+        return t2, c2
+    t4, c4 = _ref_count_once(samples, omega, sign, eps, opts, 4 * N)
+    if t4 == t2:
+        return t4, c4
+    raise IndexUnstableError(
+        f"crossing count kept changing under grid refinement at omega={omega:.6g} "
+        f"({t1}, {t2}, {t4})")
+
+
+def _ref_index_nu(samples, omega, opts):
+    w = ix._normalize_omega(omega)
+    if ix._AT_ONE <= abs(w - 1.0) < ix._NEAR_ONE:
+        raise DimensionError(
+            f"omega={w:.6g} lies within {ix._NEAR_ONE:g} of 1 but is not 1; "
+            "the crossing count cannot resolve it")
+    nu, _ = ix._kernel_basis(samples.path.endpoint, w, opts.rank_tol)
+    eps = opts.eps
+    last = "no attempt"
+    for _ in range(opts.eps_ladder):
+        try:
+            i_minus, cr = _ref_count_total(samples, w, -1, eps, opts, True)
+            i_plus, _ = _ref_count_total(samples, w, 1, eps, opts, False)
+        except (ix._Degenerate, ix._RetryEps) as e:
+            last = str(e)
+            eps *= 0.5
+            continue
+        if i_plus - i_minus != nu:
+            last = (f"one-sided counts {i_minus}/{i_plus} inconsistent with "
+                    f"nullity {nu} at eps={eps:.1e}")
+            eps *= 0.5
+            continue
+        return ix.IndexResult(index=i_minus, nullity=nu, omega=w,
+                              crossings=cr, eps=eps)
+    raise TangencyError(
+        f"tangency unresolved at omega={w:.6g} after twist ladder: {last}")
+
+
+class _RefArcRule:
+    def __init__(self, path, opts=IndexOptions()):
+        path.check_start()
+        self.path, self.opts = path, opts
+        self.samples = _RefSamples(path)
+        ev = np.linalg.eigvals(path.endpoint)
+        angles = sorted([0.0, PI] + [_principal_angle(z) for z in ev
+                                     if abs(abs(z) - 1.0) < ix._CIRCLE_TOL])
+        self.cuts = [[0.0, 0.0]]
+        for a in angles[1:]:
+            if a - self.cuts[-1][1] <= ix._CUT_TOL:
+                self.cuts[-1][1] = a
+            else:
+                self.cuts.append([a, a])
+        self._arcs, self._direct = {}, {}
+
+    def arc(self, j):
+        if j not in self._arcs:
+            mid = 0.5 * (self.cuts[j][1] + self.cuts[j + 1][0])
+            res = _ref_index_nu(self.samples, np.exp(1j * mid), self.opts)
+            if res.nullity:
+                raise TangencyError(
+                    f"arc midpoint at angle {mid:.6g} reports nullity "
+                    f"{res.nullity}")
+            self._arcs[j] = res.index
+        return self._arcs[j]
+
+    def locate(self, a):
+        j = sum(lo - ix._CUT_TOL <= a for lo, _ in self.cuts) - 1
+        return j, a <= self.cuts[j][1] + ix._CUT_TOL
+
+    def __call__(self, omega):
+        w = ix._normalize_omega(omega)
+        a = _principal_angle(w)
+        j, near = self.locate(a)
+        if not near:
+            return self.arc(j), 0
+        key = round(a, 12)
+        if key not in self._direct:
+            up = w if w.imag >= 0.0 else w.conjugate()
+            self._direct[key] = _ref_index_nu(self.samples, up,
+                                              self.opts).as_tuple()
+        return self._direct[key]
+
+
+def _ref_table(rule, m_max):
+    out = []
+    for m in range(1, m_max + 1):
+        pairs = [rule(np.exp(2j * PI * k / m)) for k in range(m)]
+        out.append(ix.IndexResult(index=sum(i for i, _ in pairs),
+                                  nullity=sum(nu for _, nu in pairs),
+                                  omega=1.0 + 0.0j, crossings=(), eps=0.0))
+    return out
+
+
+def _ref_mean(rule, K):
+    total = rule(1.0)[0]
+    if K % 2 == 0:
+        total += rule(-1.0)[0]
+    for k in range(1, (K + 1) // 2):
+        total += 2 * rule(np.exp(2j * PI * k / K))[0]
+    return total / K, 4.0 * rule.path.n / K
+
+
+def _ref_splitting(path, omega, opts=IndexOptions()):
+    w = ix._normalize_omega(omega)
+    rule = _RefArcRule(path, opts)
+    a = _principal_angle(w)
+    j, near = rule.locate(a)
+    last = len(rule.cuts) - 2
+    lo, hi = rule.cuts[j]
+    gap = min(a, PI - a)
+    if near and j in (0, last + 1) and lo < hi and gap > opts.rank_tol:
+        raise MergedCutError(
+            f"omega at angle {a:.9g} lies {gap:.2e} rad from "
+            f"{'+1' if j == 0 else '-1'}, at the merged cut "
+            f"[{lo:.9g}, {hi:.9g}]; the splitting numbers there are not "
+            "resolved", gap)
+    i0, nu0 = rule(w)
+    if not near or (nu0 == 0 and gap <= opts.rank_tol):
+        return SplittingPair(0, 0)
+    above = rule.arc(min(j, last)) - i0
+    below = rule.arc(max(j - 1, 0)) - i0
+    if w.imag < 0.0:
+        above, below = below, above
+    return SplittingPair(above, below)
+
+
+def _ref_index(path, omega):
+    path.check_start()
+    return _ref_index_nu(_RefSamples(path), omega, IndexOptions())
+
+
+def _both(call, ref):
+    """Outcomes of the engine and of the reference: the value, or the type
+    and message of the error raised."""
+    def outcome(fn):
+        try:
+            return fn()
+        except SymstabError as exc:
+            return type(exc).__name__, str(exc)
+    return outcome(call), outcome(ref)
+
+
 # a positive definite generator: an elliptic endpoint, several arcs
 _GEN = exp_path(np.array([[0.9, 0.2, 0.1, 0.0], [0.2, 1.3, 0.0, 0.3],
                           [0.1, 0.0, 2.1, 0.4], [0.0, 0.3, 0.4, 1.7]]))
@@ -259,21 +462,109 @@ _GEN = exp_path(np.array([[0.9, 0.2, 0.1, 0.0], [0.2, 1.3, 0.0, 0.3],
         [N2_block(2.0, trivial=True), R_block(2.0)])), 2), [np.exp(2j)],
         True, id="eps ladder"),
 ])
-def test_shared_sampling_leaves_results_unchanged(path, omegas, ladder,
-                                                  monkeypatch):
-    def results():
-        direct = [index_nu(path, w) for w in omegas]
-        rule = ix._ArcRule(path, IndexOptions())
-        served = ([rule(w) for w in omegas]
-                  + [rule.arc(j) for j in range(len(rule.cuts) - 1)])
-        return direct, served, iterate_indices(path, 4), mean_index(path, 32)
+def test_shared_sampling_leaves_results_unchanged(path, omegas, ladder):
+    # the engine, which sweeps all counts of a twisted path together,
+    # against the reference copy, which counts one omega at a time
+    direct = [index_nu(path, w) for w in omegas]
+    assert direct == [_ref_index(path, w) for w in omegas]
+    assert any(r.eps < IndexOptions().eps for r in direct) == ladder
+    assert any(r.crossings for r in direct)
 
-    new = results()
-    assert any(r.eps < IndexOptions().eps for r in new[0]) == ladder
-    monkeypatch.setattr(ix, "_count_once",
-                        lambda samples, *a: _per_omega_count_once(
-                            samples.path, *a))
-    assert new == results()
+    rule, ref = ix._ArcRule(path, IndexOptions()), _RefArcRule(path)
+    arcs = range(len(rule.cuts) - 1)
+    assert rule(omegas, arcs) == ([ref(w) for w in omegas],
+                                  [ref.arc(j) for j in arcs])
+    assert iterate_indices(path, 4) == _ref_table(_RefArcRule(path), 4)
+    assert mean_index(path, 32) == _ref_mean(_RefArcRule(path), 32)
+
+
+def test_engine_bit_identical_to_reference_on_path_pool():
+    # every fifth path of the pool: generic exponentials (n = 1, 2),
+    # normal forms with Jordan blocks and an integrated orbit path
+    for path in bott_path_pool()[::5]:
+        units = {complex(np.exp(1j * round(np.angle(z), 9)))
+                 for z in np.linalg.eigvals(path.endpoint)
+                 if abs(abs(z) - 1.0) < 1e-9}
+        for w in (1.0, -1.0, np.exp(0.777j), np.exp(2.3j)):
+            new, ref = _both(lambda: index_nu(path, w),
+                             lambda: _ref_index(path, w))
+            assert new == ref, (path.label, w)
+        new, ref = _both(lambda: iterate_indices(path, 6),
+                         lambda: _ref_table(_RefArcRule(path), 6))
+        assert new == ref, path.label
+        new, ref = _both(lambda: mean_index(path, 256),
+                         lambda: _ref_mean(_RefArcRule(path), 256))
+        assert new == ref, path.label
+        for w in sorted(units | {1.0, -1.0}, key=np.angle):
+            new, ref = _both(lambda: splitting_numbers_numeric(path, w),
+                             lambda: _ref_splitting(path, w))
+            assert new == ref, (path.label, w)
+
+
+def _merged_cut_case():
+    # eigenvalues e^{+-0.386i} and -1 +- 8.5e-5 i: the cut at the latter
+    # merges with the cut at -1
+    rng = np.random.default_rng(99)
+    for _ in range(185):
+        M = _random_normal_form(rng, rng.integers(1, 3))
+    return normal_form_path(M), np.exp(3.141507j)
+
+
+def _arc_midpoint_case():
+    # N1(-1, -1) ◇ R(pi + 0.0085), conjugated: the arc midpoint between
+    # the two cuts reports a kernel
+    rng = np.random.default_rng(5)
+    for _ in range(17):
+        random_symplectic(2, rng)
+    g = random_symplectic(2, rng)
+    M = resymplectify(g @ diamond_all([N1_block(-1.0, -1.0),
+                                       R_block(PI + 0.0085)])
+                      @ np.linalg.inv(g))
+    return normal_form_path(M), -1.0
+
+
+def test_errors_keep_type_and_message():
+    double = normal_form_path(diamond_all([N1_block(-1.0, 1.0),
+                                           N1_block(-1.0, 1.0)]))
+    new, ref = _both(lambda: iterate_indices(double, 2),
+                     lambda: _ref_table(_RefArcRule(double), 2))
+    assert new == ref == ("TangencyError", (
+        "tangency unresolved at omega=-1+1.22465e-16j after twist ladder: "
+        "one-sided counts 2/2 inconsistent with nullity 2 at eps=1.6e-06"))
+    for case, kind in ((_merged_cut_case, "MergedCutError"),
+                       (_arc_midpoint_case, "TangencyError")):
+        path, w = case()
+        new, ref = _both(lambda: splitting_numbers_numeric(path, w),
+                         lambda: _ref_splitting(path, w))
+        assert new == ref and new[0] == kind, (new, ref)
+
+
+def _random_rows(rng, rows, width):
+    """Distance and D rows with ties, minima at both ends and rows with no
+    minimum below the trigger 1."""
+    dist = rng.integers(0, 4, size=(rows, width)) * 0.5
+    kind = rng.integers(0, 5, size=rows)
+    ramp = np.arange(width) * 0.25
+    dist[kind == 1] = ramp                         # lowest at the left end
+    dist[kind == 2] = ramp[::-1]                   # lowest at the right end
+    dist[kind == 3] += 2.0                         # nothing below trigger
+    dist[kind == 4] = 0.5                          # all tied
+    D = rng.integers(-2, 3, size=(rows, width)).astype(float)
+    xs = np.sort(rng.uniform(0.0, 1.0, size=(rows, width)), axis=1)
+    return xs, D, dist
+
+
+@pytest.mark.parametrize("all_minima", [True, False])
+@pytest.mark.parametrize("width", [2, 3, 5, 17])
+def test_bracket_rows_equal_reference_brackets_row_by_row(width, all_minima):
+    rng = np.random.default_rng(width + 100 * all_minima)
+    xs, D, dist = _random_rows(rng, 400, width)
+    got, rows = ix._bracket_rows(xs, D, dist, 1.0, all_minima)
+    want = [(r, br) for r in range(len(xs))
+            for br in _ref_brackets(xs[r], D[r], dist[r], 1.0, all_minima)]
+    assert rows.tolist() == [r for r, _ in want]
+    assert got.tolist() == [list(br) for _, br in want]
+    assert len(want) > len(xs) // 2
 
 
 def _counting(path):
@@ -349,19 +640,78 @@ def test_batched_exponential_keeps_jordan_block_integers(monkeypatch):
                     == _outcome(lambda: splitting_numbers_numeric(q, w)))
 
 
+def _refinement_batches(calls):
+    """The batches of `calls` that are refinement levels: rows of
+    _SPLIT + 1 equally spaced times."""
+    out = []
+    for ts in calls:
+        if len(ts) % (ix._SPLIT + 1):
+            continue
+        rows = ts.reshape(-1, ix._SPLIT + 1)
+        step = (rows[:, -1:] - rows[:, :1]) / ix._SPLIT
+        if np.all(step > 0) and np.allclose(np.diff(rows, axis=1), step,
+                                             rtol=1e-6, atol=0.0):
+            out.append(ts)
+    return out
+
+
+@pytest.mark.parametrize("K", [16, 256])
+def test_counts_of_a_twisted_path_share_refinement_batches(K):
+    path, calls = _counting(_GEN)
+    got = ix.iterates_and_mean(path, 4, K)
+    ref_path, ref_calls = _counting(_GEN)
+    rule = _RefArcRule(ref_path)
+    assert got == (_ref_table(rule, 4), _ref_mean(rule, K))
+    # the same matrices are evaluated
+    flat = np.sort(np.concatenate(calls))
+    assert np.array_equal(flat, np.sort(np.concatenate(ref_calls)))
+    assert len(flat) == 2308
+    # but each refinement level of a sweep is one batch: one sweep per
+    # twisted path and ladder step holds the lower counts at N and 2N,
+    # one the lower counts at 4N, one the upper counts
+    N = max(IndexOptions().grid, _GEN.grid_hint)
+    depth = collections.defaultdict(int)
+    for sign, eps, n_grid, levels in rule.samples.levels:
+        stage = (sign, eps, n_grid == 4 * N)
+        depth[stage] = max(depth[stage], levels)
+    batches = len(_refinement_batches(calls))
+    ref_batches = len(_refinement_batches(ref_calls))
+    assert ref_batches == sum(lv for *_, lv in rule.samples.levels)
+    assert batches <= sum(depth.values()) < ref_batches, (
+        batches, dict(depth), ref_batches)
+    assert len(calls) < len(ref_calls)
+
+
 def test_verify_surface_counts_plus_minus_one_once_per_orbit(monkeypatch):
     seen = collections.Counter()
-    count_once = ix._count_once
+    sweep = ix._sweep
 
-    def recorded(first, omega, sign, eps, opts, N):
-        if abs(omega.imag) < 1e-9:  # omega = +-1, up to rounding of e^{i pi}
-            path = getattr(first, "path", first)
-            seen[id(path), round(omega.real), sign, eps, N] += 1
-        return count_once(first, omega, sign, eps, opts, N)
+    def recorded(samples, sign, eps, jobs, opts):
+        for omega, N in jobs:
+            if abs(omega.imag) < 1e-9:  # +-1, up to rounding of e^{i pi}
+                seen[id(samples.path), round(omega.real), sign, eps, N] += 1
+        return sweep(samples, sign, eps, jobs, opts)
 
-    monkeypatch.setattr(ix, "_count_once", recorded)
+    monkeypatch.setattr(ix, "_sweep", recorded)
     rep = verify_surface(SurfaceSpec((1.0, 1.1)), m_max=2, mean_K=16)
     assert len(rep.orbits) == 2
     assert {w for _, w, *_ in seen} == {1, -1}
     assert len({p for p, *_ in seen}) == 2
+    # per orbit and omega = +-1: the lower twist at N and 2N, the upper at N
+    assert len(seen) == 2 * 2 * 3, seen
     assert set(seen.values()) == {1}, seen
+
+
+@pytest.mark.parametrize("K", [0, -4, 2.5, 4.0, "8"])
+def test_mean_index_refuses_K_that_is_no_positive_integer(K):
+    with pytest.raises(DimensionError):
+        mean_index(_GEN, K)
+    with pytest.raises(DimensionError):
+        ix.iterates_and_mean(_GEN, 2, K)
+
+
+def test_verify_surface_inherits_the_mean_K_refusal():
+    for K in (0, -4, 2.5):
+        with pytest.raises(DimensionError):
+            verify_surface(SurfaceSpec((0.9,)), m_max=1, mean_K=K)
+    assert mean_index(_GEN, 1) == (index_nu(_GEN, 1.0).index, 4.0 * _GEN.n)

@@ -2,6 +2,7 @@
 benchmark's oracles pass their self-test."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -36,3 +37,44 @@ def test_benchmark_oracles_self_test():
     # corrupted copy, so a change that breaks what the benchmark checks
     # fails here too
     _load("perfbench_oracles", ROOT / "perfbench" / "oracles.py").self_test()
+
+
+def _canned(pass_s, setup_s, attempted=60, failed=0, correct=True):
+    """The last lines of a perfbench run, as `perfbench/run.py` prints them."""
+    metrics = {"pass_ref_s": {"value": pass_s, "unit": "s"},
+               "setup_s": {"value": setup_s, "unit": "s"}}
+    return "\n".join([
+        "workload verify-pinched seed 41 seconds 30 trace 0",
+        'machine {"cores": 2}',
+        f"pass 1: wall {pass_s:.4f} s, reference {pass_s:.4f} s",
+        f"operations: {attempted} attempted, {failed} failed",
+        json.dumps({"correct": correct, "attempted": attempted,
+                    "failed": failed, "metrics": metrics})])
+
+
+def test_bench_pairs_summary_of_canned_runs():
+    bp = _load("script_bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    runs = [(_canned(0.16, 0.50), _canned(0.12, 0.52)),
+            (_canned(0.15, 0.48), _canned(0.13, 0.47)),
+            (_canned(0.17, 0.49), _canned(0.18, 0.50, failed=1)),
+            (_canned(0.16, 0.51), _canned(0.11, 0.49))]
+    pairs = [(bp.parse_run(p), bp.parse_run(c)) for p, c in runs]
+    assert pairs[0][1]["machine"] == {"cores": 2}
+    s = bp.summarize(pairs, {"pass_ref_s": "lower", "setup_s": "lower"})
+    m = s["metrics"]["pass_ref_s"]
+    assert m["parent"] == {"median": 0.16, "q1": 0.1575, "q3": 0.1625}
+    assert m["change"]["median"] == pytest.approx(0.125)
+    assert m["change_wins"] == 3 and s["metrics"]["setup_s"]["change_wins"] == 2
+    assert m["change_vs_parent"] == pytest.approx(0.125 / 0.16 - 1.0)
+    assert s["attempted"] == {"parent": 240, "change": 240}
+    assert s["failed"] == {"parent": 0, "change": 1}
+    assert s["more_failures"] and s["correct"] == {"parent": True,
+                                                   "change": True}
+    # a run that printed no result is a failed operation with a wrong output
+    broken = bp.parse_run("Traceback (most recent call last):\n")
+    s = bp.summarize([(pairs[0][0], broken)], {})
+    assert s["more_failures"] and not s["correct"]["change"]
+    assert s["metrics"] == {}
+    # higher-is-better metrics win the other way
+    s = bp.summarize(pairs[:1], {"pass_ref_s": "higher"})
+    assert s["metrics"]["pass_ref_s"]["change_wins"] == 0
