@@ -2,7 +2,10 @@
 """A/B benchmark of the working tree against a parent revision.
 
 The parent revision is unpacked with `git archive` into a temporary
-directory (the repository's .git is only read).  For each workload,
+directory, and the working tree's files (tracked ones and untracked ones
+that are not ignored) are copied beside it, so both sides import from
+fresh trees without bytecode caches; the repository's .git is only
+read.  For each workload,
 `perfbench/run.py --trace 0` then runs in alternating pairs: parent
 first in even pairs, the working tree first in odd ones, so drift of
 the machine's speed falls on both sides alike.  The summary goes to
@@ -23,6 +26,7 @@ import json
 import pathlib
 import statistics
 import subprocess
+import shutil
 import sys
 import tarfile
 import tempfile
@@ -89,6 +93,25 @@ def summarize(pairs: list, better: dict) -> dict:
     return out
 
 
+def _unpack_parent(rev: str, dest: pathlib.Path) -> None:
+    archive = subprocess.run(["git", "archive", "--format=tar", rev],
+                             cwd=ROOT, capture_output=True, check=True)
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tf:
+        tf.extractall(dest, filter="data")
+
+
+def _copy_worktree(dest: pathlib.Path) -> None:
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others",
+         "--exclude-standard"],
+        cwd=ROOT, capture_output=True, check=True).stdout.decode()
+    for name in filter(None, listed.split("\0")):
+        src = ROOT / name
+        if src.is_file():  # a tracked file deleted in the working tree is not
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / name)
+
+
 def _run(tree: pathlib.Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
@@ -116,16 +139,15 @@ def main(argv=None) -> int:
                          ).stdout.strip()
     report = {"label": args.label, "parent": rev, "change": "working tree",
               "seed": args.seed, "seconds": args.seconds, "workloads": {}}
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        parent = pathlib.Path(tmp)
-        archive = subprocess.run(["git", "archive", "--format=tar", rev],
-                                 cwd=ROOT, capture_output=True, check=True)
-        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tf:
-            tf.extractall(parent, filter="data")
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        parent, change = (pathlib.Path(tmp, side)
+                          for side in ("parent", "change"))
+        _unpack_parent(rev, parent)
+        _copy_worktree(change)
         for workload in args.workloads.split(","):
             pairs = []
             for i in range(args.pairs):
-                order = [("parent", parent), ("change", ROOT)]
+                order = [("parent", parent), ("change", change)]
                 if i % 2:
                     order.reverse()
                 runs = {side: _run(tree, workload, args.seed, args.seconds)

@@ -17,7 +17,7 @@ from .dynamics import (SurfaceSpec, enclosing_radii, find_orbits,
                        monodromy_path)
 from .errors import DimensionError
 from .galerkin import stabilized_index
-from .index import IndexOptions, iterates_and_mean
+from .index import IndexOptions, _check_K, iterates_and_mean
 from .spectral import SpectralSummary, spectral_summary
 from .sympl import diamond_all
 
@@ -227,7 +227,8 @@ def verify_surface(spec: SurfaceSpec, alpha: float = 1.5, m_max: int = 2,
     classification.  The trivial pair at 1 is defective, so an endpoint
     residual r perturbs its eigenvalues by order sqrt(r); the default
     absorbs that for integrated monodromies accurate to ~1e-9.
-    m_max below 1 raises DimensionError.
+    m_max below 1 and a mean_K that is no integer >= 1 raise DimensionError
+    before the orbit search.
 
     On an exact ellipsoid the inverse Hessian G of the dual action form is
     constant, so each orbit also gets the Galerkin Morse counts of that form,
@@ -236,6 +237,7 @@ def verify_surface(spec: SurfaceSpec, alpha: float = 1.5, m_max: int = 2,
     """
     if m_max < 1:
         raise DimensionError(f"m_max must be at least 1, got {m_max}")
+    mean_K = _check_K(mean_K)
     opts = opts or IndexOptions()
     n = spec.n
     lo, hi = enclosing_radii(spec)

@@ -685,8 +685,9 @@ def splitting_numbers_numeric(path: SymplecticPath, omega,
             f"{'+1' if j == 0 else '-1'}, at the merged cut "
             f"[{lo:.9g}, {hi:.9g}]; the splitting numbers there are not "
             "resolved", gap)
-    # the arcs on both sides, counted with omega unless omega is +-1, where
-    # they are read only if +-1 turns out to be an eigenvalue
+    # the arcs on both sides, counted in the sweeps of omega (one sweep set
+    # per call, not two) unless omega is +-1, where they are read only if
+    # +-1 turns out to be an eigenvalue
     sides = [min(j, last), max(j - 1, 0)]
     early = near and gap > opts.rank_tol
     [(i0, nu0)], arcs = rule([w], sides if early else ())

@@ -30,6 +30,7 @@ from symstab import (
     twisted_path,
     verify_surface,
 )
+from symstab import classify
 from symstab import index as ix
 from symstab import paths as paths_mod
 from symstab.errors import (
@@ -219,6 +220,19 @@ class _RefSamples:
         return self.grids[key]
 
 
+class _FreshSamples(_RefSamples):
+    """Samples as they were before any were shared: every count builds its
+    own twisted path and samples its grid afresh."""
+
+    def twisted(self, sign, eps):
+        return twisted_path(self.path, eps, sign)
+
+    def grid(self, sign, eps, N):
+        tw = self.twisted(sign, eps)
+        ts = ix._grid(tw, N)
+        return ts, np.linalg.eigvals(tw.values(ts))
+
+
 def _ref_count_once(samples, omega, sign, eps, opts, N):
     tw = samples.twisted(sign, eps)
     tau, n = tw.tau, tw.n
@@ -298,7 +312,7 @@ def _ref_count_once(samples, omega, sign, eps, opts, N):
 
 def _ref_count_total(samples, omega, sign, eps, opts, verify_grid):
     N = max(opts.grid, samples.path.grid_hint)
-    if verify_grid:
+    if verify_grid and not isinstance(samples, _FreshSamples):
         samples.grid(sign, eps, 2 * N)
     t1, c1 = _ref_count_once(samples, omega, sign, eps, opts, N)
     if not verify_grid:
@@ -343,10 +357,10 @@ def _ref_index_nu(samples, omega, opts):
 
 
 class _RefArcRule:
-    def __init__(self, path, opts=IndexOptions()):
+    def __init__(self, path, opts=IndexOptions(), samples=_RefSamples):
         path.check_start()
         self.path, self.opts = path, opts
-        self.samples = _RefSamples(path)
+        self.samples = samples(path)
         ev = np.linalg.eigvals(path.endpoint)
         angles = sorted([0.0, PI] + [_principal_angle(z) for z in ev
                                      if abs(abs(z) - 1.0) < ix._CIRCLE_TOL])
@@ -430,9 +444,9 @@ def _ref_splitting(path, omega, opts=IndexOptions()):
     return SplittingPair(above, below)
 
 
-def _ref_index(path, omega):
+def _ref_index(path, omega, samples=_RefSamples):
     path.check_start()
-    return _ref_index_nu(_RefSamples(path), omega, IndexOptions())
+    return _ref_index_nu(samples(path), omega, IndexOptions())
 
 
 def _both(call, ref):
@@ -463,19 +477,24 @@ _GEN = exp_path(np.array([[0.9, 0.2, 0.1, 0.0], [0.2, 1.3, 0.0, 0.3],
         True, id="eps ladder"),
 ])
 def test_shared_sampling_leaves_results_unchanged(path, omegas, ladder):
-    # the engine, which sweeps all counts of a twisted path together,
-    # against the reference copy, which counts one omega at a time
+    # the engine, which samples each twisted grid once and sweeps all
+    # counts of a twisted path together, against the reference copy with
+    # fresh samples: one omega at a time, each count on its own twisted
+    # path and grid
     direct = [index_nu(path, w) for w in omegas]
-    assert direct == [_ref_index(path, w) for w in omegas]
+    assert direct == [_ref_index(path, w, _FreshSamples) for w in omegas]
     assert any(r.eps < IndexOptions().eps for r in direct) == ladder
     assert any(r.crossings for r in direct)
 
-    rule, ref = ix._ArcRule(path, IndexOptions()), _RefArcRule(path)
+    def fresh():
+        return _RefArcRule(path, samples=_FreshSamples)
+
+    rule, ref = ix._ArcRule(path, IndexOptions()), fresh()
     arcs = range(len(rule.cuts) - 1)
     assert rule(omegas, arcs) == ([ref(w) for w in omegas],
                                   [ref.arc(j) for j in arcs])
-    assert iterate_indices(path, 4) == _ref_table(_RefArcRule(path), 4)
-    assert mean_index(path, 32) == _ref_mean(_RefArcRule(path), 32)
+    assert iterate_indices(path, 4) == _ref_table(fresh(), 4)
+    assert mean_index(path, 32) == _ref_mean(fresh(), 32)
 
 
 def test_engine_bit_identical_to_reference_on_path_pool():
@@ -710,7 +729,12 @@ def test_mean_index_refuses_K_that_is_no_positive_integer(K):
         ix.iterates_and_mean(_GEN, 2, K)
 
 
-def test_verify_surface_inherits_the_mean_K_refusal():
+def test_verify_surface_inherits_the_mean_K_refusal(monkeypatch):
+    # the refusal comes before the orbit search
+    def no_search(*args):
+        raise AssertionError("orbit search ran before mean_K was checked")
+
+    monkeypatch.setattr(classify, "find_orbits", no_search)
     for K in (0, -4, 2.5):
         with pytest.raises(DimensionError):
             verify_surface(SurfaceSpec((0.9,)), m_max=1, mean_K=K)
