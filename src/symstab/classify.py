@@ -225,8 +225,8 @@ def verify_surface(spec: SurfaceSpec, alpha: float = 1.5, m_max: int = 2,
 
     circle_tol snaps monodromy eigenvalues onto the unit circle before
     classification.  The trivial pair at 1 is defective, so an endpoint
-    residual r perturbs its eigenvalues by order sqrt(r); the default
-    absorbs that for integrated monodromies accurate to ~1e-9.
+    residual r splits it by order sqrt(r): ~1e-7 on the closed-form orbit
+    paths, up to ~3e-5 on monodromies integrated to ~1e-9; both fit.
     m_max below 1 and a mean_K that is no integer >= 1 raise DimensionError
     before the orbit search.
 

@@ -206,7 +206,8 @@ def cmd_path_index(args) -> int:
     for tok in tokens:
         r = index_nu(path, _parse_omega(tok), opts)
         rows.append(("omega", tok, r.index, r.nullity))
-    for m, r in enumerate(iterate_indices(path, m_max, opts), start=1):
+    table = iterate_indices(path, m_max, opts) if m_max >= 1 else []
+    for m, r in enumerate(table, start=1):
         rows.append(("iterate", m, r.index, r.nullity))
 
     if args.format == "json":

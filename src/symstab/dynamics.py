@@ -18,9 +18,10 @@ Its derivatives come from one pass per point (`_gauge_derivs`): j,
 z = x / j, the plane coefficients and grad j, with Hess j built on top
 only when a caller needs it.  Each SurfaceSpec builds the arrays that pass
 reads (weights, quartic coefficients, the Hessian mask, the identity) once.
-The variational flow makes one pass per right-hand side call, the plain
-flow a gradient-only one; `enclosing_radii` evaluates the closed form on
-all its directions as one array expression.
+The plain flow makes a gradient-only pass per right-hand side call, the
+variational flow a full one; `enclosing_radii` evaluates the closed form
+on all its directions as one array expression.  The linearized flow along
+a plane circle comes in closed form from one Hessian (`monodromy_path`).
 """
 
 from __future__ import annotations
@@ -33,10 +34,12 @@ from scipy.integrate import solve_ivp
 
 from .errors import FlowError, GaugeError, OrbitSearchError
 from .paths import (SymplecticPath, diamond_paths, lower_shear_path,
-                    path_from_samples, product_path, rotation_path)
+                    product_path, rotation_path)
 from .sympl import resymplectify, standard_J, symplectic_residual
 
 TWO_PI = 2.0 * math.pi
+# relative residuals of the closed-form linearization, met to rounding
+_CLOSED_FORM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -179,10 +182,20 @@ class FlowResult:
     sol: object = field(default=None, repr=False)
 
 
+def _ham_derivs(spec: SurfaceSpec, alpha: float, x: np.ndarray):
+    """(grad H, H'') of H = j^alpha at x, from one gauge pass:
+    H' = a j^(a-1) j' and H'' = a (a-1) j^(a-2) j' j'^T + a j^(a-1) j''."""
+    j, gj, Hj = _gauge_derivs(spec, x, True)
+    a1 = alpha * j ** (alpha - 1.0)
+    a2 = alpha * (alpha - 1.0) * j ** (alpha - 2.0)
+    return a1 * gj, a2 * (gj[:, None] * gj) + a1 * Hj
+
+
 def integrate_flow(spec: SurfaceSpec, alpha: float, x0: np.ndarray, T: float,
                    rtol: float = 1e-11, atol: float = 1e-12,
                    variational: bool = True, dense: bool = False) -> FlowResult:
-    """Integrate x' = J grad H_alpha, optionally with W' = J H'' W."""
+    """Integrate x' = J grad H_alpha, optionally with W' = J H'' W (the
+    independent route the closed-form `monodromy_path` is tested against)."""
     ham = AlphaHamiltonian(spec, alpha)
     d = 2 * spec.n
     J = standard_J(spec.n)
@@ -190,14 +203,10 @@ def integrate_flow(spec: SurfaceSpec, alpha: float, x0: np.ndarray, T: float,
 
     if variational:
         def rhs(_, y):
-            # H' = a j^(a-1) j',  H'' = a (a-1) j^(a-2) j' j'^T + a j^(a-1) j''
             x, W = y[:d], y[d:].reshape(d, d)
-            j, gj, Hj = _gauge_derivs(spec, x, True)
-            a1 = alpha * j ** (alpha - 1.0)
-            a2 = alpha * (alpha - 1.0) * j ** (alpha - 2.0)
-            S = a2 * (gj[:, None] * gj) + a1 * Hj
+            grad, S = _ham_derivs(spec, alpha, x)
             out = np.empty_like(y)
-            out[:d] = J @ (a1 * gj)
+            out[:d] = J @ grad
             out[d:] = (J @ S @ W).ravel()
             return out
         y0 = np.concatenate([x0, np.eye(d).ravel()])
@@ -285,59 +294,42 @@ def find_orbits(spec: SurfaceSpec, alpha: float = 1.5, confirm: bool = True,
     return sorted(orbits, key=lambda o: o.action)
 
 
-def minimal_period(spec: SurfaceSpec, orbit: ClosedCharacteristic,
-                   k_max: int = 8, tol: float = 1e-8) -> float:
-    """Earliest return time T/k among integer divisors of the stored period."""
-    x0 = np.asarray(orbit.x0)
-    for k in range(k_max, 1, -1):
-        res = integrate_flow(spec, orbit.alpha, x0, orbit.period / k,
-                             variational=False)
-        if np.linalg.norm(res.x - x0) < tol * max(1.0, np.linalg.norm(x0)):
-            return orbit.period / k
-    return orbit.period
-
-
-def ellipsoid_orbit_path(spec: SurfaceSpec, alpha: float, l: int,
-                         ) -> SymplecticPath:
-    """Closed-form linearized-flow path along an ellipsoid plane circle.
-
-    The l-th (in-plane) factor is a rotation composed with a lower shear and
-    has the parabolic monodromy of the orbit's own plane; every other plane
-    contributes a rotation at its transverse frequency.
-    """
-    if not spec.is_ellipsoid():
-        raise GaugeError("closed-form path requires delta = 0")
-    w = spec.weights
-    tau = TWO_PI * spec.radii[l] ** 2 / alpha
-    parts = []
-    for k in range(spec.n):
-        a = alpha * w[k]
-        if k == l:
-            parts.append(product_path(
-                rotation_path(a * tau, tau),
-                lower_shear_path(a * (alpha - 2.0) * tau, tau)))
-        else:
-            parts.append(rotation_path(a * tau, tau))
-    p = diamond_paths(parts)
-    p.label = f"ellipsoid plane {l} circle"
-    return p
-
-
 def monodromy_path(spec: SurfaceSpec, alpha: float,
-                   orbit: ClosedCharacteristic, steps: int | None = None,
-                   rtol: float = 1e-11) -> SymplecticPath:
-    """Linearized-flow path W(t) along the orbit as an index-engine input."""
-    if spec.is_ellipsoid() and orbit.plane is not None:
-        return ellipsoid_orbit_path(spec, alpha, orbit.plane)
-    N = steps or max(600, 200 * spec.n)
-    res = integrate_flow(spec, alpha, np.asarray(orbit.x0), orbit.period,
-                         rtol=rtol, dense=True)
-    d = 2 * spec.n
-    ts = np.linspace(0.0, orbit.period, N + 1)
-    Ws = res.sol.sol(ts)[d:].T.reshape(-1, d, d)
-    Ws[0] = np.eye(d)
-    Ws[-1] = res.W  # resymplectified endpoint
-    return path_from_samples(ts, Ws, label="integrated monodromy")
+                   orbit: ClosedCharacteristic) -> SymplecticPath:
+    """Linearized-flow path W(t) along a plane circle, in closed form.
+
+    On the circle x(t) = R_l(omega t) x0 through x0 = rho_l e_l, H'' is
+    R_l S0 R_l^T with S0 = H''(x0), so W(t) = R_l(omega t) exp(t J (S0 -
+    omega P_l)), P_l the projector onto plane l.  The gradient of every
+    rho_k^2, k != l, vanishes at x0, so S0 is sigma_k I off plane l and
+    diag(omega + b, omega) in it: W turns plane l by 2 pi over the period
+    after the lower shear [[1, 0], [b t, 1]], and every other plane at rate
+    sigma_k (Ekeland 1990, Ch. V; Long 2002, Ch. 8).  Raises FlowError,
+    carrying the relative residual, if S0 has other blocks or omega times
+    the period is off 2 pi.
+    """
+    n, tau = spec.n, orbit.period
+    x0 = np.asarray(orbit.x0, float)
+    l = int(np.argmax(_plane_r2(spec, x0)))
+    S0 = _ham_derivs(spec, alpha, x0)[1]
+    s = np.diag(S0)
+    sigma = 0.5 * (s[:n] + s[n:])
+    model = np.concatenate([sigma, sigma])
+    model[[l, n + l]] = s[[l, n + l]]
+    omega, b = s[n + l], s[l] - s[n + l]
+    block = float(np.abs(S0 - np.diag(model)).max() / np.abs(S0).max())
+    turn = abs(omega * tau - TWO_PI) / TWO_PI
+    if max(block, turn) > _CLOSED_FORM_TOL:
+        raise FlowError(
+            f"no closed form at the plane {l} circle: H'' is off its plane "
+            f"blocks by {block:.2e} and the turn off 2 pi by {turn:.2e} "
+            "(relative)", max(block, turn))
+    parts = [product_path(rotation_path(TWO_PI, tau),
+                          lower_shear_path(b * tau, tau)) if k == l
+             else rotation_path(sigma[k] * tau, tau) for k in range(n)]
+    p = diamond_paths(parts)
+    p.label = f"plane {l} circle"
+    return p
 
 
 def action_quadrature(spec: SurfaceSpec, alpha: float,

@@ -74,8 +74,13 @@ class GaugeError(SymstabError, ArithmeticError):
 
 
 class FlowError(SymstabError, ArithmeticError):
-    """Flow integration violated an accuracy contract (energy drift,
-    symplectic residual, or step-size collapse)."""
+    """A flow violated an accuracy contract: the integration failed, or a
+    plane circle's linearized flow has no closed form.  `residual` is the
+    relative size of the violation where one is measured, else None."""
+
+    def __init__(self, message: str, residual: float | None = None):
+        super().__init__(message)
+        self.residual = residual
 
 
 class OrbitSearchError(SymstabError, ArithmeticError):

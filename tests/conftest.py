@@ -17,9 +17,11 @@ from symstab import (
     diamond_all,
     exp_path,
     find_orbits,
+    integrate_flow,
     iterate_indices,
     monodromy_path,
     normal_form_path,
+    path_from_samples,
     random_symplectic,
     resymplectify,
     verify_surface,
@@ -88,7 +90,7 @@ def perturbed_spec():
 
 @pytest.fixture(scope="session")
 def perturbed_entries():
-    """Integrated-monodromy entries for the two perturbed surfaces."""
+    """Closed-form monodromy entries for the two perturbed surfaces."""
     return [CorpusEntry(SurfaceSpec(**PERTURBED_N1), ALPHA),
             CorpusEntry(SurfaceSpec(**PERTURBED), ALPHA)]
 
@@ -124,18 +126,32 @@ def _random_normal_form(rng: np.random.Generator, n: int) -> np.ndarray:
     return resymplectify(g @ M @ np.linalg.inv(g))
 
 
+def sampled_monodromy_path(spec, alpha, orbit, steps=600):
+    """The linearized flow integrated by DOP853 and splined through
+    steps + 1 samples, as a `samples:` file would give it."""
+    d = 2 * spec.n
+    res = integrate_flow(spec, alpha, np.asarray(orbit.x0), orbit.period,
+                         dense=True)
+    ts = np.linspace(0.0, orbit.period, steps + 1)
+    Ws = res.sol.sol(ts)[d:].T.reshape(-1, d, d)
+    Ws[0] = np.eye(d)
+    Ws[-1] = res.W  # resymplectified endpoint
+    return path_from_samples(ts, Ws, label="sampled monodromy")
+
+
 def orbit_path_pool():
-    """Six monodromy paths: analytic ellipsoid ones and integrated ones."""
-    out = []
-    for radii in ((0.9,), (1.0, 1.1)):
-        spec = SurfaceSpec(radii)
+    """Nine monodromy paths: the closed-form paths of the three ellipsoid
+    and three perturbed plane circles, then the three perturbed ones again
+    as splines through integrated samples."""
+    ellipsoids = [SurfaceSpec(r) for r in ((0.9,), (1.0, 1.1))]
+    perturbed = [SurfaceSpec(**kw) for kw in (PERTURBED_N1, PERTURBED)]
+    out, sampled = [], []
+    for spec in ellipsoids + perturbed:
         for o in find_orbits(spec, ALPHA):
             out.append(monodromy_path(spec, ALPHA, o))
-    for kw in (PERTURBED_N1, PERTURBED):
-        spec = SurfaceSpec(**kw)
-        for o in find_orbits(spec, ALPHA):
-            out.append(monodromy_path(spec, ALPHA, o))
-    return out
+            if spec in perturbed:
+                sampled.append(sampled_monodromy_path(spec, ALPHA, o))
+    return out + sampled
 
 
 def bott_path_pool():

@@ -6,7 +6,7 @@ variational (Galerkin) route and the crossing-count engine, the two-iterate
 decomposition, splitting-number limits, the arc rule against per-root
 index sums, action-window bounds, mean-index pinching, the
 position-counting identity, and numerical hygiene of the integrated
-monodromies.
+flows.
 """
 
 import dataclasses

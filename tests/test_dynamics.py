@@ -1,12 +1,13 @@
 """Surfaces, flows, closed orbits, monodromies."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from conftest import ALPHA, PERTURBED
+from conftest import ALPHA, PERTURBED, PERTURBED_N1
 from symstab import (
     SurfaceSpec,
     action_quadrature,
@@ -14,15 +15,15 @@ from symstab import (
     enclosing_radii,
     find_orbits,
     integrate_flow,
-    minimal_period,
     monodromy_path,
     plane_circle_radius,
     standard_J,
     symplectic_residual,
+    verify_surface,
 )
 from symstab import dynamics
 from symstab.dynamics import gauge_grad_hess
-from symstab.errors import GaugeError
+from symstab.errors import FlowError, GaugeError
 
 PI = np.pi
 
@@ -61,12 +62,72 @@ def test_energy_and_symplecticity_along_flow():
     assert symplectic_residual(res.W) < 1e-8
 
 
-def test_monodromy_analytic_matches_integrated():
-    spec = SurfaceSpec((1.0, 1.1))
-    o = find_orbits(spec, ALPHA)[1]
-    M_analytic = monodromy_path(spec, ALPHA, o).endpoint
-    res = integrate_flow(spec, ALPHA, np.asarray(o.x0), o.period)
-    assert np.abs(M_analytic - res.W).max() < 1e-6
+_CLOSED_FORM_SPECS = [
+    SurfaceSpec(**PERTURBED_N1), SurfaceSpec(**PERTURBED),
+    SurfaceSpec((1.0, 1.08, 1.15), (0.2, -0.1, 0.15), 0.1),
+]
+
+
+@pytest.mark.parametrize("alpha", (1.2, 1.5, 1.8))
+@pytest.mark.parametrize("spec", _CLOSED_FORM_SPECS, ids=repr)
+def test_closed_form_monodromy_matches_variational_flow(spec, alpha):
+    # the DOP853 variational flow read at sampled times over the whole
+    # period, on every plane circle
+    d = 2 * spec.n
+    ts = np.linspace(0.0, 1.0, 33)
+    orbits = find_orbits(spec, alpha, confirm=False)
+    assert sorted(o.plane for o in orbits) == list(range(spec.n))
+    for o in orbits:
+        res = integrate_flow(spec, alpha, np.asarray(o.x0), o.period,
+                             dense=True)
+        want = res.sol.sol(ts * o.period)[d:].T.reshape(-1, d, d)
+        path = monodromy_path(spec, alpha, o)
+        assert path.tau == o.period
+        assert np.abs(path.values(ts * o.period) - want).max() < 1e-8
+        assert np.abs(path.endpoint - res.W).max() < 1e-8
+
+
+def test_closed_form_monodromy_refuses_coupled_planes(monkeypatch):
+    spec = SurfaceSpec(**PERTURBED)
+    o = find_orbits(spec, ALPHA, confirm=False)[0]
+    inner = dynamics._gauge_derivs
+
+    def coupled(spec, x, hess):
+        j, grad, H = inner(spec, x, hess)
+        H = H.copy()
+        H[0, 1] = H[1, 0] = 1e-3      # x_1 against x_2: planes 0 and 1
+        return j, grad, H
+
+    monkeypatch.setattr(dynamics, "_gauge_derivs", coupled)
+    with pytest.raises(FlowError, match=f"plane {o.plane} circle") as err:
+        monodromy_path(spec, ALPHA, o)
+    S0 = dynamics._ham_derivs(spec, ALPHA, np.asarray(o.x0))[1]
+    assert err.value.residual == pytest.approx(
+        ALPHA * 1e-3 / np.abs(S0).max(), rel=1e-12)
+
+
+def test_closed_form_monodromy_refuses_a_circle_off_one_turn():
+    spec = SurfaceSpec(**PERTURBED)
+    o = find_orbits(spec, ALPHA, confirm=False)[1]
+    late = dataclasses.replace(o, period=1.001 * o.period)
+    with pytest.raises(FlowError, match=f"plane {o.plane} circle") as err:
+        monodromy_path(spec, ALPHA, late)
+    assert err.value.residual == pytest.approx(1e-3, rel=1e-9)
+
+
+def test_verify_surface_integrates_only_the_orbit_confirmations(monkeypatch):
+    calls = []
+    inner = dynamics.integrate_flow
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("variational", True))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "integrate_flow", counted)
+    for spec in _CLOSED_FORM_SPECS:
+        calls.clear()
+        verify_surface(spec, alpha=ALPHA, m_max=1, mean_K=8)
+        assert calls == [False] * spec.n
 
 
 def test_action_quadrature_circle():
@@ -75,12 +136,6 @@ def test_action_quadrature_circle():
         r = spec.radii[o.plane]
         assert action_quadrature(spec, ALPHA, o) == pytest.approx(
             PI * r * r, rel=1e-8)
-
-
-def test_minimal_period_prime_circle():
-    spec = SurfaceSpec((1.0, 1.1))
-    o = find_orbits(spec, ALPHA)[0]
-    assert minimal_period(spec, o) == pytest.approx(o.period, rel=1e-8)
 
 
 def test_enclosing_radii():

@@ -499,7 +499,8 @@ def test_shared_sampling_leaves_results_unchanged(path, omegas, ladder):
 
 def test_engine_bit_identical_to_reference_on_path_pool():
     # every fifth path of the pool: generic exponentials (n = 1, 2),
-    # normal forms with Jordan blocks and an integrated orbit path
+    # normal forms with Jordan blocks, a closed-form orbit path and a
+    # spline through integrated samples
     for path in bott_path_pool()[::5]:
         units = {complex(np.exp(1j * round(np.angle(z), 9)))
                  for z in np.linalg.eigvals(path.endpoint)
@@ -719,6 +720,12 @@ def test_verify_surface_counts_plus_minus_one_once_per_orbit(monkeypatch):
     # per orbit and omega = +-1: the lower twist at N and 2N, the upper at N
     assert len(seen) == 2 * 2 * 3, seen
     assert set(seen.values()) == {1}, seen
+
+
+@pytest.mark.parametrize("m_max", (0, -3))
+def test_iterate_table_refuses_m_max_below_one(m_max):
+    with pytest.raises(DimensionError, match="m_max"):
+        iterate_indices(rotation_path(2.0), m_max)
 
 
 @pytest.mark.parametrize("K", [0, -4, 2.5, 4.0, "8"])
