@@ -37,8 +37,8 @@ from .galerkin import (
 )
 from .dynamics import (
     SurfaceSpec, ClosedCharacteristic, FlowResult, find_orbits,
-    integrate_flow, monodromy_path, plane_circle_radius, action_quadrature,
-    enclosing_radii, convexity_margin,
+    integrate_flow, monodromy_path, plane_circle_radius,
+    minimal_period, action_quadrature, enclosing_radii, convexity_margin,
 )
 from .classify import (
     FloquetClass, CheckResult, OrbitReport, StabilityReport,
@@ -83,7 +83,8 @@ __all__ = [
     # dynamics
     "SurfaceSpec", "ClosedCharacteristic", "FlowResult", "find_orbits",
     "integrate_flow", "monodromy_path", "plane_circle_radius",
-    "action_quadrature", "enclosing_radii", "convexity_margin",
+    "minimal_period", "action_quadrature", "enclosing_radii",
+    "convexity_margin",
     # classify
     "FloquetClass", "CheckResult", "OrbitReport", "StabilityReport",
     "floquet_classify", "iteration_case", "verify_surface",

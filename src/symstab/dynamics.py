@@ -294,6 +294,18 @@ def find_orbits(spec: SurfaceSpec, alpha: float = 1.5, confirm: bool = True,
     return sorted(orbits, key=lambda o: o.action)
 
 
+def minimal_period(spec: SurfaceSpec, orbit: ClosedCharacteristic,
+                   k_max: int = 8, tol: float = 1e-8) -> float:
+    """Earliest return time T/k among integer divisors of the stored period."""
+    x0 = np.asarray(orbit.x0)
+    for k in range(k_max, 1, -1):
+        res = integrate_flow(spec, orbit.alpha, x0, orbit.period / k,
+                             variational=False)
+        if np.linalg.norm(res.x - x0) < tol * max(1.0, np.linalg.norm(x0)):
+            return orbit.period / k
+    return orbit.period
+
+
 def monodromy_path(spec: SurfaceSpec, alpha: float,
                    orbit: ClosedCharacteristic) -> SymplecticPath:
     """Linearized-flow path W(t) along a plane circle, in closed form.
@@ -308,10 +320,8 @@ def monodromy_path(spec: SurfaceSpec, alpha: float,
     carrying the relative residual, if S0 has other blocks or omega times
     the period is off 2 pi.
     """
-    n, tau = spec.n, orbit.period
-    x0 = np.asarray(orbit.x0, float)
-    l = int(np.argmax(_plane_r2(spec, x0)))
-    S0 = _ham_derivs(spec, alpha, x0)[1]
+    n, tau, l = spec.n, orbit.period, orbit.plane
+    S0 = _ham_derivs(spec, alpha, np.asarray(orbit.x0, float))[1]
     s = np.diag(S0)
     sigma = 0.5 * (s[:n] + s[n:])
     model = np.concatenate([sigma, sigma])

@@ -155,7 +155,8 @@ def orbit_path_pool():
 
 
 def bott_path_pool():
-    """200 deterministic paths for two-iterate identity checks."""
+    """Deterministic paths for two-iterate identity checks: 194 random
+    ones, then `orbit_path_pool()`."""
     rng = np.random.default_rng(42)
     paths = []
     for n in (1,) * 100 + (2,) * 40:

@@ -15,6 +15,7 @@ from symstab import (
     enclosing_radii,
     find_orbits,
     integrate_flow,
+    minimal_period,
     monodromy_path,
     plane_circle_radius,
     standard_J,
@@ -63,6 +64,7 @@ def test_energy_and_symplecticity_along_flow():
 
 
 _CLOSED_FORM_SPECS = [
+    SurfaceSpec((0.9,)), SurfaceSpec((1.0, 1.1)),
     SurfaceSpec(**PERTURBED_N1), SurfaceSpec(**PERTURBED),
     SurfaceSpec((1.0, 1.08, 1.15), (0.2, -0.1, 0.15), 0.1),
 ]
@@ -136,6 +138,12 @@ def test_action_quadrature_circle():
         r = spec.radii[o.plane]
         assert action_quadrature(spec, ALPHA, o) == pytest.approx(
             PI * r * r, rel=1e-8)
+
+
+def test_minimal_period_prime_circle():
+    spec = SurfaceSpec((1.0, 1.1))
+    o = find_orbits(spec, ALPHA)[0]
+    assert minimal_period(spec, o) == pytest.approx(o.period, rel=1e-8)
 
 
 def test_enclosing_radii():
