@@ -6,7 +6,7 @@ R^2 < 1.5 r^2.  Sweeping the ratio past sqrt(1.5) shows the gate flip:
 the orbits themselves stay strictly elliptic on ellipsoids, but the
 checks downgrade to informational once the hypothesis fails.
 
-    python3 scripts/pinching_sweep.py --ratios 1.05,1.1,1.2,1.25 --mean-K 64
+    python3 scripts/pinching_sweep.py --ratios 1.05,1.1,1.2,1.25
 """
 
 import argparse
@@ -20,8 +20,6 @@ def main(argv=None):
     ap.add_argument("--ratios", default="1.05,1.15,1.2,1.25",
                     help="comma list of R/r values to sweep")
     ap.add_argument("--alpha", type=float, default=1.5)
-    ap.add_argument("--mean-K", type=int, default=64,
-                    help="coarse mean-index average keeps the sweep fast")
     args = ap.parse_args(argv)
 
     print(f"{'R/r':>6} {'R^2/r^2':>8} {'gate':>5} {'orbits':>6} "
@@ -29,8 +27,7 @@ def main(argv=None):
     for tok in args.ratios.split(","):
         ratio = float(tok)
         spec = SurfaceSpec((1.0, ratio))
-        rep = verify_surface(spec, alpha=args.alpha, m_max=2,
-                             mean_K=args.mean_K)
+        rep = verify_surface(spec, alpha=args.alpha, m_max=2)
         n_se = sum(o.floquet.strictly_elliptic for o in rep.orbits)
         print(f"{ratio:>6.3f} {rep.pinch_ratio:>8.4f} "
               f"{'yes' if rep.gate_passed else 'no':>5} "

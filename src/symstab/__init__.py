@@ -4,6 +4,10 @@ Monodromy and linear stability of the closed orbits, a crossing-form index
 for symplectic paths on the unit circle, splitting numbers, a dual-action
 Galerkin cross-check, and machine verification of the multiplicity and
 ellipticity lower bounds on pinched surfaces.
+
+The package re-exports the entry points of the pipeline and the command
+line, the error classes and the types those entry points return; every
+other name is imported from its submodule.
 """
 
 from .errors import (
@@ -12,44 +16,27 @@ from .errors import (
     IndexUnstableError, GalerkinError, ResonantFormError, GaugeError,
     FlowError, OrbitSearchError, MergedCutError,
 )
-from .sympl import (
-    standard_J, expJ, rotation2, sympl_dim, symplectic_residual,
-    is_symplectic, check_symplectic, plane_embedding, diamond, diamond_all,
-    resymplectify, random_symplectic,
-    D_block, N1_block, R_block, N2_block,
-)
+from .sympl import diamond_all, symplectic_residual
 from .spectral import (
-    SplittingPair, ClusterInfo, SpectralSummary, spectral_summary,
-    krein_gram, splitting_table,
+    SplittingPair, SpectralSummary, spectral_summary, splitting_table,
 )
 from .paths import (
     SymplecticPath, exp_path, rotation_path, shear_path, lower_shear_path,
-    product_path, concat_path, iterate_path, conjugate_path,
-    diamond_paths, normal_form_path, path_from_samples, twisted_path,
+    iterate_path, normal_form_path,
 )
 from .index import (
     IndexOptions, IndexResult, index_nu, iterate_indices, mean_index,
     splitting_numbers_numeric,
 )
-from .galerkin import (
-    DualForm, mode_frequencies, assemble_dual_form, morse_index_nullity,
-    stabilized_index, constant_form_index, constant_form_bounds,
-)
+from .galerkin import stabilized_index
 from .dynamics import (
     SurfaceSpec, ClosedCharacteristic, FlowResult, find_orbits,
-    integrate_flow, monodromy_path, plane_circle_radius,
-    minimal_period, action_quadrature, enclosing_radii, convexity_margin,
+    integrate_flow, monodromy_path, enclosing_radii,
 )
-from .classify import (
-    FloquetClass, CheckResult, OrbitReport, StabilityReport,
-    floquet_classify, iteration_case, verify_surface, action_index_bounds,
-    nonhyperbolic_bound, counting_identity, hyperbolic_position_range,
-    hyperbolic_index_iterates, floor_ceil_phi, PINCH_RATIO,
-)
+from .classify import StabilityReport, verify_surface
 from .io import (
-    parse_angle, parse_matrix_text, dump_matrix_text, load_matrix,
-    save_matrix, parse_path_samples, load_path_samples, load_surface_file,
-    canonical_json, write_json, write_csv, orbit_rows,
+    parse_angle, load_matrix, load_path_samples, load_surface_file,
+    canonical_json,
 )
 
 __version__ = "0.1.0"
@@ -61,40 +48,24 @@ __all__ = [
     "IndexUnstableError", "GalerkinError", "ResonantFormError",
     "GaugeError", "FlowError", "OrbitSearchError", "MergedCutError",
     # sympl
-    "standard_J", "expJ", "rotation2", "sympl_dim", "symplectic_residual",
-    "is_symplectic", "check_symplectic", "plane_embedding", "diamond",
-    "diamond_all", "resymplectify", "random_symplectic",
-    "D_block", "N1_block", "R_block", "N2_block",
+    "diamond_all", "symplectic_residual",
     # spectral
-    "SplittingPair", "ClusterInfo", "SpectralSummary", "spectral_summary",
-    "krein_gram", "splitting_table",
+    "SplittingPair", "SpectralSummary", "spectral_summary", "splitting_table",
     # paths
     "SymplecticPath", "exp_path", "rotation_path", "shear_path",
-    "lower_shear_path", "product_path", "concat_path",
-    "iterate_path", "conjugate_path", "diamond_paths", "normal_form_path",
-    "path_from_samples", "twisted_path",
+    "lower_shear_path", "iterate_path", "normal_form_path",
     # index
     "IndexOptions", "IndexResult", "index_nu", "iterate_indices",
     "mean_index", "splitting_numbers_numeric",
     # galerkin
-    "DualForm", "mode_frequencies", "assemble_dual_form",
-    "morse_index_nullity", "stabilized_index", "constant_form_index",
-    "constant_form_bounds",
+    "stabilized_index",
     # dynamics
     "SurfaceSpec", "ClosedCharacteristic", "FlowResult", "find_orbits",
-    "integrate_flow", "monodromy_path", "plane_circle_radius",
-    "minimal_period", "action_quadrature", "enclosing_radii",
-    "convexity_margin",
+    "integrate_flow", "monodromy_path", "enclosing_radii",
     # classify
-    "FloquetClass", "CheckResult", "OrbitReport", "StabilityReport",
-    "floquet_classify", "iteration_case", "verify_surface",
-    "action_index_bounds", "nonhyperbolic_bound", "counting_identity",
-    "hyperbolic_position_range", "hyperbolic_index_iterates",
-    "floor_ceil_phi", "PINCH_RATIO",
+    "StabilityReport", "verify_surface",
     # io
-    "parse_angle", "parse_matrix_text", "dump_matrix_text", "load_matrix",
-    "save_matrix", "parse_path_samples", "load_path_samples",
-    "load_surface_file", "canonical_json", "write_json", "write_csv",
-    "orbit_rows",
+    "parse_angle", "load_matrix", "load_path_samples", "load_surface_file",
+    "canonical_json",
     "__version__",
 ]

@@ -22,28 +22,16 @@ from .spectral import SpectralSummary, spectral_summary
 from .sympl import diamond_all
 
 PINCH_RATIO = 1.5   # gate: R^2 < (3/2) r^2 for the sharpened multiplicity bounds
-
-
-def floor_ceil_phi(a: float) -> tuple[int, int, int]:
-    """(floor, ceil, phi) with phi = ceil - floor, zero exactly on integers."""
-    f, c = math.floor(a), math.ceil(a)
-    return f, c, c - f
+# relative distance from |z| = 1 within which a monodromy eigenvalue is
+# snapped onto the circle (`spectral_summary`'s circle_tol)
+_CIRCLE_TOL = 1e-4
 
 
 def nonhyperbolic_bound(n: int) -> int:
-    """Guaranteed number of geometrically distinct non-hyperbolic orbits."""
+    """Guaranteed number of geometrically distinct non-hyperbolic orbits:
+    the n action slots less the admissible hyperbolic positions, n -
+    floor(3(n-1)/4) + ceil((n-1)/4) - 1, which telescopes to this."""
     return 2 * ((n + 2) // 4)
-
-
-def counting_identity(n: int) -> tuple[int, int]:
-    """Both sides of the position-counting identity behind the bound.
-
-    Removing the admissible hyperbolic positions from n action slots leaves
-    n - floor(3(n-1)/4) + ceil((n-1)/4) - 1 slots, which telescopes to
-    2 floor((n+2)/4).
-    """
-    lhs = n - math.floor(3 * (n - 1) / 4) + math.ceil((n - 1) / 4) - 1
-    return lhs, nonhyperbolic_bound(n)
 
 
 def hyperbolic_position_range(n: int) -> tuple[int, int]:
@@ -62,11 +50,6 @@ def action_index_bounds(action: float, n: int, r: float, R: float,
     k_lo = math.ceil(action / (math.pi * R * R)) - 1
     k_hi = math.floor(action / (math.pi * r * r)) + 1
     return 2 * n * max(k_lo, 0), 2 * n * (k_hi - 1) - 1
-
-
-def hyperbolic_index_iterates(i1: int, m: int, n: int) -> list[int]:
-    """Orbit-convention indices i(y^k), k = 1..m, for a hyperbolic orbit."""
-    return [k * (i1 + n + 1) - n - 1 for k in range(1, m + 1)]
 
 
 @dataclass(frozen=True)
@@ -215,7 +198,7 @@ class StabilityReport:
 
 def verify_surface(spec: SurfaceSpec, alpha: float = 1.5, m_max: int = 2,
                    mean_K: int = 256, opts: IndexOptions | None = None,
-                   circle_tol: float = 1e-4) -> StabilityReport:
+                   ) -> StabilityReport:
     """Compute all closed plane characteristics and check the stability laws.
 
     The multiplicity and ellipticity bounds are enforced when the pinching
@@ -223,10 +206,11 @@ def verify_surface(spec: SurfaceSpec, alpha: float = 1.5, m_max: int = 2,
     informational.  A failed required check marks the report as failed but
     never raises.
 
-    circle_tol snaps monodromy eigenvalues onto the unit circle before
-    classification.  The trivial pair at 1 is defective, so an endpoint
-    residual r splits it by order sqrt(r): ~1e-7 on the closed-form orbit
-    paths, up to ~3e-5 on monodromies integrated to ~1e-9; both fit.
+    Monodromy eigenvalues within _CIRCLE_TOL of the unit circle are
+    snapped onto it before classification.  The trivial pair at 1 is
+    defective, so an endpoint residual r splits it by order sqrt(r): ~1e-7
+    on the closed-form orbit paths, up to ~3e-5 on monodromies integrated
+    to ~1e-9; both fit.
     m_max below 1 and a mean_K that is no integer >= 1 raise DimensionError
     before the orbit search.
 
@@ -251,7 +235,7 @@ def verify_surface(spec: SurfaceSpec, alpha: float = 1.5, m_max: int = 2,
     for orb in find_orbits(spec, alpha):
         path = monodromy_path(spec, alpha, orb)
         results, (mi, mb) = iterates_and_mean(path, m_max, mean_K, opts)
-        summary = spectral_summary(path.endpoint, circle_tol=circle_tol)
+        summary = spectral_summary(path.endpoint, circle_tol=_CIRCLE_TOL)
         fc = floquet_classify(summary)
         case = None
         if m_max >= 2:

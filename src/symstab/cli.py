@@ -121,9 +121,9 @@ def _resolve_source(token: str, alpha: float):
     if kind == "rotation" and rest:
         return rotation_path(sio.parse_angle(rest), 1.0)
     if kind == "shear" and rest:
-        return shear_path(float(rest), 1.0)
+        return shear_path(sio.parse_real(rest, "shear"), 1.0)
     if kind == "lower-shear" and rest:
-        return lower_shear_path(float(rest), 1.0)
+        return lower_shear_path(sio.parse_real(rest, "lower shear"), 1.0)
     if kind == "normal-form" and rest:
         return normal_form_path(sio.load_matrix(rest))
     if kind == "samples" and rest:
@@ -221,8 +221,7 @@ def cmd_path_index(args) -> int:
         }
         _emit(args, sio.canonical_json(report))
     else:
-        _emit(args, sio.write_csv(None, ["kind", "arg", "index", "nullity"],
-                                  rows))
+        _emit(args, sio.write_csv(["kind", "arg", "index", "nullity"], rows))
     return 0
 
 
@@ -245,8 +244,7 @@ def cmd_orbits_find(args) -> int:
         rows = [(o.plane, o.action, o.period,
                  " ".join(format(float(v), ".12g") for v in o.x0))
                 for o in orbits]
-        _emit(args, sio.write_csv(None, ["plane", "action", "period", "x0"],
-                                  rows))
+        _emit(args, sio.write_csv(["plane", "action", "period", "x0"], rows))
     return 0
 
 

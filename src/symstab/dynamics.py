@@ -40,6 +40,12 @@ from .sympl import resymplectify, standard_J, symplectic_residual
 TWO_PI = 2.0 * math.pi
 # relative residuals of the closed-form linearization, met to rounding
 _CLOSED_FORM_TOL = 1e-9
+# DOP853 tolerances of every flow
+_RTOL, _ATOL = 1e-11, 1e-12
+# return error, relative to max(1, |x0|), that confirms a closed orbit
+_CONFIRM_TOL = 1e-7
+# random directions (and their seed) that `enclosing_radii` samples
+_RADII_SAMPLES, _RADII_SEED = 4096, 0
 
 
 @dataclass(frozen=True)
@@ -192,7 +198,6 @@ def _ham_derivs(spec: SurfaceSpec, alpha: float, x: np.ndarray):
 
 
 def integrate_flow(spec: SurfaceSpec, alpha: float, x0: np.ndarray, T: float,
-                   rtol: float = 1e-11, atol: float = 1e-12,
                    variational: bool = True, dense: bool = False) -> FlowResult:
     """Integrate x' = J grad H_alpha, optionally with W' = J H'' W (the
     independent route the closed-form `monodromy_path` is tested against)."""
@@ -215,8 +220,8 @@ def integrate_flow(spec: SurfaceSpec, alpha: float, x0: np.ndarray, T: float,
             return J @ ham.grad(y)
         y0 = x0
 
-    sol = solve_ivp(rhs, (0.0, T), y0, method="DOP853", rtol=rtol, atol=atol,
-                    dense_output=dense)
+    sol = solve_ivp(rhs, (0.0, T), y0, method="DOP853", rtol=_RTOL,
+                    atol=_ATOL, dense_output=dense)
     if not sol.success:
         raise FlowError(f"integration failed: {sol.message}")
     yT = sol.y[:, -1]
@@ -270,9 +275,7 @@ def plane_circle(spec: SurfaceSpec, alpha: float, l: int) -> ClosedCharacteristi
                                 period=TWO_PI * rho * rho / alpha, plane=l)
 
 
-def find_orbits(spec: SurfaceSpec, alpha: float = 1.5, confirm: bool = True,
-                confirm_tol: float = 1e-7, rtol: float = 1e-11,
-                ) -> list[ClosedCharacteristic]:
+def find_orbits(spec: SurfaceSpec, alpha: float = 1.5) -> list[ClosedCharacteristic]:
     """Closed characteristics on the surface, sorted by action.
 
     For this surface family every coordinate plane carries a closed circle;
@@ -283,13 +286,12 @@ def find_orbits(spec: SurfaceSpec, alpha: float = 1.5, confirm: bool = True,
     orbits = []
     for l in range(spec.n):
         orb = plane_circle(spec, alpha, l)
-        if confirm:
-            res = integrate_flow(spec, alpha, np.asarray(orb.x0), orb.period,
-                                 rtol=rtol, variational=False)
-            err = float(np.linalg.norm(res.x - np.asarray(orb.x0)))
-            if err > confirm_tol * max(1.0, np.linalg.norm(orb.x0)):
-                raise OrbitSearchError(
-                    f"plane {l} circle failed confirmation (return error {err:.2e})")
+        res = integrate_flow(spec, alpha, np.asarray(orb.x0), orb.period,
+                             variational=False)
+        err = float(np.linalg.norm(res.x - np.asarray(orb.x0)))
+        if err > _CONFIRM_TOL * max(1.0, np.linalg.norm(orb.x0)):
+            raise OrbitSearchError(
+                f"plane {l} circle failed confirmation (return error {err:.2e})")
         orbits.append(orb)
     return sorted(orbits, key=lambda o: o.action)
 
@@ -356,15 +358,14 @@ def action_quadrature(spec: SurfaceSpec, alpha: float,
     return float(np.trapezoid(integrand, ts))
 
 
-def enclosing_radii(spec: SurfaceSpec, samples: int = 4096, seed: int = 0,
-                    ) -> tuple[float, float]:
+def enclosing_radii(spec: SurfaceSpec) -> tuple[float, float]:
     """Min and max distance from the origin to the surface.
 
     Dense direction sampling plus the exact plane-circle radii; for delta=0
     these are the smallest and largest semiaxes.
     """
-    rng = np.random.default_rng(seed)
-    u = rng.standard_normal((samples, 2 * spec.n))
+    rng = np.random.default_rng(_RADII_SEED)
+    u = rng.standard_normal((_RADII_SAMPLES, 2 * spec.n))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     radii = 1.0 / _gauge_rows(spec, u)
     exact = [plane_circle_radius(spec, l) for l in range(spec.n)]

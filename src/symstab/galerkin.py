@@ -25,6 +25,12 @@ from .errors import GalerkinError, ResonantFormError
 from .sympl import standard_J
 
 TWO_PI = 2.0 * np.pi
+# eigenvalues within _ZERO_TOL of 0, relative to the largest, are kernel
+_ZERO_TOL = 1e-7
+# mode-count doublings `stabilized_index` tries before it gives up
+_MAX_DOUBLINGS = 6
+# a period ratio within _RESONANCE_TOL (relative) of an integer resonates
+_RESONANCE_TOL = 1e-9
 
 
 def mode_frequencies(s: float, K: int) -> np.ndarray:
@@ -63,13 +69,12 @@ def _per_mode_blocks(G0: np.ndarray, s: float, K: int) -> np.ndarray:
     return blocks
 
 
-def assemble_dual_form(G, s: float, n: int, K: int, samples: int | None = None,
-                       ) -> DualForm:
+def assemble_dual_form(G, s: float, n: int, K: int) -> DualForm:
     """Build the K-mode quadratic form for inverse-Hessian loop G.
 
     G may be a constant (2n, 2n) symmetric matrix or a callable t -> matrix
     on [0, s).  The callable case assembles the dense matrix through FFT
-    coefficients of G; `samples` overrides the sampling resolution.  Dense
+    coefficients of G on Nt = max(512, 2^ceil(log2(8K + 8))) points.  Dense
     layout: d x d blocks, 0..K-1 for the -sin coefficients of modes 1..K,
     K..2K-1 for the cos ones, stored for all pairs a <= b and mirrored.
     """
@@ -80,7 +85,7 @@ def assemble_dual_form(G, s: float, n: int, K: int, samples: int | None = None,
             raise GalerkinError(f"G has shape {G0.shape}, expected {(d, d)}")
         return DualForm(s=s, n=n, K=K, blocks=_per_mode_blocks(G0, s, K))
 
-    Nt = samples or max(512, 1 << int(np.ceil(np.log2(8 * K + 8))))
+    Nt = max(512, 1 << int(np.ceil(np.log2(8 * K + 8))))
     ts = np.arange(Nt) * (s / Nt)
     Gs = np.stack([np.asarray(G(t), float) for t in ts])
     if Gs.shape != (Nt, d, d):
@@ -113,20 +118,18 @@ def assemble_dual_form(G, s: float, n: int, K: int, samples: int | None = None,
     return DualForm(s=s, n=n, K=K, dense=M)
 
 
-def morse_index_nullity(form: DualForm | np.ndarray, zero_tol: float = 1e-7,
-                        ) -> tuple[int, int]:
+def morse_index_nullity(form: DualForm) -> tuple[int, int]:
     """Count negative and near-zero eigenvalues of the assembled form."""
-    vals = form.eigenvalues() if isinstance(form, DualForm) else np.asarray(form)
-    thr = zero_tol * max(1.0, float(np.abs(vals).max()))
+    vals = form.eigenvalues()
+    thr = _ZERO_TOL * max(1.0, float(np.abs(vals).max()))
     null = int(np.sum(np.abs(vals) <= thr))
     neg = int(np.sum(vals < -thr))
     return neg, null
 
 
-def stabilized_index(G, s: float, n: int, K0: int | None = None,
-                     max_doublings: int = 6, zero_tol: float = 1e-7,
-                     ) -> tuple[int, int, int]:
-    """Morse index and nullity, with K doubled until both counts repeat.
+def stabilized_index(G, s: float, n: int) -> tuple[int, int, int]:
+    """Morse index and nullity, with K doubled from max(8, ceil(2 s))
+    until both counts repeat.
 
     Returns (index, nullity, K) for the first stable mode count.
     """
@@ -136,11 +139,11 @@ def stabilized_index(G, s: float, n: int, K0: int | None = None,
         # points, and when Nt doubles the even points of the new grid equal the
         # old ones bit for bit, as 2k (s / 2Nt) = k (s / Nt) exactly
         G = functools.cache(G)
-    K = K0 or max(8, int(np.ceil(2.0 * s)))
+    K = max(8, int(np.ceil(2.0 * s)))
     prev = None
-    for _ in range(max_doublings + 1):
+    for _ in range(_MAX_DOUBLINGS + 1):
         form = assemble_dual_form(G, s, n, K)
-        cur = morse_index_nullity(form, zero_tol)
+        cur = morse_index_nullity(form)
         if prev is not None and cur == prev:
             return cur[0], cur[1], K
         prev = cur
@@ -149,8 +152,7 @@ def stabilized_index(G, s: float, n: int, K0: int | None = None,
         f"index did not stabilize up to K={K // 2} (last counts {prev})")
 
 
-def constant_form_index(s: float, rho: float, n: int, rel_tol: float = 1e-9,
-                        ) -> int:
+def constant_form_index(s: float, rho: float, n: int) -> int:
     """Closed-form Morse index of the dual form on a round level set.
 
     With G = (rho^2/2) I, mode k is negative exactly when k < s / (pi rho^2);
@@ -159,7 +161,7 @@ def constant_form_index(s: float, rho: float, n: int, rel_tol: float = 1e-9,
     """
     ratio = s / (np.pi * rho * rho)
     nearest = round(ratio)
-    if nearest >= 1 and abs(ratio - nearest) <= rel_tol * max(1.0, ratio):
+    if nearest >= 1 and abs(ratio - nearest) <= _RESONANCE_TOL * max(1.0, ratio):
         raise ResonantFormError(
             f"period s={s:.6g} resonates with the rho={rho:.6g} level set")
     return 2 * n * int(np.floor(ratio))

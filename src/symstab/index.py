@@ -23,9 +23,10 @@ the grid size N, not on omega, so one `index_nu` call or one arc rule
 (below) samples each grid once for all the omega it counts; the N grid
 of the grid check is a subset of its 2N grid and is read from the 2N
 samples.  Every run of grid cells that holds a sign change of the real
-function D_omega, or a local minimum below `trigger` of the eigenvalue
-distance to omega, is a bracket; all brackets are cut into 16 cells per
-level until they are narrower than 64 refine_rtol tau.  Their
+function D_omega = (-1)^(n-1) conj(omega)^n det(P - omega I), or a local
+minimum below `trigger` of the eigenvalue distance to omega, is a
+bracket; all brackets are cut into 16 cells per level until they are
+narrower than 64 refine_rtol tau.  Their
 midpoints, merged within one radius, are the candidate crossings.  A
 candidate counts only if P(t) - omega I has a numerical kernel (smallest
 singular value below rank_tol relative); the crossing form is restricted
@@ -67,12 +68,10 @@ from .errors import (
 )
 from .paths import SymplecticPath, twisted_path
 from .spectral import SplittingPair, _principal_angle
-from .sympl import sympl_dim
 
 __all__ = [
     "IndexOptions",
     "IndexResult",
-    "D_omega",
     "index_nu",
     "iterate_indices",
     "iterates_and_mean",
@@ -143,20 +142,6 @@ def _normalize_omega(omega) -> complex:
     if abs(r - 1.0) > 1e-6:
         raise DimensionError(f"omega must lie on the unit circle, got {omega}")
     return w / r
-
-
-def D_omega(M: np.ndarray, omega) -> float:
-    """(-1)^(n-1) conj(omega)^n det(M - omega I), real for symplectic M."""
-    M = np.asarray(M, dtype=float)
-    n = sympl_dim(M)
-    w = _normalize_omega(omega)
-    ev = np.linalg.eigvals(M)
-    raw = np.prod(ev - w) * (-1.0) ** (n - 1) * np.conj(w) ** n
-    scale = float(np.prod(np.maximum(np.abs(ev - w), 1e-3)))
-    if abs(raw.imag) > 1e-5 * max(scale, 1e-12):
-        raise NumericalConsistencyError(
-            f"D_omega imaginary residual {raw.imag:.2e} at omega={omega}")
-    return float(raw.real)
 
 
 def _kernel_basis(M: np.ndarray, omega: complex, rank_tol: float):
@@ -650,7 +635,10 @@ def iterates_and_mean(path: SymplecticPath, m_max: int, K: int = 1024,
                       opts: IndexOptions | None = None,
                       ) -> tuple[list[IndexResult], tuple[float, float]]:
     """`iterate_indices(path, m_max)` and `mean_index(path, K)` from one
-    arc rule, so the counts both need (omega = +-1, the arcs) run once."""
+    arc rule, so the counts both need (omega = +-1, the arcs) run once.
+    Raises DimensionError for m_max < 1, as `iterate_indices` does."""
+    if m_max < 1:
+        raise DimensionError(f"iterate table needs m_max >= 1, got {m_max}")
     K = _check_K(K)
     return _iterates_and_mean(_ArcRule(path, opts or IndexOptions()),
                               m_max, K)

@@ -17,26 +17,35 @@ import re
 
 import numpy as np
 
-from .errors import DimensionError, ParseError, SymstabError
+from .errors import ParseError, SymstabError
 
 __all__ = [
+    "parse_real",
     "parse_angle",
     "parse_matrix_text",
-    "dump_matrix_text",
     "load_matrix",
-    "save_matrix",
     "parse_path_samples",
     "load_path_samples",
     "load_surface_file",
     "canonical_json",
-    "write_json",
     "write_csv",
-    "orbit_rows",
 ]
 
 _ANGLE_RE = re.compile(
     r"^\s*([+-]?)\s*([0-9]*\.?[0-9]*)\s*pi\s*(?:/\s*([0-9]*\.?[0-9]+))?\s*$",
     re.IGNORECASE)
+
+
+def parse_real(token, what: str) -> float:
+    """float(token); a non-numeric (a bool included) or non-finite token
+    raises ParseError."""
+    try:
+        x = math.nan if isinstance(token, bool) else float(token)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise ParseError(f"{what}: {token!r} is not a finite number")
+    return x
 
 
 def parse_angle(token: str) -> float:
@@ -50,10 +59,7 @@ def parse_angle(token: str) -> float:
         if div == 0.0:
             raise ParseError(f"zero divisor in angle {token!r}")
         return sign * coef * math.pi / div
-    try:
-        return float(tok)
-    except ValueError:
-        raise ParseError(f"cannot read {token!r} as an angle") from None
+    return parse_real(tok, "angle")
 
 
 def _rows_to_matrix(rows, n: int | None = None) -> np.ndarray:
@@ -61,6 +67,8 @@ def _rows_to_matrix(rows, n: int | None = None) -> np.ndarray:
         M = np.array(rows, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"matrix entries not numeric: {exc}") from None
+    if not np.isfinite(M).all():
+        raise ParseError("matrix entries must be finite")
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] % 2:
         raise ParseError(f"matrix must be square of even size, got {M.shape}")
     if n is not None and M.shape[0] != 2 * n:
@@ -91,25 +99,9 @@ def parse_matrix_text(text: str) -> np.ndarray:
     return _rows_to_matrix(rows, n)
 
 
-def dump_matrix_text(M: np.ndarray) -> str:
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] % 2:
-        raise DimensionError(f"matrix must be square of even size, got {M.shape}")
-    n = M.shape[0] // 2
-    lines = [f"n={n}"]
-    for row in M:
-        lines.append(" ".join(format(x, ".12g") for x in row))
-    return "\n".join(lines) + "\n"
-
-
 def load_matrix(path: str) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_matrix_text(fh.read())
-
-
-def save_matrix(path: str, M: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_matrix_text(M))
 
 
 def parse_path_samples(text: str) -> tuple[np.ndarray, np.ndarray]:
@@ -129,10 +121,7 @@ def parse_path_samples(text: str) -> tuple[np.ndarray, np.ndarray]:
         head = lines[i].replace(" ", "")
         if not head.startswith("t="):
             raise ParseError(f"expected 't=<float>' line, got {lines[i]!r}")
-        try:
-            ts.append(float(head[2:]))
-        except ValueError:
-            raise ParseError(f"bad time line {lines[i]!r}") from None
+        ts.append(parse_real(head[2:], "sample time"))
         block = [ln.split() for ln in lines[i + 1:i + 1 + d]]
         if len(block) != d:
             raise ParseError(f"sample at t={ts[-1]} is missing rows")
@@ -145,11 +134,16 @@ def parse_path_samples(text: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def load_path_samples(path: str):
-    """Sampled path file -> interpolating SymplecticPath."""
+    """Sampled path file -> interpolating SymplecticPath.  Times that do
+    not start at 0 and increase, or a first sample other than the
+    identity, raise ParseError."""
     from .paths import path_from_samples
     with open(path, "r", encoding="utf-8") as fh:
         ts, Ws = parse_path_samples(fh.read())
-    return path_from_samples(ts, Ws, label=f"samples:{path}")
+    try:
+        return path_from_samples(ts, Ws, label=f"samples:{path}")
+    except SymstabError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 _SURFACE_KEYS = {"kind", "n", "radii", "alpha", "perturbation"}
@@ -180,6 +174,7 @@ def load_surface_file(path: str):
     if (not isinstance(radii, list) or not radii
             or not all(isinstance(r, (int, float)) for r in radii)):
         raise ParseError(f"{path}: 'radii' must be a non-empty number list")
+    radii = tuple(parse_real(r, f"{path}: radii") for r in radii)
     kind = data.get("kind", "ellipsoid")
     if kind not in ("ellipsoid", "perturbed-ellipsoid"):
         raise ParseError(f"{path}: unknown kind {kind!r}")
@@ -193,18 +188,21 @@ def load_surface_file(path: str):
         bad = set(pert) - _PJ_KEYS
         if bad:
             raise ParseError(f"{path}: unknown perturbation keys {sorted(bad)}")
-        delta = float(pert.get("delta", 0.0))
-        quartic = tuple(float(q) for q in pert.get("quartic_coeffs", ()))
+        delta = parse_real(pert.get("delta", 0.0), f"{path}: delta")
+        coeffs = pert.get("quartic_coeffs", [])
+        if not isinstance(coeffs, list):
+            raise ParseError(f"{path}: 'quartic_coeffs' must be a number list")
+        quartic = tuple(parse_real(q, f"{path}: quartic_coeffs") for q in coeffs)
         if quartic and len(quartic) != len(radii):
             raise ParseError(
                 f"{path}: quartic_coeffs needs one entry per plane")
     alpha = data.get("alpha")
     if alpha is not None:
-        alpha = float(alpha)
+        alpha = parse_real(alpha, f"{path}: alpha")
         if not 1.0 < alpha < 2.0:
             raise ParseError(f"{path}: alpha must lie in (1, 2), got {alpha}")
     try:
-        spec = SurfaceSpec(tuple(float(r) for r in radii), quartic, delta)
+        spec = SurfaceSpec(radii, quartic, delta)
     except (ValueError, SymstabError) as exc:
         raise ParseError(f"{path}: {exc}") from None
     return spec, alpha
@@ -234,37 +232,12 @@ def canonical_json(obj) -> str:
     return json.dumps(_canon(obj), sort_keys=True, indent=2) + "\n"
 
 
-def write_json(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(canonical_json(obj))
-
-
-def write_csv(target, header, rows) -> str:
-    """Rows to CSV with 12-significant-digit floats.
-
-    target may be a file path or None; the text is returned either way.
-    """
+def write_csv(header, rows) -> str:
+    """Rows to CSV text with 12-significant-digit floats."""
     buf = _io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
     for row in rows:
         w.writerow([format(x, ".12g") if isinstance(x, (float, np.floating))
                     else x for x in row])
-    text = buf.getvalue()
-    if target:
-        with open(target, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    return text
-
-
-def orbit_rows(spec, alpha: float, orbit, samples: int = 256):
-    """(t, x_1..x_2n) rows along one period for CSV dumps."""
-    from .dynamics import integrate_flow
-    ts = np.linspace(0.0, orbit.period, samples + 1)
-    res = integrate_flow(spec, alpha, np.asarray(orbit.x0), orbit.period,
-                         variational=False, dense=True)
-    rows = []
-    for t in ts:
-        x = res.sol.sol(t)[:2 * spec.n]
-        rows.append([float(t), *map(float, x)])
-    return rows
+    return buf.getvalue()

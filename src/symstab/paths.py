@@ -12,8 +12,8 @@ needs the symmetric coefficient
     S(t) = J^{-1} dgamma/dt gamma(t)^{-1},
 
 i.e. the Hamiltonian matrix of the linear system the path solves.  Every
-constructor here provides S in closed form where possible; the generic
-fallback is finite differences with a symmetry check.
+constructor here provides S in closed form (a spline through samples, from
+its derivative); `sform` symmetrizes it and checks the residual.
 
 Paths carry a list of interior seam times where they may only be C^0;
 S(t, side) takes one-sided limits there.
@@ -35,9 +35,7 @@ __all__ = [
     "lower_shear_path",
     "normal_form_path",
     "product_path",
-    "concat_path",
     "iterate_path",
-    "conjugate_path",
     "diamond_paths",
     "twisted_path",
     "path_from_samples",
@@ -49,12 +47,11 @@ class SymplecticPath:
 
     values_fn, the only evaluator, takes a 1-d float array of times and
     returns the stacked (m, 2n, 2n) matrices; `value(t)` is values_fn at
-    the single time t.  sform_fn, if given, returns the symmetric
-    coefficient S(t) with a side argument (+1 right limit, -1 left limit)
-    honoured at seams.
+    the single time t.  sform_fn returns the symmetric coefficient S(t)
+    with a side argument (+1 right limit, -1 left limit) honoured at seams.
     """
 
-    def __init__(self, n, tau, values_fn, sform_fn=None, seams=(),
+    def __init__(self, n, tau, values_fn, sform_fn, seams=(),
                  grid_hint=96, label=""):
         if tau <= 0:
             raise DimensionError(f"path needs tau > 0, got {tau}")
@@ -65,7 +62,6 @@ class SymplecticPath:
         self.seams = tuple(sorted(s for s in seams if 0.0 < s < self.tau))
         self.grid_hint = int(grid_hint)
         self.label = label
-        self._J = standard_J(self.n)
         self._endpoint = None
 
     # -- evaluation ---------------------------------------------------------
@@ -88,10 +84,7 @@ class SymplecticPath:
 
     def sform(self, t: float, side: int = 1) -> np.ndarray:
         """S(t) = J^{-1} P' P^{-1}, symmetrized, with one-sided limits."""
-        if self._sform is not None:
-            S = self._sform(float(t), int(side))
-        else:
-            S = self._fd_sform(float(t), int(side))
+        S = self._sform(float(t), int(side))
         Ssym = 0.5 * (S + S.T)
         asym = np.abs(S - Ssym).max()
         if asym > 1e-3 * (1.0 + np.abs(Ssym).max()):
@@ -100,30 +93,11 @@ class SymplecticPath:
                 f"symmetric (residual {asym:.2e}); path may not be symplectic")
         return Ssym
 
-    def _fd_sform(self, t: float, side: int) -> np.ndarray:
-        h = 1e-6 * self.tau
-        barriers = [0.0, *self.seams, self.tau]
-        lo = max(b for b in barriers if b <= t + 1e-15 * self.tau)
-        hi = min(b for b in barriers if b >= t - 1e-15 * self.tau)
-        if hi - t < 2.5 * h and t - lo < 2.5 * h:
-            h = max((hi - lo) / 6.0, 1e-12 * self.tau)
-        if side >= 0 and hi - t >= 2.5 * h:
-            if t - lo >= h and hi - t >= h and abs(t - lo) > 1e-15 and abs(hi - t) > 1e-15:
-                Pd = (self.value(t + h) - self.value(t - h)) / (2 * h)
-            else:
-                Pd = (-3 * self.value(t) + 4 * self.value(t + h)
-                      - self.value(t + 2 * h)) / (2 * h)
-        else:
-            Pd = (3 * self.value(t) - 4 * self.value(t - h)
-                  + self.value(t - 2 * h)) / (2 * h)
-        P = self.value(t)
-        return -self._J @ Pd @ np.linalg.inv(P)
-
     # -- convenience --------------------------------------------------------
 
-    def check_start(self, tol: float = 1e-9) -> None:
+    def check_start(self) -> None:
         r = np.abs(self.value(0.0) - np.eye(2 * self.n)).max()
-        if r > tol:
+        if r > 1e-9:
             raise SymplecticityError(f"path must start at the identity, "
                                      f"residual {r:.2e}")
 
@@ -288,35 +262,6 @@ def product_path(p1: SymplecticPath, p2: SymplecticPath,
                           label=label or f"{p1.label}*{p2.label}")
 
 
-def concat_path(p1: SymplecticPath, p2: SymplecticPath,
-                label="") -> SymplecticPath:
-    """Traverse p1 on [0, tau1], then p2 (shifted to start at p1's end)."""
-    if p1.n != p2.n:
-        raise DimensionError("concatenation needs equal dimension")
-    n, t1 = p1.n, p1.tau
-    tau = t1 + p2.tau
-    M1 = p1.endpoint
-
-    def values(ts):
-        left = ts <= t1
-        out = np.empty((len(ts), 2 * n, 2 * n))
-        if left.any():
-            out[left] = p1.values(ts[left])
-        if (~left).any():
-            out[~left] = p2.values(ts[~left] - t1) @ M1
-        return out
-
-    def sform(t, side):
-        if t < t1 or (t == t1 and side < 0):
-            return p1.sform(t, side)
-        return p2.sform(t - t1, side)
-
-    seams = sorted(set(p1.seams) | {t1} | {t1 + s for s in p2.seams})
-    return SymplecticPath(n, tau, values, sform_fn=sform, seams=seams,
-                          grid_hint=p1.grid_hint + p2.grid_hint,
-                          label=label or f"{p1.label};{p2.label}")
-
-
 def iterate_path(p: SymplecticPath, m: int) -> SymplecticPath:
     """m-fold iteration: gamma(t - j tau) gamma(tau)^j on [0, m tau]."""
     if m < 1:
@@ -356,24 +301,6 @@ def iterate_path(p: SymplecticPath, m: int) -> SymplecticPath:
     return SymplecticPath(n, m * tau, values, sform_fn=sform, seams=seams,
                           grid_hint=m * p.grid_hint,
                           label=f"{p.label}^^{m}")
-
-
-def conjugate_path(p: SymplecticPath, C: np.ndarray) -> SymplecticPath:
-    """t -> C gamma(t) C^{-1} for a fixed symplectic C."""
-    C = np.asarray(C, dtype=float)
-    if sympl_dim(C) != p.n:
-        raise DimensionError("conjugator dimension mismatch")
-    Cinv = np.linalg.inv(C)
-    Cit = Cinv.T
-
-    def values(ts):
-        return C @ p.values(ts) @ Cinv
-
-    def sform(t, side):
-        return Cit @ p.sform(t, side) @ Cit.T
-
-    return SymplecticPath(p.n, p.tau, values, sform_fn=sform, seams=p.seams,
-                          grid_hint=p.grid_hint, label=f"conj({p.label})")
 
 
 def diamond_paths(paths) -> SymplecticPath:

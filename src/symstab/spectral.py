@@ -30,6 +30,13 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
+# angular width that merges eigenvalues into one cluster; it must exceed
+# the O(sqrt(eps)) splitting of defective pairs
+_ANGLE_TOL = 1e-5
+# relative singular-value threshold for kernel dimensions
+_RANK_TOL = 1e-6
+# angular distance within which `cluster_at` reads omega as a cluster
+_CLUSTER_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -85,12 +92,12 @@ class SpectralSummary:
     clusters: list[ClusterInfo] = field(default_factory=list)
     off_circle: list[complex] = field(default_factory=list)
 
-    def cluster_at(self, omega: complex, tol: float = 1e-6) -> ClusterInfo | None:
+    def cluster_at(self, omega: complex) -> ClusterInfo | None:
         """Cluster owning omega (or its conjugate), None if omega is not
         in the unit-circle spectrum."""
         a = _principal_angle(omega)
         for c in self.clusters:
-            if abs(_angle_dist(a, c.angle)) <= tol:
+            if abs(_angle_dist(a, c.angle)) <= _CLUSTER_TOL:
                 return c
         return None
 
@@ -136,17 +143,13 @@ def _signature(vals: np.ndarray, tol: float) -> tuple[int, int, int]:
 
 
 def spectral_summary(M: np.ndarray, circle_tol: float = 1e-7,
-                     angle_tol: float = 1e-5,
-                     rank_tol: float = 1e-6) -> SpectralSummary:
+                     ) -> SpectralSummary:
     """Cluster and classify the unit-circle spectrum of M.
 
     circle_tol: relative distance of |lambda| from 1 below which an
         eigenvalue is snapped onto the circle.  The snap width used is
-        max(circle_tol, angle_tol): a defective pair splits by
+        max(circle_tol, _ANGLE_TOL): a defective pair splits by
         O(sqrt(eps cond)) across the circle as well as along it.
-    angle_tol: angular width used to merge eigenvalues into one cluster.
-        Must exceed the O(sqrt(eps)) splitting of defective pairs.
-    rank_tol: relative singular-value threshold for kernel dimensions.
     """
     M = np.asarray(M, dtype=float)
     n = sympl_dim(M)
@@ -154,7 +157,7 @@ def spectral_summary(M: np.ndarray, circle_tol: float = 1e-7,
     scale = max(1.0, float(np.linalg.norm(M, 2)))
 
     evals = np.linalg.eigvals(M)
-    snap = max(circle_tol, angle_tol)
+    snap = max(circle_tol, _ANGLE_TOL)
     on_mask = np.abs(np.abs(evals) - 1.0) <= snap * np.abs(evals).clip(min=1.0)
     on = evals[on_mask]
     off = [complex(z) for z in evals[~on_mask]]
@@ -168,36 +171,36 @@ def spectral_summary(M: np.ndarray, circle_tol: float = 1e-7,
     order = np.argsort(folded)
     groups: list[list[int]] = [[order[0]]]
     for i in order[1:]:
-        if folded[i] - folded[groups[-1][-1]] <= angle_tol:
+        if folded[i] - folded[groups[-1][-1]] <= _ANGLE_TOL:
             groups[-1].append(i)
         else:
             groups.append([i])
 
     for grp in groups:
         ang = float(np.mean(folded[grp]))
-        if ang <= angle_tol:
-            summary.clusters.append(_classify_real(M, J, 1.0, 0.0, len(grp), scale, rank_tol))
-        elif np.pi - ang <= angle_tol:
-            summary.clusters.append(_classify_real(M, J, -1.0, np.pi, len(grp), scale, rank_tol))
+        if ang <= _ANGLE_TOL:
+            summary.clusters.append(_classify_real(M, J, 1.0, 0.0, len(grp), scale))
+        elif np.pi - ang <= _ANGLE_TOL:
+            summary.clusters.append(_classify_real(M, J, -1.0, np.pi, len(grp), scale))
         else:
             if len(grp) % 2:
                 raise NumericalConsistencyError(
                     f"odd number of eigenvalues in conjugate cluster at angle {ang:.6f}")
             alg = len(grp) // 2
-            summary.clusters.append(_classify_rotation(M, J, ang, alg, scale, rank_tol))
+            summary.clusters.append(_classify_rotation(M, J, ang, alg, scale))
 
     summary.clusters.sort(key=lambda c: c.angle)
     return summary
 
 
 def _generalized_basis(M: np.ndarray, omega: complex, alg: int, scale: float,
-                       rank_tol: float) -> np.ndarray:
+                       ) -> np.ndarray:
     """Basis of the order-two generalized eigenspace; rejects longer chains."""
     dim = M.shape[0]
     K = M - omega * np.eye(dim)
     B, _ = _right_null_basis(K @ K, alg)
     resid = np.linalg.norm(K @ (K @ B), 2)
-    if resid > 1e3 * rank_tol * scale * scale:
+    if resid > 1e3 * _RANK_TOL * scale * scale:
         raise UnsupportedNormalForm(
             f"Jordan chain of length >= 3 at eigenvalue {omega:.6g} "
             f"(residual {resid:.2e})")
@@ -205,14 +208,14 @@ def _generalized_basis(M: np.ndarray, omega: complex, alg: int, scale: float,
 
 
 def _classify_real(M: np.ndarray, J: np.ndarray, lam: float, angle: float,
-                   alg: int, scale: float, rank_tol: float) -> ClusterInfo:
+                   alg: int, scale: float) -> ClusterInfo:
     if alg % 2:
         raise NumericalConsistencyError(
             f"odd algebraic multiplicity {alg} at eigenvalue {lam:+.0f}")
     dim = M.shape[0]
     K = M - lam * np.eye(dim)
     _, s_all, _ = np.linalg.svd(K)
-    geo = int(np.sum(s_all <= rank_tol * scale))
+    geo = int(np.sum(s_all <= _RANK_TOL * scale))
 
     info = ClusterInfo(omega=complex(lam), angle=angle, alg=alg, geo=geo,
                        krein=(alg // 2, alg // 2))
@@ -220,7 +223,7 @@ def _classify_real(M: np.ndarray, J: np.ndarray, lam: float, angle: float,
         info.planes_id = alg // 2
         return info
 
-    Bg = _generalized_basis(M, lam, alg, scale, rank_tol)
+    Bg = _generalized_basis(M, lam, alg, scale)
     Bk, _ = _right_null_basis(K, geo)
     # complement of the kernel inside the generalized eigenspace
     W = Bg - Bk @ (Bk.conj().T @ Bg)
@@ -247,12 +250,12 @@ def _classify_real(M: np.ndarray, J: np.ndarray, lam: float, angle: float,
 
 
 def _classify_rotation(M: np.ndarray, J: np.ndarray, angle: float, alg: int,
-                       scale: float, rank_tol: float) -> ClusterInfo:
+                       scale: float) -> ClusterInfo:
     dim = M.shape[0]
     omega = complex(np.cos(angle), np.sin(angle))
     K = M - omega * np.eye(dim)
     _, s_all, _ = np.linalg.svd(K)
-    geo = int(np.sum(s_all <= rank_tol * scale))
+    geo = int(np.sum(s_all <= _RANK_TOL * scale))
     if not 0 < geo <= alg:
         raise NumericalConsistencyError(
             f"kernel dimension {geo} vs multiplicity {alg} at angle {angle:.6f}")
@@ -270,7 +273,7 @@ def _classify_rotation(M: np.ndarray, J: np.ndarray, angle: float, alg: int,
                            krein=(p, q), rot_upper=q, rot_lower=p)
 
     n2 = alg - geo
-    Bg = _generalized_basis(M, omega, alg, scale, rank_tol)
+    Bg = _generalized_basis(M, omega, alg, scale)
     vals = np.linalg.eigvalsh(krein_gram(Bg, J))
     thr = 1e-6 * max(1.0, np.abs(vals).max())
     P, Q, zero = _signature(vals, thr)
@@ -300,8 +303,7 @@ def _classify_rotation(M: np.ndarray, J: np.ndarray, angle: float, alg: int,
     return info
 
 
-def splitting_table(summary: SpectralSummary, omega: complex,
-                    tol: float = 1e-6) -> SplittingPair:
+def splitting_table(summary: SpectralSummary, omega: complex) -> SplittingPair:
     """Splitting numbers (S+, S-) at omega from the block structure.
 
     Additive over blocks: identity planes and positive shears give (1,1)
@@ -313,7 +315,7 @@ def splitting_table(summary: SpectralSummary, omega: complex,
     omega = complex(omega)
     if abs(abs(omega) - 1.0) > 1e-9:
         raise NumericalConsistencyError(f"splitting numbers need |omega| = 1, got {omega}")
-    c = summary.cluster_at(omega, tol=tol)
+    c = summary.cluster_at(omega)
     if c is None:
         return SplittingPair(0, 0)
     if c.is_real:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import DimensionError, SymplecticityError
+from .errors import DimensionError
 
 __all__ = [
     "standard_J",
@@ -21,8 +21,6 @@ __all__ = [
     "rotation2",
     "sympl_dim",
     "symplectic_residual",
-    "is_symplectic",
-    "check_symplectic",
     "diamond",
     "diamond_all",
     "plane_embedding",
@@ -33,6 +31,10 @@ __all__ = [
     "R_block",
     "N2_block",
 ]
+
+# Newton projection onto Sp(2n): step limit and the residual it stops at
+_NEWTON_STEPS = 8
+_NEWTON_TOL = 1e-13
 
 
 def standard_J(n: int) -> np.ndarray:
@@ -70,16 +72,6 @@ def symplectic_residual(M: np.ndarray) -> float:
     n = sympl_dim(M)
     J = standard_J(n)
     return float(np.abs(M.T @ J @ M - J).max())
-
-
-def is_symplectic(M: np.ndarray, tol: float = 1e-9) -> bool:
-    return symplectic_residual(M) <= tol
-
-
-def check_symplectic(M: np.ndarray, tol: float = 1e-9, what: str = "matrix") -> None:
-    r = symplectic_residual(M)
-    if not r <= tol:  # catches NaN as well
-        raise SymplecticityError(f"{what}: |M^T J M - J| = {r:.3e} exceeds {tol:.1e}")
 
 
 def plane_embedding(n_parts: tuple[int, ...]) -> np.ndarray:
@@ -124,34 +116,34 @@ def diamond_all(mats) -> np.ndarray:
     return out
 
 
-def resymplectify(W: np.ndarray, tol: float = 1e-13, max_iter: int = 8) -> np.ndarray:
+def resymplectify(W: np.ndarray) -> np.ndarray:
     """Project W back onto Sp(2n) by Newton steps W <- W(I + J E / 2).
 
     E = W^T J W - J is skew, the update cancels it to first order and the
-    iteration converges quadratically for W near the group.
+    iteration converges quadratically for W near the group: at most
+    _NEWTON_STEPS steps, stopping once max|E| <= _NEWTON_TOL.
     """
     n = sympl_dim(W)
     J = standard_J(n)
     I = np.eye(2 * n)
     W = np.array(W, dtype=float)
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_STEPS):
         E = W.T @ J @ W - J
         r = np.abs(E).max()
-        if r <= tol:
+        if r <= _NEWTON_TOL:
             break
         W = W @ (I + 0.5 * (J @ E))
     return W
 
 
-def random_symplectic(n: int, rng: np.random.Generator, scale: float = 0.7,
-                      factors: int = 2) -> np.ndarray:
-    """Product of exp(J S_i) with random symmetric S_i, scaled to stay
-    well-conditioned."""
+def random_symplectic(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Product of two exp(J S_i) with random symmetric S_i, scaled by 0.7
+    to stay well-conditioned."""
     J = standard_J(n)
     M = np.eye(2 * n)
-    for _ in range(factors):
+    for _ in range(2):
         A = rng.standard_normal((2 * n, 2 * n))
-        S = scale * (A + A.T) / (2 * np.sqrt(2 * n))
+        S = 0.7 * (A + A.T) / (2 * np.sqrt(2 * n))
         M = M @ expm(J @ S)
     return resymplectify(M)
 
@@ -178,21 +170,19 @@ def R_block(theta: float) -> np.ndarray:
     return rotation2(theta)
 
 
-def N2_block(theta: float, trivial: bool, kappa: float = 1.0) -> np.ndarray:
+def N2_block(theta: float, trivial: bool) -> np.ndarray:
     """4x4 non-semisimple block for a double eigenvalue exp(i theta).
 
-    [[R(theta), b], [0, R(theta)]] with b = sigma * kappa * R(theta), which is
+    [[R(theta), b], [0, R(theta)]] with b = sigma * R(theta), which is
     symplectic for every theta.  sigma = -1 gives the trivial variant,
     sigma = +1 the nontrivial one; the two are not symplectically conjugate.
     """
     if abs(np.sin(theta)) < 1e-12:
         raise DimensionError("double-eigenvalue rotation block needs sin(theta) != 0")
-    if kappa <= 0:
-        raise DimensionError(f"kappa must be positive, got {kappa}")
     R = rotation2(theta)
     sigma = -1.0 if trivial else 1.0
     M = np.zeros((4, 4))
     M[:2, :2] = R
     M[2:, 2:] = R
-    M[:2, 2:] = sigma * kappa * R
+    M[:2, 2:] = sigma * R
     return M

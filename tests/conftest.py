@@ -21,12 +21,11 @@ from symstab import (
     iterate_indices,
     monodromy_path,
     normal_form_path,
-    path_from_samples,
-    random_symplectic,
-    resymplectify,
     verify_surface,
 )
-from symstab.sympl import D_block, N1_block, N2_block, R_block
+from symstab.paths import path_from_samples
+from symstab.sympl import (D_block, N1_block, N2_block, R_block,
+                           random_symplectic, resymplectify)
 
 ALPHA = 1.5
 ELLIPSOID_RADII = ((0.9,), (1.0, 1.1), (1.0, 1.1, 1.25))

@@ -29,29 +29,23 @@ from conftest import (
 )
 from symstab import (
     SurfaceSpec,
-    action_index_bounds,
     canonical_json,
-    constant_form_bounds,
-    counting_identity,
     diamond_all,
     enclosing_radii,
     find_orbits,
-    floor_ceil_phi,
     index_nu,
     integrate_flow,
     iterate_indices,
     iterate_path,
     mean_index,
-    nonhyperbolic_bound,
     normal_form_path,
-    random_symplectic,
-    resymplectify,
     rotation_path,
     spectral_summary,
     splitting_table,
     stabilized_index,
     verify_surface,
 )
+from symstab.classify import action_index_bounds, nonhyperbolic_bound
 from symstab.dynamics import gauge_grad_hess
 from symstab.errors import (
     MergedCutError,
@@ -59,8 +53,10 @@ from symstab.errors import (
     SymstabError,
     TangencyError,
 )
+from symstab.galerkin import constant_form_bounds
 from symstab.index import splitting_numbers_numeric
-from symstab.sympl import N1_block, N2_block, R_block
+from symstab.sympl import (N1_block, N2_block, R_block, random_symplectic,
+                           resymplectify)
 
 
 # ---------------------------------------------------------------------------
@@ -345,28 +341,15 @@ def test_mean_index_closed_form_and_floor(corpus, perturbed_entries):
 
 
 # ---------------------------------------------------------------------------
-# position-counting identity and integer-part helpers
+# position-counting identity
 # ---------------------------------------------------------------------------
 
 def test_counting_identity_exact_to_n64():
+    # n action slots less the admissible hyperbolic positions
     for n in range(1, 65):
-        lhs, rhs = counting_identity(n)
-        assert lhs == rhs == 2 * ((n + 2) // 4)
-        assert lhs == n - (3 * (n - 1)) // 4 + (-((1 - n) // 4)) - 1
-
-
-def test_integer_part_helpers_on_rationals_and_integers():
-    table = [
-        (Fraction(7, 2), (3, 4, 1)),
-        (Fraction(22, 7), (3, 4, 1)),
-        (Fraction(-3, 2), (-2, -1, 1)),
-        (Fraction(-9, 4), (-3, -2, 1)),
-        (4, (4, 4, 0)),
-        (0, (0, 0, 0)),
-        (-7, (-7, -7, 0)),
-    ]
-    for a, expect in table:
-        assert floor_ceil_phi(a) == expect
+        slots = n - math.floor(3 * (n - 1) / 4) + math.ceil((n - 1) / 4) - 1
+        assert slots == nonhyperbolic_bound(n) == 2 * ((n + 2) // 4)
+        assert slots == n - (3 * (n - 1)) // 4 + (-((1 - n) // 4)) - 1
 
 
 # ---------------------------------------------------------------------------

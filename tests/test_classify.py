@@ -1,28 +1,17 @@
 """Stability classes, iteration rules, and the combinatorial bounds."""
 
-import math
-
-from fractions import Fraction
-
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from symstab import (
-    PINCH_RATIO,
     SurfaceSpec,
-    action_index_bounds,
-    counting_identity,
     diamond_all,
-    floor_ceil_phi,
-    floquet_classify,
-    hyperbolic_index_iterates,
-    hyperbolic_position_range,
-    iteration_case,
-    nonhyperbolic_bound,
     spectral_summary,
     verify_surface,
 )
+from symstab.classify import (PINCH_RATIO, action_index_bounds,
+                              floquet_classify, hyperbolic_position_range,
+                              iteration_case, nonhyperbolic_bound)
 from symstab.errors import DimensionError
 from symstab.sympl import D_block, N1_block, N2_block, R_block
 
@@ -76,14 +65,6 @@ def test_iteration_case_labels():
     assert iteration_case(0, 0, 1, 0, 2) is None
 
 
-def test_counting_identity_small():
-    for n in range(1, 9):
-        lhs = (n - math.floor(3 * (n - 1) / 4)
-               + math.ceil((n - 1) / 4) - 1)
-        got_lhs, got_rhs = counting_identity(n)
-        assert got_lhs == got_rhs == lhs == 2 * ((n + 2) // 4)
-
-
 def test_nonhyperbolic_bound_values():
     assert [nonhyperbolic_bound(n) for n in (1, 2, 3, 4, 5, 6)] \
         == [0, 2, 2, 2, 2, 4]
@@ -94,22 +75,6 @@ def test_hyperbolic_position_range():
     assert lo > hi            # no hyperbolic slots at all for n = 2
     lo5, hi5 = hyperbolic_position_range(5)
     assert (lo5, hi5) == (1, 3)
-
-
-def test_hyperbolic_index_iterates_linear():
-    i1 = 3
-    n = 2
-    vals = hyperbolic_index_iterates(i1, 4, n)
-    assert vals == [k * (i1 + n + 1) - n - 1 for k in range(1, 5)]
-
-
-def test_floor_ceil_phi():
-    f, c, phi = floor_ceil_phi(Fraction(7, 2))
-    assert (f, c, phi) == (3, 4, 1)
-    f, c, phi = floor_ceil_phi(4)
-    assert (f, c, phi) == (4, 4, 0)
-    f, c, phi = floor_ceil_phi(Fraction(-3, 2))
-    assert (f, c, phi) == (-2, -1, 1)
 
 
 def test_action_index_bounds_values():
@@ -132,23 +97,6 @@ def test_action_index_bounds_monotone():
 
 def test_pinch_ratio_constant():
     assert PINCH_RATIO == pytest.approx(1.5)
-
-
-@settings(max_examples=40, deadline=None)
-@given(n=st.integers(1, 200))
-def test_counting_identity_property(n):
-    lhs, rhs = counting_identity(n)
-    assert lhs == rhs
-
-
-@settings(max_examples=25, deadline=None)
-@given(num=st.integers(-60, 60), den=st.integers(1, 12))
-def test_floor_ceil_phi_rationals(num, den):
-    x = Fraction(num, den)
-    f, c, phi = floor_ceil_phi(x)
-    assert f <= x <= c
-    assert phi == (0 if f == c else 1)
-    assert c - f == phi
 
 
 def test_verify_surface_rejects_no_iterates():

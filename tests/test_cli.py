@@ -144,6 +144,37 @@ def test_python_dash_m_runs_the_cli(files, capsys):
     assert json.loads(proc.stdout)["passed"] is True
 
 
+@pytest.mark.parametrize("argv, doc", [
+    (["path-index", "shear:abc"], None),
+    (["path-index", "rotation:nan"], None),
+    (["path-index", "lower-shear:inf"], None),
+    (["path-index", "rotation:1", "--omega", "inf"], None),
+    (["verify", "{f}"], {"radii": [1.0, 1.1], "alpha": "fast"}),
+    (["verify", "{f}"], {"radii": [1.0, 1.1], "perturbation": {"delta": "x"}}),
+    (["verify", "{f}"], {"radii": [1.0, 1.1],
+                         "perturbation": {"quartic_coeffs": 0.3}}),
+    (["matrix-analyze", "{f}"], "n=1\n1 nan\n0 1\n"),
+    (["path-index", "samples:{f}"],
+     "n=1\nt=0\n1 0\n0 1\nt=0.5\n1 nan\n0 1\nt=1\n1 0\n0 1\n"),
+    (["path-index", "samples:{f}"],
+     "n=1\nt=0\n1 0\n0 1\nt=nan\n1 0\n0 1\nt=1\n1 0\n0 1\n"),
+    # a repeated time, and a first sample that is not the identity
+    (["path-index", "samples:{f}"], "n=1\n" + "".join(
+        f"t={t}\n1 0\n0 1\n" for t in (0, 0.5, 0.5, 1))),
+    (["path-index", "samples:{f}"], "n=1\nt=0\n2 0\n0 0.5\n" + "".join(
+        f"t={t}\n1 0\n0 1\n" for t in (0.5, 0.7, 1))),
+])
+def test_unusable_input_exits_two(tmp_path, argv, doc, capsys):
+    # non-numeric and non-finite values are refused as input (exit 2)
+    # before any computation, not left to fail inside one (exit 1)
+    f = tmp_path / "input"
+    if doc is not None:
+        f.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    assert main([a.format(f=f) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "{e11}", "--format", "csv"],
     ["verify", "{e11}", "--modes", "8"],

@@ -10,21 +10,19 @@ from scipy.integrate import solve_ivp
 from conftest import ALPHA, PERTURBED, PERTURBED_N1
 from symstab import (
     SurfaceSpec,
-    action_quadrature,
-    convexity_margin,
     enclosing_radii,
     find_orbits,
     integrate_flow,
-    minimal_period,
     monodromy_path,
-    plane_circle_radius,
-    standard_J,
     symplectic_residual,
     verify_surface,
 )
 from symstab import dynamics
-from symstab.dynamics import gauge_grad_hess
+from symstab.dynamics import (action_quadrature, convexity_margin,
+                              gauge_grad_hess, minimal_period,
+                              plane_circle_radius)
 from symstab.errors import FlowError, GaugeError
+from symstab.sympl import standard_J
 
 PI = np.pi
 
@@ -63,6 +61,12 @@ def test_energy_and_symplecticity_along_flow():
     assert symplectic_residual(res.W) < 1e-8
 
 
+def _circles(spec, alpha):
+    """The plane circles `find_orbits` returns, without its confirming
+    flow: the tests below integrate each one themselves."""
+    return [dynamics.plane_circle(spec, alpha, l) for l in range(spec.n)]
+
+
 _CLOSED_FORM_SPECS = [
     SurfaceSpec((0.9,)), SurfaceSpec((1.0, 1.1)),
     SurfaceSpec(**PERTURBED_N1), SurfaceSpec(**PERTURBED),
@@ -77,9 +81,7 @@ def test_closed_form_monodromy_matches_variational_flow(spec, alpha):
     # period, on every plane circle
     d = 2 * spec.n
     ts = np.linspace(0.0, 1.0, 33)
-    orbits = find_orbits(spec, alpha, confirm=False)
-    assert sorted(o.plane for o in orbits) == list(range(spec.n))
-    for o in orbits:
+    for o in _circles(spec, alpha):
         res = integrate_flow(spec, alpha, np.asarray(o.x0), o.period,
                              dense=True)
         want = res.sol.sol(ts * o.period)[d:].T.reshape(-1, d, d)
@@ -91,7 +93,7 @@ def test_closed_form_monodromy_matches_variational_flow(spec, alpha):
 
 def test_closed_form_monodromy_refuses_coupled_planes(monkeypatch):
     spec = SurfaceSpec(**PERTURBED)
-    o = find_orbits(spec, ALPHA, confirm=False)[0]
+    o = _circles(spec, ALPHA)[0]
     inner = dynamics._gauge_derivs
 
     def coupled(spec, x, hess):
@@ -110,7 +112,7 @@ def test_closed_form_monodromy_refuses_coupled_planes(monkeypatch):
 
 def test_closed_form_monodromy_refuses_a_circle_off_one_turn():
     spec = SurfaceSpec(**PERTURBED)
-    o = find_orbits(spec, ALPHA, confirm=False)[1]
+    o = _circles(spec, ALPHA)[1]
     late = dataclasses.replace(o, period=1.001 * o.period)
     with pytest.raises(FlowError, match=f"plane {o.plane} circle") as err:
         monodromy_path(spec, ALPHA, late)
@@ -265,10 +267,12 @@ def _scalar_enclosing_radii(spec, samples, seed):
 
 
 @pytest.mark.parametrize("spec", _GAUGE_SPECS, ids=repr)
-def test_enclosing_radii_bit_identical_to_scalar_gauge_loop(spec):
-    for samples, seed in ((4096, 0), (257, 3)):
-        assert (enclosing_radii(spec, samples, seed)
-                == _scalar_enclosing_radii(spec, samples, seed))
+def test_enclosing_radii_bit_identical_to_scalar_gauge_loop(spec, monkeypatch):
+    assert enclosing_radii(spec) == _scalar_enclosing_radii(spec, 4096, 0)
+    # another sample count and seed through the module constants
+    monkeypatch.setattr(dynamics, "_RADII_SAMPLES", 257)
+    monkeypatch.setattr(dynamics, "_RADII_SEED", 3)
+    assert enclosing_radii(spec) == _scalar_enclosing_radii(spec, 257, 3)
 
 
 def test_gauge_rows_bit_identical_to_scalar_gauge():
@@ -299,7 +303,7 @@ def test_flows_bit_identical_to_reference_right_hand_sides():
         j, gj, _ = _ref_gauge_grad_hess(spec, x)
         return J @ (a * j ** (a - 1.0) * gj)
 
-    for o in find_orbits(spec, a, confirm=False):
+    for o in _circles(spec, a):
         x0 = np.asarray(o.x0)
         for rhs, y0, var in ((variational,
                               np.concatenate([x0, np.eye(d).ravel()]), True),
@@ -327,7 +331,7 @@ def test_flow_evaluates_gauge_derivatives_once_per_step(monkeypatch):
     # one derivative pass per right-hand side call (the two-call form took
     # two), and the plain flow builds no Hessian
     spec = SurfaceSpec(**PERTURBED)
-    for o in find_orbits(spec, ALPHA, confirm=False):
+    for o in _circles(spec, ALPHA):
         calls = _count_gauge_derivs(monkeypatch)
         res = integrate_flow(spec, ALPHA, np.asarray(o.x0), o.period)
         assert calls == {True: res.nfev, False: 0}

@@ -5,16 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symstab import (
-    assemble_dual_form,
-    constant_form_bounds,
-    constant_form_index,
     diamond_all,
-    mode_frequencies,
-    morse_index_nullity,
     stabilized_index,
-    standard_J,
 )
+from symstab.galerkin import (assemble_dual_form, constant_form_bounds,
+                              constant_form_index, mode_frequencies,
+                              morse_index_nullity)
 from symstab.errors import GalerkinError, ResonantFormError
+from symstab.sympl import standard_J
 
 PI = np.pi
 
@@ -70,10 +68,10 @@ def test_stabilized_matches_constant_formula():
 
 
 def test_stabilized_doubling_consistent():
+    # the stable counts hold on at four times the stable mode count
     G = diamond_all([np.eye(2) * 0.5, np.eye(2) * 0.605])
     a = stabilized_index(G, PI, 2)
-    b = stabilized_index(G, PI, 2, K0=32)
-    assert a[:2] == b[:2]
+    assert morse_index_nullity(assemble_dual_form(G, PI, 2, 4 * a[2])) == a[:2]
 
 
 def test_ellipsoid_orbit_morse_count():
@@ -83,10 +81,10 @@ def test_ellipsoid_orbit_morse_count():
     assert (gi, gn) == (0, 2)
 
 
-def _loop_dual_form(G, s, n, K, samples=None):
+def _loop_dual_form(G, s, n, K):
     """Reference assembly: one Python pass per block pair (a, b)."""
     d = 2 * n
-    Nt = samples or max(512, 1 << int(np.ceil(np.log2(8 * K + 8))))
+    Nt = max(512, 1 << int(np.ceil(np.log2(8 * K + 8))))
     Gs = np.stack([np.asarray(G(t), float) for t in np.arange(Nt) * (s / Nt)])
     Ghat = np.fft.fft(Gs, axis=0) / Nt
 
@@ -139,10 +137,9 @@ def _loop_G(n, seed):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_callable_assembly_equals_block_loop(n):
     G = _loop_G(n, seed=n)
-    for K in (1, 2, 9, 40):
-        for samples in (None, 300):
-            got = assemble_dual_form(G, 5.3, n, K, samples=samples).dense
-            assert np.array_equal(got, _loop_dual_form(G, 5.3, n, K, samples))
+    for K in (1, 2, 9, 40, 70):
+        got = assemble_dual_form(G, 5.3, n, K).dense
+        assert np.array_equal(got, _loop_dual_form(G, 5.3, n, K))
 
 
 def test_stabilized_index_samples_each_grid_point_once():

@@ -14,7 +14,6 @@ from symstab import (
     SurfaceSpec,
     SymplecticPath,
     diamond_all,
-    diamond_paths,
     exp_path,
     index_nu,
     iterate_indices,
@@ -22,12 +21,9 @@ from symstab import (
     lower_shear_path,
     mean_index,
     normal_form_path,
-    random_symplectic,
-    resymplectify,
     rotation_path,
     shear_path,
     splitting_numbers_numeric,
-    twisted_path,
     verify_surface,
 )
 from symstab import classify
@@ -41,9 +37,10 @@ from symstab.errors import (
     SymstabError,
     TangencyError,
 )
-from symstab.index import D_omega
+from symstab.paths import diamond_paths, twisted_path
 from symstab.spectral import SplittingPair, _principal_angle
-from symstab.sympl import N1_block, N2_block, R_block
+from symstab.sympl import (N1_block, N2_block, R_block, random_symplectic,
+                           resymplectify)
 
 PI = np.pi
 
@@ -51,14 +48,6 @@ PI = np.pi
 def tup(path, omega, **kw):
     r = index_nu(path, omega, IndexOptions(**kw) if kw else None)
     return (r.index, r.nullity)
-
-
-def test_D_omega_values():
-    assert D_omega(N1_block(1, 1), 1.0) == pytest.approx(0.0, abs=1e-12)
-    assert D_omega(np.eye(2), -1.0) == pytest.approx(-4.0)
-    th, ph = 2.0, 0.7
-    assert D_omega(R_block(th), np.exp(1j * ph)) == pytest.approx(
-        2 * (np.cos(ph) - np.cos(th)))
 
 
 def test_constant_path():
@@ -724,8 +713,13 @@ def test_verify_surface_counts_plus_minus_one_once_per_orbit(monkeypatch):
 
 @pytest.mark.parametrize("m_max", (0, -3))
 def test_iterate_table_refuses_m_max_below_one(m_max):
+    path = rotation_path(2.0)
     with pytest.raises(DimensionError, match="m_max"):
-        iterate_indices(rotation_path(2.0), m_max)
+        iterate_indices(path, m_max)
+    with pytest.raises(DimensionError, match="m_max"):
+        ix.iterates_and_mean(path, m_max, 8)
+    # the mean alone still reads no iterate table
+    assert mean_index(path, 8) == (0.625, 0.5)
 
 
 @pytest.mark.parametrize("K", [0, -4, 2.5, 4.0, "8"])

@@ -7,27 +7,21 @@ from scipy.linalg import expm
 
 from symstab import (
     SymplecticPath,
-    concat_path,
-    conjugate_path,
     diamond_all,
-    diamond_paths,
-    expJ,
     exp_path,
     iterate_path,
     lower_shear_path,
     normal_form_path,
-    path_from_samples,
-    product_path,
-    random_symplectic,
     rotation_path,
     shear_path,
-    standard_J,
     symplectic_residual,
-    twisted_path,
 )
+from symstab.paths import (diamond_paths, path_from_samples, product_path,
+                           twisted_path)
 from symstab import paths as paths_mod
 from symstab.errors import DimensionError
-from symstab.sympl import N1_block, N2_block, rotation2
+from symstab.sympl import (N1_block, N2_block, expJ, random_symplectic,
+                           rotation2, standard_J)
 
 
 def test_constructors_start_at_identity():
@@ -159,14 +153,6 @@ def test_values_match_independent_formulas():
     _close(product_path(a, b), ts,
            lambda t: rotation2(t) @ np.array([[1, 0.4 * t], [0, 1]]))
 
-    # concat: p1 up to and at t1 = 1, then p2(t - 1) p1(1)
-    t1 = 1.0
-    ct = np.array([0.0, 0.5, t1 - 1e-9, t1, t1 + 1e-9, 1.5, 2.0])
-    _close(concat_path(a, b), ct,
-           lambda t: rotation2(t) if t <= t1
-           else np.array([[1, 0.4 * (t - t1)], [0, 1]]) @ rotation2(1.0),
-           tol=1e-9)
-
     # iterate: p(t - j tau) p(tau)^j, with the seams j tau included
     e = expm(J1 @ S_eig)
     it = np.array([0.0, 0.3, 1.0, 1.0 + 1e-12, 1.7, 2.0, 2.5, 3.0])
@@ -175,9 +161,6 @@ def test_values_match_independent_formulas():
                       @ np.linalg.matrix_power(e, min(int(t), 2))),
            tol=1e-11)
 
-    C = random_symplectic(1, np.random.default_rng(3))
-    _close(conjugate_path(a, C), ts,
-           lambda t: C @ rotation2(t) @ np.linalg.inv(C))
     _close(diamond_paths([a, b]), ts,
            lambda t: diamond_all([rotation2(t),
                                   np.array([[1, 0.4 * t], [0, 1]])]))
@@ -192,13 +175,10 @@ def test_values_match_independent_formulas():
     _close(q, ts, lambda t: expm(t * J1 @ S_eig), tol=1e-4)
 
 
-def test_product_and_concat():
+def test_product_endpoint():
     a, b = rotation_path(1.0), rotation_path(0.5)
     prod = product_path(a, b)
     assert np.allclose(prod.endpoint, a.endpoint @ b.endpoint)
-    cat = concat_path(a, b)
-    assert cat.tau == a.tau + b.tau
-    assert np.allclose(cat.value(a.tau + 0.2), b.value(0.2) @ a.endpoint)
 
 
 def test_iterate_path_composes():
@@ -213,16 +193,8 @@ def test_diamond_paths_values():
     a, b = rotation_path(1.2), shear_path(0.4)
     d = diamond_paths([a, b])
     assert d.n == 2
-    from symstab import diamond
-    assert np.allclose(d.value(0.6), diamond(a.value(0.6), b.value(0.6)))
-
-
-def test_conjugate_path():
-    rng = np.random.default_rng(5)
-    g = random_symplectic(1, rng)
-    p = conjugate_path(rotation_path(1.1), g)
-    assert np.allclose(p.endpoint, g @ rotation2(1.1) @ np.linalg.inv(g))
-    p.check_start()
+    assert np.allclose(d.value(0.6), diamond_all([a.value(0.6),
+                                                  b.value(0.6)]))
 
 
 def test_twisted_path_endpoint():
@@ -231,10 +203,64 @@ def test_twisted_path_endpoint():
     assert np.allclose(tw.endpoint, p.endpoint @ expJ(-1e-3, 1), atol=1e-14)
 
 
-def test_sform_matches_finite_difference():
-    p = exp_path(np.array([[0.5, 0.1], [0.1, 0.8]]))
-    t = 0.4
-    assert np.abs(p.sform(t, +1) - p._fd_sform(t, +1)).max() < 1e-5
+def _fd_sform(p, t, side):
+    """Reference S(t) = -J P'(t) P(t)^{-1}, symmetrized as `sform` does,
+    from second-order differences of p.value: central inside a smooth
+    piece, one-sided at 0, tau and the seams, from the right for side +1
+    and from the left for side -1."""
+    h = 1e-6 * p.tau
+    if all(abs(t - e) > 2 * h for e in (0.0, *p.seams, p.tau)):
+        Pd = (p.value(t + h) - p.value(t - h)) / (2 * h)
+    else:
+        Pd = side * (-3 * p.value(t) + 4 * p.value(t + side * h)
+                     - p.value(t + 2 * side * h)) / (2 * h)
+    S = -standard_J(p.n) @ Pd @ np.linalg.inv(p.value(t))
+    return 0.5 * (S + S.T)
+
+
+_S_EIG = np.array([[0.6, 0.2], [0.2, 0.9]])       # exp_path eigenbasis branch
+_S_DEF = np.diag([0.0, 0.8, 1.0, 0.8])            # defective: Pade branch
+_KNOTS = np.linspace(0.0, 1.0, 41)
+_SFORM_PATHS = {
+    "exp-eig": lambda: exp_path(_S_EIG, tau=1.5),
+    "exp-pade": lambda: exp_path(_S_DEF, tau=2.0),
+    "rotation": lambda: rotation_path(1.9, tau=2.0),
+    "shear": lambda: shear_path(0.8),
+    "lower-shear": lambda: lower_shear_path(-0.5, tau=2.0),
+    "product": lambda: product_path(rotation_path(1.0), shear_path(0.4)),
+    "diamond": lambda: diamond_paths([rotation_path(1.2), exp_path(_S_EIG)]),
+    "twisted": lambda: twisted_path(exp_path(_S_DEF), 0.3, -1),
+    # the coefficient jumps at the seams: S(0) != S(tau) for a product
+    "iterate": lambda: iterate_path(
+        product_path(rotation_path(1.0), shear_path(0.4)), 3),
+    "normal-form": lambda: normal_form_path(
+        random_symplectic(2, np.random.default_rng(8))),
+    # a block at -1 makes normal_form_path prepend a rotation factor
+    "normal-form-rotated": lambda: normal_form_path(
+        diamond_all([N1_block(-1, 1), rotation2(2.0)])),
+    "spline": lambda: path_from_samples(
+        _KNOTS, np.stack([expm(t * standard_J(1) @ _S_EIG) for t in _KNOTS])),
+}
+
+
+@pytest.mark.parametrize("name", _SFORM_PATHS)
+def test_sform_matches_finite_difference(name):
+    # every constructor's closed-form coefficient against differences of
+    # its values, with one-sided limits at both ends and at every seam
+    p = _SFORM_PATHS[name]()
+    points = [(0.0, 1), (p.tau, -1)]
+    points += [(f * p.tau, side) for f in (0.13, 0.52, 0.81)
+               for side in (1, -1)]
+    points += [(s, side) for s in p.seams for side in (1, -1)]
+    if name == "iterate":
+        assert len(p.seams) == 2
+    for t, side in points:
+        S, ref = p.sform(t, side), _fd_sform(p, t, side)
+        assert np.abs(S - ref).max() < 1e-7 * (1.0 + np.abs(S).max()), (
+            t, side)
+    if p.seams:
+        s = p.seams[0]
+        assert np.abs(p.sform(s, -1) - p.sform(s, 1)).max() > 1e-3
 
 
 def test_path_from_samples_roundtrip():

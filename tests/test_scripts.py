@@ -5,7 +5,12 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import symstab
+import symstab.cli
+from symstab import galerkin, index, paths, spectral, sympl
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -24,7 +29,7 @@ def _script_main(name):
 @pytest.mark.parametrize("name, argv", [
     ("index_table_demo", ["--radii", "1.0,1.1", "--m-max", "2",
                           "--mean-K", "16"]),
-    ("pinching_sweep", ["--ratios", "1.1,1.25", "--mean-K", "16"]),
+    ("pinching_sweep", ["--ratios", "1.1,1.25"]),
     ("run_verify_ellipsoid", ["--mean-K", "16"]),
 ])
 def test_script_runs(name, argv, capsys):
@@ -37,6 +42,40 @@ def test_benchmark_oracles_self_test():
     # corrupted copy, so a change that breaks what the benchmark checks
     # fails here too
     _load("perfbench_oracles", ROOT / "perfbench" / "oracles.py").self_test()
+
+
+def test_benchmark_trace_reports_every_exercised_figure(tmp_path, capsys):
+    # `perfbench/run.py --trace 1` wraps symstab's public functions by name
+    # from outside; a deleted or renamed one reads 0 in its figure here
+    tracing = _load("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    surface = tmp_path / "ball.json"
+    surface.write_text(json.dumps({"kind": "ellipsoid", "n": 1,
+                                   "radii": [0.9], "alpha": 1.5}))
+    M = sympl.diamond_all([sympl.N1_block(1.0, 1.0), sympl.R_block(2.0)])
+    tracer = tracing.Tracer()
+    tracer.install(symstab)
+    tracer.active = True
+    try:
+        assert symstab.cli.main(["verify", str(surface), "--m-max", "1"]) == 0
+        turn = paths.rotation_path(2 * np.pi)
+        assert index.index_nu(turn, -1.0).as_tuple() == (2, 0)
+        assert len(index.iterate_indices(turn, 2)) == 2
+        w = np.exp(2j)
+        num = index.splitting_numbers_numeric(paths.normal_form_path(M), w)
+        assert num == spectral.splitting_table(spectral.spectral_summary(M), w)
+        assert galerkin.stabilized_index(lambda t: 0.4 * np.eye(2), 5.0, 1)
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    assert json.loads(capsys.readouterr().out)["passed"]
+    metrics = tracer.layer_metrics(1)
+    # figures of code these calls do not run: the mean-index root sum, the
+    # benchmark's own G samples and spans, errors and eps-ladder steps
+    idle = {"index.mean_index_s", "index.index_nu_errors",
+            "index.eps_halvings", "dynamics.g_sample_s", "dynamics.g_samples",
+            "bench.self_s"}
+    assert {k for k, (v, _unit) in metrics.items() if v == 0} == idle
+    assert metrics["index.crossings"][0] == 1
 
 
 def _canned(pass_s, setup_s, attempted=60, failed=0, correct=True):

@@ -6,14 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from symstab import (
     diamond_all,
-    krein_gram,
-    random_symplectic,
-    resymplectify,
     spectral_summary,
     splitting_table,
-    standard_J,
 )
-from symstab.sympl import D_block, N1_block, N2_block, R_block
+from symstab.spectral import krein_gram
+from symstab.sympl import (D_block, N1_block, N2_block, R_block,
+                           random_symplectic, resymplectify, standard_J)
 
 
 def conj(M, seed):

@@ -6,18 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from symstab import (
     DimensionError,
-    check_symplectic,
-    diamond,
     diamond_all,
-    expJ,
-    is_symplectic,
-    plane_embedding,
-    random_symplectic,
-    resymplectify,
-    standard_J,
     symplectic_residual,
 )
-from symstab.sympl import D_block, N1_block, N2_block, R_block, rotation2
+from symstab.sympl import (D_block, N1_block, N2_block, R_block, diamond,
+                           expJ, plane_embedding, random_symplectic,
+                           resymplectify, rotation2, standard_J)
 
 
 def test_standard_J_square():
@@ -75,7 +69,6 @@ def test_diamond_preserves_symplecticity():
     rng = np.random.default_rng(1)
     M = diamond(random_symplectic(1, rng), random_symplectic(2, rng))
     assert symplectic_residual(M) < 1e-12
-    assert is_symplectic(M)
 
 
 def test_resymplectify_projects():
@@ -85,11 +78,6 @@ def test_resymplectify_projects():
     R = resymplectify(W)
     assert symplectic_residual(R) < 1e-12
     assert np.abs(R - M).max() < 1e-4
-
-
-def test_check_symplectic_raises():
-    with pytest.raises(Exception):
-        check_symplectic(np.diag([2.0, 2.0]))
 
 
 @settings(max_examples=25, deadline=None)
