@@ -18,7 +18,8 @@ from .classify import verify_surface
 from .dynamics import SurfaceSpec, find_orbits, monodromy_path
 from .errors import ParseError, SymstabError
 from .index import IndexOptions, index_nu, iterate_indices
-from .paths import normal_form_path, rotation_path, lower_shear_path, shear_path
+from .paths import (lower_shear_path, normal_form_path, path_from_samples,
+                    rotation_path, shear_path)
 from .spectral import spectral_summary, splitting_table
 from .sympl import symplectic_residual
 
@@ -116,6 +117,14 @@ def _parse_omega(token: str) -> complex:
     return complex(np.exp(1j * sio.parse_angle(tok)))
 
 
+def _require_symplectic(M: np.ndarray, what: str) -> np.ndarray:
+    res = symplectic_residual(M)
+    if res > _SYMPL_TOL:
+        raise ParseError(f"{what} is not symplectic (residual {res:.3e} "
+                         f"> {_SYMPL_TOL:.1e})")
+    return M
+
+
 def _resolve_source(token: str, alpha: float):
     kind, _, rest = token.partition(":")
     if kind == "rotation" and rest:
@@ -125,9 +134,16 @@ def _resolve_source(token: str, alpha: float):
     if kind == "lower-shear" and rest:
         return lower_shear_path(sio.parse_real(rest, "lower shear"), 1.0)
     if kind == "normal-form" and rest:
-        return normal_form_path(sio.load_matrix(rest))
+        return normal_form_path(_require_symplectic(sio.load_matrix(rest), rest))
     if kind == "samples" and rest:
-        return sio.load_path_samples(rest)
+        with open(rest, "r", encoding="utf-8") as fh:
+            ts, Ws = sio.parse_path_samples(fh.read())
+        for t, W in zip(ts, Ws):
+            _require_symplectic(W, f"{rest}: sample at t={t:g}")
+        try:
+            return path_from_samples(ts, Ws, label=f"samples:{rest}")
+        except SymstabError as exc:
+            raise ParseError(f"{rest}: {exc}") from None
     if kind == "orbit" and rest:
         fname, _, plane_s = rest.rpartition(":")
         if not fname:

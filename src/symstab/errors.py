@@ -61,7 +61,14 @@ class IndexUnstableError(SymstabError, ArithmeticError):
 
 
 class GalerkinError(SymstabError, ArithmeticError):
-    """Galerkin index/nullity did not stabilize under mode doubling."""
+    """Galerkin index/nullity did not stabilize under mode doubling, or a
+    count is too close to the zero threshold for the coupling the class
+    split dropped.  `margin` is the signed distance of that count from
+    the threshold where one is measured, else None."""
+
+    def __init__(self, message: str, margin: float | None = None):
+        super().__init__(message)
+        self.margin = margin
 
 
 class ResonantFormError(SymstabError, ValueError):

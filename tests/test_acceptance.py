@@ -141,7 +141,7 @@ def test_time_dependent_galerkin_matches_crossing_engine(perturbed_entries):
             j, gj, Hj = gauge_grad_hess(entry.spec, sol.sol(t % s1))
             return np.linalg.inv(2.0 * np.outer(gj, gj) + 2.0 * j * Hj)
 
-        for m, res in enumerate(iterate_indices(path, 3), start=1):
+        for m, res in enumerate(iterate_indices(path, 6), start=1):
             i_m, nu_m = res.as_tuple()
             gi, gn, _K = stabilized_index(G, m * s1, n)
             assert (gi, gn) == (i_m - n, nu_m + 1), (orb.plane, m)

@@ -44,6 +44,20 @@ def test_matrix_analyze_rejects_non_symplectic(files, capsys):
     assert "not symplectic" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source, text", [
+    ("normal-form", NOT_SYMPL),
+    ("samples", "n=1\nt=0\n1 0\n0 1\nt=0.5\n2 0\n0 2\n" + "".join(
+        f"t={t}\n1 0\n0 1\n" for t in (0.7, 1))),
+])
+def test_path_index_rejects_non_symplectic(tmp_path, source, text, capsys):
+    # the residual check of matrix-analyze, before any engine runs
+    f = tmp_path / "input"
+    f.write_text(text)
+    assert main(["path-index", f"{source}:{f}", "--m-max", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "is not symplectic (residual" in err
+
+
 def test_missing_file(files, capsys):
     assert main(["matrix-analyze", str(files / "nope.txt")]) == 2
     assert "error:" in capsys.readouterr().err

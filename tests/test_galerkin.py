@@ -8,7 +8,8 @@ from symstab import (
     diamond_all,
     stabilized_index,
 )
-from symstab.galerkin import (assemble_dual_form, constant_form_bounds,
+from symstab import galerkin
+from symstab.galerkin import (DualForm, assemble_dual_form, constant_form_bounds,
                               constant_form_index, mode_frequencies,
                               morse_index_nullity)
 from symstab.errors import GalerkinError, ResonantFormError
@@ -81,15 +82,16 @@ def test_ellipsoid_orbit_morse_count():
     assert (gi, gn) == (0, 2)
 
 
-def _loop_dual_form(G, s, n, K):
-    """Reference assembly: one Python pass per block pair (a, b)."""
+def _loop_dual_form(G, s, n, K, g=1):
+    """Reference assembly: one Python pass per block pair (a, b).  With
+    g > 1 the harmonics of G off the multiples of g read as zero."""
     d = 2 * n
     Nt = max(512, 1 << int(np.ceil(np.log2(8 * K + 8))))
     Gs = np.stack([np.asarray(G(t), float) for t in np.arange(Nt) * (s / Nt)])
     Ghat = np.fft.fft(Gs, axis=0) / Nt
 
     def coef(m):
-        return Ghat[m % Nt]
+        return Ghat[m % Nt] if m % g == 0 else np.zeros_like(Ghat[0])
 
     J = standard_J(n)
     w = mode_frequencies(s, K)
@@ -138,8 +140,57 @@ def _loop_G(n, seed):
 def test_callable_assembly_equals_block_loop(n):
     G = _loop_G(n, seed=n)
     for K in (1, 2, 9, 40, 70):
-        got = assemble_dual_form(G, 5.3, n, K).dense
-        assert np.array_equal(got, _loop_dual_form(G, 5.3, n, K))
+        form = assemble_dual_form(G, 5.3, n, K)
+        (got,) = form.blocks   # G carries harmonics 1, 2, ...: g = 1
+        assert got.shape[0] == 1 and form.delta == 0.0
+        assert np.array_equal(got[0], _loop_dual_form(G, 5.3, n, K))
+
+
+def _periodic_G(n, g, seed):
+    """Symmetric positive G(t) of period s/g for s = 2 pi / w (g = 0: G is
+    constant): its only harmonics are the multiples of g."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((2, 2 * n, 2 * n))
+
+    def G(t, w=2 * PI / 5.3):
+        X = (2.0 * np.eye(2 * n) + 0.3 * np.cos(g * w * t) * A[0]
+             + 0.2 * np.sin(2 * g * w * t + 0.4) * A[1])
+        return np.linalg.inv(X @ X.T)
+    return G
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("g", [2, 3, 0])
+def test_class_split_equals_dense_form(n, g):
+    G = _periodic_G(n, g, seed=10 * n + g)
+    for K in (7, 24):
+        form = assemble_dual_form(G, 5.3, n, K)
+        # g = 2: odd and even modes; g = 3: multiples of 3 and the rest;
+        # constant G: one class per mode
+        assert sum(len(b) for b in form.blocks) == (2 if g else K)
+        assert 0.0 <= form.delta < 1e-13
+        split = _loop_dual_form(G, 5.3, n, K, g=g or 2 * K + 1)
+        assert np.allclose(form.eigenvalues(), np.linalg.eigvalsh(split),
+                           rtol=0.0, atol=1e-12)
+        whole = DualForm(5.3, n, K, blocks=(_loop_dual_form(G, 5.3, n, K)[None],))
+        got = morse_index_nullity(form)
+        assert got == morse_index_nullity(whole) and got[0] > 0
+
+
+def test_dropping_a_carried_harmonic_is_refused(monkeypatch):
+    # G = 0.25 I + 0.1 cos(2 w t) I carries harmonic 2, and mode 3 has the
+    # eigenvalue 0.25 - 1/w_3 = -0.031; dropping harmonic 2 (delta = 0.14)
+    # could move it across the threshold
+    G = lambda t: (0.25 + 0.1 * np.cos(4 * PI * t / 5.3)) * np.eye(2)
+    form = assemble_dual_form(G, 5.3, 1, 8)
+    assert sum(len(b) for b in form.blocks) == 2 and form.delta < 1e-13
+    monkeypatch.setattr(galerkin, "_drop_floor", lambda c0, Nt: 1.0)
+    form = assemble_dual_form(G, 5.3, 1, 8)
+    assert sum(len(b) for b in form.blocks) == 8
+    assert form.delta == pytest.approx(0.1 * np.sqrt(2))   # c_2, c_-2
+    with pytest.raises(GalerkinError) as err:
+        morse_index_nullity(form)
+    assert err.value.margin is not None and err.value.margin < 0
 
 
 def test_stabilized_index_samples_each_grid_point_once():
