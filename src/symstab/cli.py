@@ -18,12 +18,9 @@ from .classify import verify_surface
 from .dynamics import SurfaceSpec, find_orbits, monodromy_path
 from .errors import ParseError, SymstabError
 from .index import IndexOptions, index_nu, iterate_indices
-from .paths import (lower_shear_path, normal_form_path, path_from_samples,
-                    rotation_path, shear_path)
+from .paths import (lower_shear_path, normal_form_path, rotation_path,
+                    shear_path)
 from .spectral import spectral_summary, splitting_table
-from .sympl import symplectic_residual
-
-_SYMPL_TOL = 1e-6
 
 # shared options; each subcommand declares only the ones it reads, so an
 # option it would ignore is an argparse error (exit 2)
@@ -60,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="matrix file (n=<int> header or JSON rows)")
     p.add_argument("--tol", type=float, default=None,
                    help=f"symplectic residual tolerance (default "
-                        f"{_SYMPL_TOL:g})")
+                        f"{sio.SYMPL_TOL:g})")
     flags(p, "--seed", "--out")
 
     p = sub.add_parser("path-index",
@@ -117,14 +114,6 @@ def _parse_omega(token: str) -> complex:
     return complex(np.exp(1j * sio.parse_angle(tok)))
 
 
-def _require_symplectic(M: np.ndarray, what: str) -> np.ndarray:
-    res = symplectic_residual(M)
-    if res > _SYMPL_TOL:
-        raise ParseError(f"{what} is not symplectic (residual {res:.3e} "
-                         f"> {_SYMPL_TOL:.1e})")
-    return M
-
-
 def _resolve_source(token: str, alpha: float):
     kind, _, rest = token.partition(":")
     if kind == "rotation" and rest:
@@ -134,16 +123,11 @@ def _resolve_source(token: str, alpha: float):
     if kind == "lower-shear" and rest:
         return lower_shear_path(sio.parse_real(rest, "lower shear"), 1.0)
     if kind == "normal-form" and rest:
-        return normal_form_path(_require_symplectic(sio.load_matrix(rest), rest))
+        M = sio.load_matrix(rest)
+        sio.require_symplectic(M, rest)
+        return normal_form_path(M)
     if kind == "samples" and rest:
-        with open(rest, "r", encoding="utf-8") as fh:
-            ts, Ws = sio.parse_path_samples(fh.read())
-        for t, W in zip(ts, Ws):
-            _require_symplectic(W, f"{rest}: sample at t={t:g}")
-        try:
-            return path_from_samples(ts, Ws, label=f"samples:{rest}")
-        except SymstabError as exc:
-            raise ParseError(f"{rest}: {exc}") from None
+        return sio.load_path_samples(rest)
     if kind == "orbit" and rest:
         fname, _, plane_s = rest.rpartition(":")
         if not fname:
@@ -167,12 +151,8 @@ def _resolve_source(token: str, alpha: float):
 
 def cmd_matrix_analyze(args) -> int:
     M = sio.load_matrix(args.file)
-    res = symplectic_residual(M)
-    tol = args.tol if args.tol is not None else _SYMPL_TOL
-    if res > tol:
-        print(f"error: matrix is not symplectic (residual {res:.3e} "
-              f"> {tol:.1e})", file=sys.stderr)
-        return 2
+    tol = args.tol if args.tol is not None else sio.SYMPL_TOL
+    res = sio.require_symplectic(M, "matrix", tol)
     summary = spectral_summary(M)
     clusters = []
     for c in summary.clusters:

@@ -18,12 +18,15 @@ import re
 import numpy as np
 
 from .errors import ParseError, SymstabError
+from .sympl import symplectic_residual
 
 __all__ = [
     "parse_real",
     "parse_angle",
     "parse_matrix_text",
     "load_matrix",
+    "SYMPL_TOL",
+    "require_symplectic",
     "parse_path_samples",
     "load_path_samples",
     "load_surface_file",
@@ -133,13 +136,30 @@ def parse_path_samples(text: str) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(ts, float)[order], np.stack(Ws)[order]
 
 
+SYMPL_TOL = 1e-6
+
+
+def require_symplectic(M: np.ndarray, what: str,
+                       tol: float = SYMPL_TOL) -> float:
+    """Symplectic residual of M; ParseError naming ``what`` if it exceeds
+    tol."""
+    res = symplectic_residual(M)
+    if res > tol:
+        raise ParseError(f"{what} is not symplectic (residual {res:.3e} "
+                         f"> {tol:.1e})")
+    return res
+
+
 def load_path_samples(path: str):
-    """Sampled path file -> interpolating SymplecticPath.  Times that do
-    not start at 0 and increase, or a first sample other than the
-    identity, raise ParseError."""
+    """Sampled path file -> interpolating SymplecticPath.  A sample with
+    symplectic residual above SYMPL_TOL, times that do not start at 0 and
+    increase, or a first sample other than the identity raise
+    ParseError."""
     from .paths import path_from_samples
     with open(path, "r", encoding="utf-8") as fh:
         ts, Ws = parse_path_samples(fh.read())
+    for t, W in zip(ts, Ws):
+        require_symplectic(W, f"{path}: sample at t={t:g}")
     try:
         return path_from_samples(ts, Ws, label=f"samples:{path}")
     except SymstabError as exc:

@@ -95,6 +95,13 @@ def test_path_samples_roundtrip(tmp_path):
     assert np.abs(q.endpoint - p.endpoint).max() < 1e-7
 
 
+def test_path_samples_reject_non_symplectic(tmp_path):
+    f = tmp_path / "path.txt"
+    f.write_text("n=1\nt=0\n1 0\n0 1\nt=0.5\n2 0\n0 2\nt=1\n1 0\n0 1\n")
+    with pytest.raises(ParseError, match=r"t=0\.5 is not symplectic"):
+        load_path_samples(f)
+
+
 def test_surface_file(tmp_path):
     f = tmp_path / "s.json"
     f.write_text(json.dumps({"kind": "ellipsoid", "n": 2,
