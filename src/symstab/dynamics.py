@@ -20,8 +20,11 @@ only when a caller needs it.  Each SurfaceSpec builds the arrays that pass
 reads (weights, quartic coefficients, the Hessian mask, the identity) once.
 The plain flow makes a gradient-only pass per right-hand side call, the
 variational flow a full one; `enclosing_radii` evaluates the closed form
-on all its directions as one array expression.  The linearized flow along
-a plane circle comes in closed form from one Hessian (`monodromy_path`).
+on all its directions as one array expression.  Plane circles are
+confirmed as closed orbits by the algebraic orbit condition at one point
+(`find_orbits`), and the linearized flow along them comes in closed form
+from one Hessian (`monodromy_path`); neither integrates.  The flows are
+the independent route the tests and the benchmark check both against.
 """
 
 from __future__ import annotations
@@ -38,12 +41,11 @@ from .paths import (SymplecticPath, diamond_paths, lower_shear_path,
 from .sympl import resymplectify, standard_J, symplectic_residual
 
 TWO_PI = 2.0 * math.pi
-# relative residuals of the closed-form linearization, met to rounding
+# relative residuals of the orbit condition and of the closed-form
+# linearization, met to rounding
 _CLOSED_FORM_TOL = 1e-9
 # DOP853 tolerances of every flow
 _RTOL, _ATOL = 1e-11, 1e-12
-# return error, relative to max(1, |x0|), that confirms a closed orbit
-_CONFIRM_TOL = 1e-7
 # random directions (and their seed) that `enclosing_radii` samples
 _RADII_SAMPLES, _RADII_SEED = 4096, 0
 
@@ -200,7 +202,8 @@ def _ham_derivs(spec: SurfaceSpec, alpha: float, x: np.ndarray):
 def integrate_flow(spec: SurfaceSpec, alpha: float, x0: np.ndarray, T: float,
                    variational: bool = True, dense: bool = False) -> FlowResult:
     """Integrate x' = J grad H_alpha, optionally with W' = J H'' W (the
-    independent route the closed-form `monodromy_path` is tested against)."""
+    independent route the algebraic orbit check of `find_orbits` and the
+    closed-form `monodromy_path` are tested against)."""
     ham = AlphaHamiltonian(spec, alpha)
     d = 2 * spec.n
     J = standard_J(spec.n)
@@ -278,34 +281,30 @@ def plane_circle(spec: SurfaceSpec, alpha: float, l: int) -> ClosedCharacteristi
 def find_orbits(spec: SurfaceSpec, alpha: float = 1.5) -> list[ClosedCharacteristic]:
     """Closed characteristics on the surface, sorted by action.
 
-    For this surface family every coordinate plane carries a closed circle;
-    each candidate is confirmed by integrating one full period and checking
-    the return error.  Orbits of equal action (symmetric surfaces) are kept
-    once per plane.
+    For this surface family every coordinate plane carries a closed circle
+    x(t) = exp(2 pi t J / T) x0.  It is an orbit of x' = J grad H_alpha on
+    the unit level set exactly when j(x0) = 1 and grad H_alpha(x0) =
+    (2 pi / T) x0.  F depends only on the rho_l^2, so H is invariant under
+    turning each plane, and the condition at x0 holds on the whole circle.
+    Each circle is confirmed by both residuals, relative, against
+    _CLOSED_FORM_TOL; OrbitSearchError carries the larger one.  Orbits of
+    equal action (symmetric surfaces) are kept once per plane.
     """
     orbits = []
     for l in range(spec.n):
         orb = plane_circle(spec, alpha, l)
-        res = integrate_flow(spec, alpha, np.asarray(orb.x0), orb.period,
-                             variational=False)
-        err = float(np.linalg.norm(res.x - np.asarray(orb.x0)))
-        if err > _CONFIRM_TOL * max(1.0, np.linalg.norm(orb.x0)):
+        x0 = np.asarray(orb.x0)
+        j, gj, _ = _gauge_derivs(spec, x0, False)
+        turn = (TWO_PI / orb.period) * x0
+        grad = alpha * j ** (alpha - 1.0) * gj
+        res = max(abs(j - 1.0),
+                  float(np.linalg.norm(grad - turn) / np.linalg.norm(turn)))
+        if res > _CLOSED_FORM_TOL:
             raise OrbitSearchError(
-                f"plane {l} circle failed confirmation (return error {err:.2e})")
+                f"plane {l} circle failed confirmation: the orbit condition "
+                f"is off by {res:.2e} (relative)", res)
         orbits.append(orb)
     return sorted(orbits, key=lambda o: o.action)
-
-
-def minimal_period(spec: SurfaceSpec, orbit: ClosedCharacteristic,
-                   k_max: int = 8, tol: float = 1e-8) -> float:
-    """Earliest return time T/k among integer divisors of the stored period."""
-    x0 = np.asarray(orbit.x0)
-    for k in range(k_max, 1, -1):
-        res = integrate_flow(spec, orbit.alpha, x0, orbit.period / k,
-                             variational=False)
-        if np.linalg.norm(res.x - x0) < tol * max(1.0, np.linalg.norm(x0)):
-            return orbit.period / k
-    return orbit.period
 
 
 def monodromy_path(spec: SurfaceSpec, alpha: float,
@@ -342,20 +341,6 @@ def monodromy_path(spec: SurfaceSpec, alpha: float,
     p = diamond_paths(parts)
     p.label = f"plane {l} circle"
     return p
-
-
-def action_quadrature(spec: SurfaceSpec, alpha: float,
-                      orbit: ClosedCharacteristic, N: int = 2048) -> float:
-    """Numerical loop action (1/2) oint <J x, dx>; equals alpha * period / 2."""
-    res = integrate_flow(spec, alpha, np.asarray(orbit.x0), orbit.period,
-                         variational=False, dense=True)
-    J = standard_J(spec.n)
-    ham = AlphaHamiltonian(spec, alpha)
-    ts = np.linspace(0.0, orbit.period, N + 1)
-    xs = res.sol.sol(ts).T
-    dots = np.array([J @ ham.grad(x) for x in xs])
-    integrand = 0.5 * np.einsum('ij,ij->i', xs @ J.T, dots)
-    return float(np.trapezoid(integrand, ts))
 
 
 def enclosing_radii(spec: SurfaceSpec) -> tuple[float, float]:

@@ -91,4 +91,10 @@ class FlowError(SymstabError, ArithmeticError):
 
 
 class OrbitSearchError(SymstabError, ArithmeticError):
-    """Closed-characteristic search failed to produce a usable orbit set."""
+    """Closed-characteristic search failed to produce a usable orbit set.
+    `residual` is the relative residual of the orbit condition where one
+    is measured, else None."""
+
+    def __init__(self, message: str, residual: float | None = None):
+        super().__init__(message)
+        self.residual = residual

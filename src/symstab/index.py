@@ -15,22 +15,29 @@ endpoint nullity, which is asserted on every call.  Degenerate crossing
 forms trigger an eps ladder; persistent degeneracy raises TangencyError.
 Points within 1e-4 of omega = 1, other than 1 itself up to 1e-12
 rounding, are refused: their crossings sit at the very start of the
-path, where the count cannot resolve them.
+path, where the count cannot resolve them.  The arc rule (below) reads
+such a point from the arc it lies on when no endpoint eigenvalue lies
+between it and 1, nor within rank_tol of it.
 
-Crossings are located on a grid of the twisted path.  The grid and the
+Crossings are located on a grid of the twisted path: N + 1 equal steps,
+geometric points towards both ends, and the seams.  The grid and the
 eigenvalues of the twisted path there depend on the twist sign, eps and
 the grid size N, not on omega, so one `index_nu` call or one arc rule
 (below) samples each grid once for all the omega it counts; the N grid
 of the grid check is a subset of its 2N grid and is read from the 2N
-samples.  Every run of grid cells that holds a sign change of the real
-function D_omega = (-1)^(n-1) conj(omega)^n det(P - omega I), or a local
-minimum below `trigger` of the eigenvalue distance to omega, is a
-bracket; all brackets are cut into 16 cells per level until they are
-narrower than 64 refine_rtol tau.  Their
-midpoints, merged within one radius, are the candidate crossings.  A
-candidate counts only if P(t) - omega I has a numerical kernel (smallest
-singular value below rank_tol relative); the crossing form is restricted
-to that kernel.
+samples.  The twist turns each plane on its own, so the twist of a
+diamond product (every orbit path) is the diamond product of twisted
+factors, and its eigenvalues are read factor by factor: a 2x2 factor in
+closed form, larger ones by LAPACK (`_eigvals`).
+
+Every run of grid cells that holds a sign change of the real function
+D_omega = (-1)^(n-1) conj(omega)^n det(P - omega I), or a local minimum
+below `trigger` of the eigenvalue distance to omega, is a bracket; all
+brackets are cut into 16 cells per level until they are narrower than
+64 refine_rtol tau.  Their midpoints, merged within one radius, are the
+candidate crossings.  A candidate counts only if P(t) - omega I has a
+numerical kernel (smallest singular value below rank_tol relative); the
+crossing form is restricted to that kernel.
 
 The counts of one twisted path and one step of the eps ladder are swept
 together: all their omega, and the grid sizes N and 2N of the lower
@@ -165,14 +172,36 @@ def _signature(F: np.ndarray, form_tol: float) -> int:
 
 
 def _grid(path: SymplecticPath, N: int) -> np.ndarray:
+    """N + 1 equal steps on [0, tau], geometric points towards both ends
+    and the seams, sorted, each time once."""
     tau = path.tau
-    ts = set(np.linspace(0.0, tau, N + 1))
     geo = tau * np.power(2.0, -np.arange(4, 44, dtype=float))
-    ts.update(geo)
-    ts.update(tau - geo)
-    ts.update(path.seams)
-    arr = np.array(sorted(ts))
-    return arr[(arr >= 0.0) & (arr <= tau)]
+    return np.unique(np.concatenate([np.linspace(0.0, tau, N + 1), geo,
+                                     tau - geo, path.seams]))
+
+
+def _eigvals(path: SymplecticPath, ts) -> np.ndarray:
+    """Eigenvalues of path at the times ts, stacked on the last axis.
+
+    The spectrum of a diamond product is the union of those of its
+    factors, so each factor is read on its own through its `values`.  A
+    2x2 factor [[a, b], [c, d]] has (a + d)/2 +- sqrt(((a - d)/2)^2 + b c);
+    in that form a small rotation angle keeps its relative accuracy, where
+    the trace and determinant form would cancel.  Larger factors go to
+    LAPACK.
+    """
+    parts = []
+    for f in path.factors:
+        P = f.values(ts)
+        if f.n == 1:
+            a, b, c, d = P[:, 0, 0], P[:, 0, 1], P[:, 1, 0], P[:, 1, 1]
+            h = 0.5 * (a - d)
+            r = np.sqrt(h * h + b * c + 0j)
+            mid = 0.5 * (a + d)
+            parts.append(np.stack([mid + r, mid - r], axis=-1))
+        else:
+            parts.append(np.linalg.eigvals(P))
+    return np.concatenate(parts, axis=-1)
 
 
 def _bracket_rows(xs, D, dist, trigger: float, all_minima: bool):
@@ -249,7 +278,7 @@ class _Samples:
             if fine is not None:
                 ev = fine[1][np.searchsorted(fine[0], ts)]
             else:
-                ev = np.linalg.eigvals(tw.values(ts))
+                ev = _eigvals(tw, ts)
             self._grids[key] = ts, ev
         return self._grids[key]
 
@@ -308,7 +337,7 @@ def _sweep(samples: _Samples, sign: int, eps: float, jobs: list,
             break
         level += 1
         xs = np.linspace(live[:, 0], live[:, 1], _SPLIT + 1, axis=1)
-        ev = np.linalg.eigvals(tw.values(xs.ravel())).reshape(*xs.shape, -1)
+        ev = _eigvals(tw, xs.ravel()).reshape(*xs.shape, -1)
         Dv, dv = _measure(ev, omegas[owner, None], prefs[owner, None])
         live, rows = _bracket_rows(xs, Dv.real, dv, opts.trigger,
                                    level <= _ALL_MINIMA)
@@ -487,7 +516,10 @@ class _ArcRule:
     The closed upper half circle is cut at 1, at -1 and at the clustered
     angles of the endpoint eigenvalues near U; each cut is an angle range
     [lo, hi].  Between cuts the index is that of the arc midpoint and the
-    nullity is 0.  Within _CUT_TOL of a cut, omega is counted directly.
+    nullity is 0.  Within _CUT_TOL of a cut, omega is counted directly,
+    except that a point of the band the direct count refuses near 1 is
+    read from arc 0 when the cut at 1 ends more than rank_tol below its
+    angle.
     Lower half points are read through conjugate symmetry.  A call counts
     every arc and direct point its queries need in one `_index_nus` list;
     outcomes are cached, so a rule serves any number of calls on one path,
@@ -530,6 +562,11 @@ class _ArcRule:
             w = _normalize_omega(omega)
             a = _principal_angle(w)
             j, near = self.locate(a)
+            if (j == 0 and a > self.cuts[0][1] + self.opts.rank_tol
+                    and _AT_ONE <= abs(w - 1.0) < _NEAR_ONE):
+                # refused by the direct count, but past the cut at 1 by
+                # more than the kernel test can blur, so on arc 0
+                near = False
             if not near:
                 queries.append((self._arcs, j))
                 continue

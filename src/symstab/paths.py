@@ -16,7 +16,10 @@ constructor here provides S in closed form (a spline through samples, from
 its derivative); `sform` symmetrizes it and checks the residual.
 
 Paths carry a list of interior seam times where they may only be C^0;
-S(t, side) takes one-sided limits there.
+S(t, side) takes one-sided limits there.  A direct sum keeps its parts
+as `factors`, and a twist of it twists each part, so its spectrum can be
+read factor by factor: the spectrum of a diamond product is the union of
+the spectra of its factors.
 """
 
 from __future__ import annotations
@@ -49,10 +52,12 @@ class SymplecticPath:
     returns the stacked (m, 2n, 2n) matrices; `value(t)` is values_fn at
     the single time t.  sform_fn returns the symmetric coefficient S(t)
     with a side argument (+1 right limit, -1 left limit) honoured at seams.
+    `factors` are the paths whose diamond product this path is, in plane
+    order; a path that is no such product is its own single factor.
     """
 
     def __init__(self, n, tau, values_fn, sform_fn, seams=(),
-                 grid_hint=96, label=""):
+                 grid_hint=96, label="", factors=None):
         if tau <= 0:
             raise DimensionError(f"path needs tau > 0, got {tau}")
         self.n = int(n)
@@ -62,7 +67,12 @@ class SymplecticPath:
         self.seams = tuple(sorted(s for s in seams if 0.0 < s < self.tau))
         self.grid_hint = int(grid_hint)
         self.label = label
+        self._factors = tuple(factors) if factors else None
         self._endpoint = None
+
+    @property
+    def factors(self) -> tuple:
+        return self._factors or (self,)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -328,7 +338,8 @@ def diamond_paths(paths) -> SymplecticPath:
     seams = sorted(set().union(*(q.seams for q in paths)))
     return SymplecticPath(n, tau, values, sform_fn=sform, seams=seams,
                           grid_hint=max(q.grid_hint for q in paths),
-                          label="(" + "|".join(q.label for q in paths) + ")")
+                          label="(" + "|".join(q.label for q in paths) + ")",
+                          factors=[f for q in paths for f in q.factors])
 
 
 def twisted_path(p: SymplecticPath, eps: float, sign: int) -> SymplecticPath:
@@ -336,6 +347,8 @@ def twisted_path(p: SymplecticPath, eps: float, sign: int) -> SymplecticPath:
 
     The coefficient gains sign*(eps/tau) (J gamma)(J gamma)^T, a definite
     term, which makes endpoint and frozen-arc degeneracies transversal.
+    exp(s J) turns every plane by s, so the twist of a diamond product is
+    the diamond product of the twisted factors; those are its factors.
     """
     n, tau = p.n, p.tau
     J = standard_J(n)
@@ -351,9 +364,12 @@ def twisted_path(p: SymplecticPath, eps: float, sign: int) -> SymplecticPath:
         G = J @ p.value(t)
         return p.sform(t, side) + rate * (G @ G.T)
 
+    factors = ([twisted_path(f, eps, sign) for f in p.factors]
+               if len(p.factors) > 1 else None)
     return SymplecticPath(n, tau, values, sform_fn=sform,
                           seams=p.seams, grid_hint=p.grid_hint,
-                          label=f"{p.label}~tw({sign * eps:.1e})")
+                          label=f"{p.label}~tw({sign * eps:.1e})",
+                          factors=factors)
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,9 @@ from symstab import (
     verify_surface,
 )
 from symstab import dynamics
-from symstab.dynamics import (action_quadrature, convexity_margin,
-                              gauge_grad_hess, minimal_period,
-                              plane_circle_radius)
-from symstab.errors import FlowError, GaugeError
+from symstab.dynamics import (AlphaHamiltonian, convexity_margin,
+                              gauge_grad_hess, plane_circle_radius)
+from symstab.errors import FlowError, GaugeError, OrbitSearchError
 from symstab.sympl import standard_J
 
 PI = np.pi
@@ -62,8 +61,8 @@ def test_energy_and_symplecticity_along_flow():
 
 
 def _circles(spec, alpha):
-    """The plane circles `find_orbits` returns, without its confirming
-    flow: the tests below integrate each one themselves."""
+    """The plane circles `find_orbits` returns, unsorted and without its
+    algebraic confirmation."""
     return [dynamics.plane_circle(spec, alpha, l) for l in range(spec.n)]
 
 
@@ -119,7 +118,7 @@ def test_closed_form_monodromy_refuses_a_circle_off_one_turn():
     assert err.value.residual == pytest.approx(1e-3, rel=1e-9)
 
 
-def test_verify_surface_integrates_only_the_orbit_confirmations(monkeypatch):
+def test_verify_surface_integrates_nothing(monkeypatch):
     calls = []
     inner = dynamics.integrate_flow
 
@@ -129,23 +128,88 @@ def test_verify_surface_integrates_only_the_orbit_confirmations(monkeypatch):
 
     monkeypatch.setattr(dynamics, "integrate_flow", counted)
     for spec in _CLOSED_FORM_SPECS:
-        calls.clear()
         verify_surface(spec, alpha=ALPHA, m_max=1, mean_K=8)
-        assert calls == [False] * spec.n
+    assert calls == []
+
+
+@pytest.mark.parametrize("alpha", (1.2, 1.5, 1.8))
+@pytest.mark.parametrize("spec", _CLOSED_FORM_SPECS, ids=repr)
+def test_algebraic_orbit_check_agrees_with_one_integrated_period(spec, alpha):
+    # what `find_orbits` confirms without integrating: one DOP853 period
+    # returns to the start, and the orbit condition holds to rounding
+    for o in find_orbits(spec, alpha):
+        x0 = np.asarray(o.x0)
+        res = integrate_flow(spec, alpha, x0, o.period, variational=False)
+        assert np.linalg.norm(res.x - x0) < 1e-7 * max(1.0, np.linalg.norm(x0))
+        grad = AlphaHamiltonian(spec, alpha).grad(x0)
+        turn = (2.0 * PI / o.period) * x0
+        assert np.linalg.norm(grad - turn) <= 1e-14 * np.linalg.norm(turn)
+
+
+def _mutated_circle(monkeypatch, field, factor):
+    """Make `find_orbits` see the plane 1 circle of PERTURBED with x0 or
+    the period scaled by factor."""
+    inner = dynamics.plane_circle
+
+    def mutated(spec, alpha, l):
+        o = inner(spec, alpha, l)
+        if l != 1:
+            return o
+        if field == "x0":
+            return dataclasses.replace(o, x0=tuple(factor * np.asarray(o.x0)))
+        return dataclasses.replace(o, period=factor * o.period)
+
+    monkeypatch.setattr(dynamics, "plane_circle", mutated)
+
+
+@pytest.mark.parametrize("field", ("x0", "period"))
+def test_find_orbits_refuses_a_circle_off_the_orbit_condition(monkeypatch,
+                                                              field):
+    # a radius or a period 1e-6 off: j(x0) = 1 + 1e-6 for the radius (j is
+    # homogeneous of degree one), and grad H is off (2 pi / T) x0 by 1e-6
+    # relative for the period
+    _mutated_circle(monkeypatch, field, 1.0 + 1e-6)
+    with pytest.raises(OrbitSearchError, match="plane 1 circle") as err:
+        find_orbits(SurfaceSpec(**PERTURBED), ALPHA)
+    assert err.value.residual == pytest.approx(1e-6, rel=1e-6)
+
+
+def _action_quadrature(spec, alpha, orbit, N=2048):
+    """Numerical loop action (1/2) oint <J x, dx>; equals alpha * period / 2."""
+    res = integrate_flow(spec, alpha, np.asarray(orbit.x0), orbit.period,
+                         variational=False, dense=True)
+    J = standard_J(spec.n)
+    ham = AlphaHamiltonian(spec, alpha)
+    ts = np.linspace(0.0, orbit.period, N + 1)
+    xs = res.sol.sol(ts).T
+    dots = np.array([J @ ham.grad(x) for x in xs])
+    integrand = 0.5 * np.einsum('ij,ij->i', xs @ J.T, dots)
+    return float(np.trapezoid(integrand, ts))
+
+
+def _minimal_period(spec, orbit, k_max=8, tol=1e-8):
+    """Earliest return time T/k among integer divisors of the stored period."""
+    x0 = np.asarray(orbit.x0)
+    for k in range(k_max, 1, -1):
+        res = integrate_flow(spec, orbit.alpha, x0, orbit.period / k,
+                             variational=False)
+        if np.linalg.norm(res.x - x0) < tol * max(1.0, np.linalg.norm(x0)):
+            return orbit.period / k
+    return orbit.period
 
 
 def test_action_quadrature_circle():
     spec = SurfaceSpec((1.0, 1.1))
     for o in find_orbits(spec, ALPHA):
         r = spec.radii[o.plane]
-        assert action_quadrature(spec, ALPHA, o) == pytest.approx(
+        assert _action_quadrature(spec, ALPHA, o) == pytest.approx(
             PI * r * r, rel=1e-8)
 
 
 def test_minimal_period_prime_circle():
     spec = SurfaceSpec((1.0, 1.1))
     o = find_orbits(spec, ALPHA)[0]
-    assert minimal_period(spec, o) == pytest.approx(o.period, rel=1e-8)
+    assert _minimal_period(spec, o) == pytest.approx(o.period, rel=1e-8)
 
 
 def test_enclosing_radii():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from conftest import _random_normal_form, bott_path_pool
+from conftest import ALPHA, PERTURBED, _random_normal_form, bott_path_pool
 
 from symstab import (
     IndexOptions,
@@ -15,11 +15,13 @@ from symstab import (
     SymplecticPath,
     diamond_all,
     exp_path,
+    find_orbits,
     index_nu,
     iterate_indices,
     iterate_path,
     lower_shear_path,
     mean_index,
+    monodromy_path,
     normal_form_path,
     rotation_path,
     shear_path,
@@ -123,6 +125,23 @@ def test_mean_index_circle_exact():
     # total over 64th roots of unity is 1 + 2 * 63 = 127
     assert mi == pytest.approx(127 / 64, abs=1e-12)
     assert bound == pytest.approx(4 / 64)
+
+
+@pytest.mark.parametrize("theta, K", [(2.0, 65536), (2.0, 100001),
+                                      (2 * PI + 9e-5, 65536)])
+def test_mean_index_reads_the_refused_band_from_arc_zero(theta, K):
+    # e^{2 pi i / K} lies within 1e-4 of 1, where a direct count is
+    # refused; past the cut at 1 (at angle 0, or 9e-5) it lies on arc 0
+    mean, bound = mean_index(rotation_path(theta), K)
+    assert bound == 4.0 / K
+    assert abs(mean - theta / PI) <= bound
+
+
+def test_mean_index_refuses_a_root_inside_the_cut_at_one():
+    # an endpoint eigenvalue at angle 9.9e-5 stretches the cut at 1 past
+    # the first 65536th root, at 9.59e-5: nothing resolves that root
+    with pytest.raises(DimensionError, match="within 0.0001 of 1"):
+        mean_index(rotation_path(2 * PI + 9.9e-5), 65536)
 
 
 @pytest.mark.parametrize("path, truth", [
@@ -740,3 +759,76 @@ def test_verify_surface_inherits_the_mean_K_refusal(monkeypatch):
         with pytest.raises(DimensionError):
             verify_surface(SurfaceSpec((0.9,)), m_max=1, mean_K=K)
     assert mean_index(_GEN, 1) == (index_nu(_GEN, 1.0).index, 4.0 * _GEN.n)
+
+
+def _set_grid(path, N):
+    # the grid as one set of floats, sorted
+    tau = path.tau
+    ts = set(np.linspace(0.0, tau, N + 1))
+    geo = tau * np.power(2.0, -np.arange(4, 44, dtype=float))
+    ts.update(geo)
+    ts.update(tau - geo)
+    ts.update(path.seams)
+    arr = np.array(sorted(ts))
+    return arr[(arr >= 0.0) & (arr <= tau)]
+
+
+def test_grid_equals_the_set_construction():
+    # seams on and off the linspace, twisted and not
+    paths = [_GEN, iterate_path(_GEN, 3), iterate_path(rotation_path(2 * PI), 4),
+             twisted_path(iterate_path(_GEN, 5), 1e-4, -1)]
+    for path in paths:
+        for N in (256, 512, 1024):
+            grid = ix._grid(path, N)
+            assert np.array_equal(grid, _set_grid(path, N))
+            assert set(path.seams) <= set(grid)
+    assert sum(len(p.seams) for p in paths) == 9
+
+
+_SHIPPED = [SurfaceSpec((1.0, 1.1)), SurfaceSpec(**PERTURBED),
+            SurfaceSpec((1.0, 1.08, 1.15), (0.2, -0.1, 0.15), 0.1)]
+
+
+def _shipped_orbit_paths():
+    return [monodromy_path(spec, ALPHA, o) for spec in _SHIPPED
+            for o in find_orbits(spec, ALPHA)]
+
+
+def test_factor_spectra_give_the_determinant_function_on_orbit_paths():
+    # each orbit path and its twists at +-eps are diamond products of
+    # 2x2 factors; the product over the factor eigenvalues is
+    # det(P - omega I) of the assembled matrices on the engine's grids
+    opts = IndexOptions()
+    paths = _shipped_orbit_paths()
+    assert len(paths) == 7
+    for path in paths:
+        n = path.n
+        assert [f.n for f in path.factors] == [1] * n
+        N = max(opts.grid, path.grid_hint)
+        for sign in (1, -1):
+            tw = twisted_path(path, opts.eps, sign)
+            assert [f.n for f in tw.factors] == [1] * n
+            for ts in (ix._grid(tw, N), ix._grid(tw, 2 * N)):
+                P = tw.values(ts)
+                for k, f in enumerate(tw.factors):
+                    plane = np.ix_(range(len(ts)), [k, n + k], [k, n + k])
+                    assert np.abs(P[plane] - f.values(ts)).max() < 1e-15
+                ev = ix._eigvals(tw, ts)
+                for w in (1.0, -1.0, np.exp(0.777j), np.exp(2.3j)):
+                    got = (ev - w).prod(axis=-1)
+                    want = np.linalg.det(P - w * np.eye(2 * n))
+                    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+def test_orbit_path_integers_equal_the_lapack_reference():
+    # the reference engine reads the eigenvalues of the assembled 2n x 2n
+    # matrices by LAPACK
+    for path in _shipped_orbit_paths():
+        for w in (1.0, -1.0, np.exp(0.777j)):
+            assert (index_nu(path, w).as_tuple()
+                    == _ref_index(path, w).as_tuple()), (path.label, w)
+        rule = _RefArcRule(path)
+        table, mean = ix.iterates_and_mean(path, 4, 256)
+        assert [r.as_tuple() for r in table] == [
+            r.as_tuple() for r in _ref_table(rule, 4)], path.label
+        assert mean == _ref_mean(rule, 256), path.label

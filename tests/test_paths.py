@@ -203,6 +203,23 @@ def test_twisted_path_endpoint():
     assert np.allclose(tw.endpoint, p.endpoint @ expJ(-1e-3, 1), atol=1e-14)
 
 
+def test_diamond_factors_flatten_and_twist_plane_by_plane():
+    a, b = rotation_path(1.2), shear_path(0.4)
+    c = product_path(rotation_path(2.0), lower_shear_path(0.7))
+    d = diamond_paths([diamond_paths([a, b]), c])
+    assert d.factors == (a, b, c) and a.factors == (a,)
+    ts = np.linspace(0.0, 1.0, 9)
+    for sign in (1, -1):
+        tw = twisted_path(d, 1e-3, sign)
+        assert len(tw.factors) == 3
+        want = np.stack([diamond_all([f.value(t) for f in tw.factors])
+                         for t in ts])
+        assert np.abs(tw.values(ts) - want).max() < 1e-15
+    # a single path stays its own factor under a twist
+    tw = twisted_path(a, 1e-3, 1)
+    assert tw.factors == (tw,)
+
+
 def _fd_sform(p, t, side):
     """Reference S(t) = -J P'(t) P(t)^{-1}, symmetrized as `sform` does,
     from second-order differences of p.value: central inside a smooth
