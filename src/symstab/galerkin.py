@@ -10,8 +10,21 @@ along the orbit, the mode-k block in suitably rescaled coordinates is
 plus Fourier coupling between modes when G depends on t.  The Morse index
 of this form equals the path index minus n, and its nullity equals the
 path nullity plus one.  Conjugating G by a constant rotation relabels the
-mode basis and leaves index and nullity unchanged.  The memo of G in
-`stabilized_index` is exact: its doublings share grid points bit for bit.
+mode basis and leaves index and nullity unchanged.
+
+A callable G is sampled only as finely as its spectrum needs.  The
+transform starts from 32 points per period and doubles until every
+harmonic h with Nt/4 <= |h| <= Nt/2 lies at or below the transform's
+rounding floor, the standard truncation test of a Fourier series; each
+doubling samples only the new odd points.  The ceiling is the fixed
+grid Nt = max(512, 2^ceil(log2(8K + 8))): a G that never resolves gets
+that transform, bit for bit.  A resolved spectrum is zero-padded to the
+ceiling's length, so the split and the certificate below read it as
+they read the full one.  Aliasing is assumed away: a harmonic beyond the
+resolved band is taken as zero, as one beyond the ceiling's band always
+is.  Along the plane circles of a `SurfaceSpec` surface G is constant, so
+32 points resolve it.  The memo of G in `stabilized_index` is exact: the
+grids of all levels and all K share their points bit for bit.
 
 Modes k and k' couple only through the harmonics k - k' and k + k' of G.
 When every harmonic G carries is a multiple of g, modes p and q couple
@@ -46,6 +59,10 @@ _ZERO_TOL = 1e-7
 _MAX_DOUBLINGS = 6
 # a period ratio within _RESONANCE_TOL (relative) of an integer resonates
 _RESONANCE_TOL = 1e-9
+# samples per period the resolved transform of a callable G starts from
+_NT_START = 32
+# G whose asymmetry exceeds _SYM_TOL times its largest entry is refused
+_SYM_TOL = 1e-8
 
 
 def mode_frequencies(s: float, K: int) -> np.ndarray:
@@ -141,31 +158,74 @@ def _class_blocks(Ghat: np.ndarray, modes: np.ndarray, w: np.ndarray,
     return 0.5 * (M + M.transpose(0, 2, 1))
 
 
+def _checked(Gs: np.ndarray, what: str) -> np.ndarray:
+    """Gs, a stack of G values, unless one is non-finite or asymmetric."""
+    if not np.isfinite(Gs).all():
+        raise GalerkinError(f"{what} has non-finite entries")
+    asym = float(np.abs(Gs - Gs.transpose(0, 2, 1)).max())
+    size = float(np.abs(Gs).max())
+    if asym > _SYM_TOL * size:
+        raise GalerkinError(f"{what} is not symmetric: |G - G^T| = "
+                            f"{asym:.3e} against entries up to {size:.3e}")
+    return Gs
+
+
+def _resolved_transform(G, s: float, d: int, Nt_max: int) -> np.ndarray:
+    """FFT coefficients of G on [0, s), Ghat[m] ~ (1/s) int G e^{-i w_m t},
+    of length Nt_max: from the coarsest grid of _NT_START * 2^j points
+    whose harmonics Nt/4 <= |h| <= Nt/2 lie at or below its rounding
+    floor, zero-padded, with the Nyquist coefficient split evenly between
+    +-Nt/2; or, if no coarser grid resolves, the Nt_max-point transform."""
+    def sample(ts):
+        Gs = np.stack([np.asarray(G(t), float) for t in ts])
+        if Gs.shape != (len(ts), d, d):
+            raise GalerkinError(
+                f"G(t) returned shape {Gs.shape[1:]}, expected {(d, d)}")
+        return _checked(Gs, "G(t)")
+
+    Nt = _NT_START
+    Gs = sample(np.arange(Nt) * (s / Nt))
+    while True:
+        Ghat = np.fft.fft(Gs, axis=0) / Nt
+        if Nt == Nt_max:
+            return Ghat
+        band = np.linalg.norm(Ghat[Nt // 4:3 * Nt // 4 + 1], axis=(1, 2))
+        if band.max() <= _drop_floor(Ghat[0], Nt):
+            break
+        # k (s / Nt) = 2k (s / 2Nt) exactly: the old points are the even ones
+        Nt *= 2
+        odd = sample(np.arange(1, Nt, 2) * (s / Nt))
+        Gs = np.stack((Gs, odd), axis=1).reshape(Nt, d, d)
+    h = Nt // 2
+    full = np.zeros((Nt_max, d, d), complex)
+    full[:h] = Ghat[:h]
+    full[Nt_max - h + 1:] = Ghat[h + 1:]
+    full[h] = full[-h] = 0.5 * Ghat[h]
+    return full
+
+
 def assemble_dual_form(G, s: float, n: int, K: int) -> DualForm:
     """Build the K-mode quadratic form for inverse-Hessian loop G.
 
     G may be a constant (2n, 2n) symmetric matrix, whose only harmonic is
-    0, or a callable t -> matrix on [0, s), whose harmonics are the FFT
-    coefficients of G on Nt = max(512, 2^ceil(log2(8K + 8))) points.  The
-    form splits into the residue classes mod g of `_split`, one block
-    each; with g = 1 the one block is the whole form.
+    0, or a callable t -> matrix on [0, s), whose harmonics are read from
+    the resolved transform of the module docstring: as few as 32 samples
+    when G's spectrum allows, at most Nt = max(512, 2^ceil(log2(8K + 8))).
+    A non-finite or asymmetric G raises a GalerkinError.  The form splits
+    into the residue classes mod g of `_split`, one block each; with g = 1
+    the one block is the whole form.
     """
     d = 2 * n
     w = mode_frequencies(s, K)
     Nt = max(512, 1 << int(np.ceil(np.log2(8 * K + 8))))
     if callable(G):
-        ts = np.arange(Nt) * (s / Nt)
-        Gs = np.stack([np.asarray(G(t), float) for t in ts])
-        if Gs.shape != (Nt, d, d):
-            raise GalerkinError(
-                f"G(t) returned shape {Gs.shape[1:]}, expected {(d, d)}")
-        Ghat = np.fft.fft(Gs, axis=0) / Nt   # Ghat[m] ~ (1/s) int G e^{-i w_m t}
+        Ghat = _resolved_transform(G, s, d, Nt)
     else:
         G0 = np.asarray(G, float)
         if G0.shape != (d, d):
             raise GalerkinError(f"G has shape {G0.shape}, expected {(d, d)}")
         Ghat = np.zeros((Nt, d, d), complex)
-        Ghat[0] = G0
+        Ghat[0] = _checked(G0[None], "G")[0]
     g, delta, Ghat = _split(Ghat, K)
 
     # modes p, q share a class iff p = +-q (mod g); group the classes by
@@ -212,10 +272,10 @@ def stabilized_index(G, s: float, n: int) -> tuple[int, int, int]:
     Returns (index, nullity, K) for the first stable mode count.
     """
     if callable(G):
-        # sample G once per grid point t_k = k s / Nt, Nt = max(512,
-        # 2^ceil(log2(8K + 8))): for K <= 63 every doubling reuses the same 512
-        # points, and when Nt doubles the even points of the new grid equal the
-        # old ones bit for bit, as 2k (s / 2Nt) = k (s / Nt) exactly
+        # sample G once per grid point t_k = k s / Nt: every K reads the
+        # same coarse grids of the resolved transform first, and a finer
+        # grid's even points equal the coarser one's bit for bit, as
+        # 2k (s / 2Nt) = k (s / Nt) exactly
         G = functools.cache(G)
     K = max(8, int(np.ceil(2.0 * s)))
     prev = None

@@ -86,6 +86,8 @@ __all__ = [
     "splitting_numbers_numeric",
 ]
 
+# omega whose modulus is farther than _ON_CIRCLE_TOL from 1 is refused
+_ON_CIRCLE_TOL = 1e-6
 # omega closer to 1 than _AT_ONE is read as 1 (rounding of angle tokens
 # like 2pi); omega closer than _NEAR_ONE otherwise is refused, because its
 # crossings fall at the very start of the path
@@ -146,7 +148,7 @@ _FAILURES = (SymstabError, _Degenerate, np.linalg.LinAlgError)
 def _normalize_omega(omega) -> complex:
     w = complex(omega)
     r = abs(w)
-    if abs(r - 1.0) > 1e-6:
+    if not abs(r - 1.0) <= _ON_CIRCLE_TOL:
         raise DimensionError(f"omega must lie on the unit circle, got {omega}")
     return w / r
 
@@ -540,14 +542,17 @@ class _ArcRule:
                 self.cuts[-1][1] = a
             else:
                 self.cuts.append([a, a])
+        lo, hi = np.array(self.cuts).T
+        self._reach = lo - _CUT_TOL, hi + _CUT_TOL   # what `locate` calls near
         self._arcs: dict[int, int | Exception] = {}
         self._direct: dict[float, tuple[int, int] | Exception] = {}
 
-    def locate(self, a: float) -> tuple[int, bool]:
-        """(j, True) if angle a in [0, pi] is near cut j, else (j, False)
-        for a inside arc j."""
-        j = sum(lo - _CUT_TOL <= a for lo, _ in self.cuts) - 1
-        return j, a <= self.cuts[j][1] + _CUT_TOL
+    def locate(self, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(J, near) for angles A in [0, pi]: A[q] is near cut J[q] if
+        near[q], else inside arc J[q]."""
+        start, end = self._reach
+        J = np.searchsorted(start, A, side="right") - 1
+        return J, A <= end[J]
 
     def __call__(self, omegas=(), arcs=()) -> tuple[list, list]:
         """(i_omega, nu_omega) of each omega, and the index on the open arc
@@ -556,28 +561,32 @@ class _ArcRule:
         Errors are raised in query order, omegas before arcs: the first
         query whose count failed raises its error.
         """
-        queries = []
+        omegas = list(omegas)
+        W = np.fromiter(map(complex, omegas), complex, len(omegas))
+        radius = np.abs(W)
+        off = ~(np.abs(radius - 1.0) <= _ON_CIRCLE_TOL)
+        if off.any():   # the first omega off the circle raises its error
+            _normalize_omega(omegas[off.argmax()])
+        W.real /= radius
+        W.imag /= radius
+        A = np.angle(W) % (2.0 * np.pi)     # folded into [0, pi] below
+        A = np.where(A <= np.pi, A, 2.0 * np.pi - A)
+        J, near = self.locate(A)
+        # refused by the direct count, but past the cut at 1 by more than
+        # the kernel test can blur, so on arc 0
+        d1 = np.abs(W - 1.0)
+        near &= ~((J == 0) & (A > self.cuts[0][1] + self.opts.rank_tol)
+                  & (_AT_ONE <= d1) & (d1 < _NEAR_ONE))
+        direct: dict[int, float] = {}      # query position -> direct key
         points: dict[float, complex] = {}
-        for omega in omegas:
-            w = _normalize_omega(omega)
-            a = _principal_angle(w)
-            j, near = self.locate(a)
-            if (j == 0 and a > self.cuts[0][1] + self.opts.rank_tol
-                    and _AT_ONE <= abs(w - 1.0) < _NEAR_ONE):
-                # refused by the direct count, but past the cut at 1 by
-                # more than the kernel test can blur, so on arc 0
-                near = False
-            if not near:
-                queries.append((self._arcs, j))
-                continue
-            key = round(a, 12)
+        for q in near.nonzero()[0].tolist():
+            key = direct[q] = round(float(A[q]), 12)
             if key not in self._direct:
+                w = complex(W[q])
                 points.setdefault(key, w if w.imag >= 0.0 else w.conjugate())
-            queries.append((self._direct, key))
-        queries += [(self._arcs, j) for j in arcs]
         mids = {j: 0.5 * (self.cuts[j][1] + self.cuts[j + 1][0])
-                for store, j in queries
-                if store is self._arcs and j not in self._arcs}
+                for j in dict.fromkeys(J[~near].tolist() + list(arcs))
+                if j not in self._arcs}
 
         res = _index_nus(self.samples, [np.exp(1j * mid) for mid in
                                         mids.values()] + list(points.values()),
@@ -593,11 +602,17 @@ class _ArcRule:
         for key, r in zip(points, res[len(mids):]):
             self._direct[key] = r if isinstance(r, Exception) else r.as_tuple()
 
-        values = [_value(store[key]) for store, key in queries]
-        split = len(queries) - len(arcs)
-        return ([(v, 0) if store is self._arcs else v
-                 for (store, _), v in zip(queries[:split], values)],
-                values[split:])
+        stored = [self._arcs.get(j) for j in range(len(self.cuts))]
+        pairs = [(v, 0) for v in map(stored.__getitem__, J.tolist())]
+        for q, key in direct.items():
+            pairs[q] = self._direct[key]
+        failed = np.array([isinstance(v, Exception) for v in stored])[J]
+        for q in direct:
+            failed[q] = isinstance(pairs[q], Exception)
+        if failed.any():
+            first = pairs[failed.argmax()]   # an arc's is (error, 0)
+            raise first[0] if isinstance(first, tuple) else first
+        return pairs, [_value(self._arcs[j]) for j in arcs]
 
 
 def _check_K(K) -> int:
@@ -613,7 +628,8 @@ def _check_K(K) -> int:
 def _mean_roots(K: int) -> list:
     """The K-th roots of unity on the closed upper half circle."""
     ends = [1.0, -1.0] if K % 2 == 0 else [1.0]
-    return ends + [np.exp(2j * np.pi * k / K) for k in range(1, (K + 1) // 2)]
+    k = np.arange(1, (K + 1) // 2)
+    return ends + list(np.exp(1j * (2 * np.pi * k / K)))
 
 
 def _iterates_and_mean(rule: _ArcRule, m_max: int, K: int | None):
@@ -701,7 +717,8 @@ def splitting_numbers_numeric(path: SymplecticPath, omega,
     opts = opts or IndexOptions()
     rule = _ArcRule(path, opts)
     a = _principal_angle(w)
-    j, near = rule.locate(a)
+    J, nears = rule.locate(np.array([a]))
+    j, near = int(J[0]), bool(nears[0])
     last = len(rule.cuts) - 2
     lo, hi = rule.cuts[j]
     # within rank_tol of +-1 the kernel test cannot tell omega from +-1

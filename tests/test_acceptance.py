@@ -147,6 +147,29 @@ def test_time_dependent_galerkin_matches_crossing_engine(perturbed_entries):
             assert (gi, gn) == (i_m - n, nu_m + 1), (orb.plane, m)
 
 
+def test_time_dependent_galerkin_samples_g_at_32_points(perturbed_entries):
+    # G is constant along a plane circle, so the resolved transform of
+    # `stabilized_index` stops at its first grid of 32 points
+    entry = perturbed_entries[1]
+    n = entry.spec.n
+    for orb in entry.orbits:
+        x0 = np.asarray(orb.x0, float)
+        s1 = math.pi * float(x0 @ x0)
+        sol = integrate_flow(entry.spec, 2.0, x0, s1, variational=False,
+                             dense=True).sol
+        calls = []
+
+        def G(t, sol=sol, s1=s1):
+            calls.append(t)
+            j, gj, Hj = gauge_grad_hess(entry.spec, sol.sol(t % s1))
+            return np.linalg.inv(2.0 * np.outer(gj, gj) + 2.0 * j * Hj)
+
+        for m in range(1, 7):
+            calls.clear()
+            stabilized_index(G, m * s1, n)
+            assert len(calls) <= 32, (orb.plane, m)
+
+
 # ---------------------------------------------------------------------------
 # two-iterate decomposition on the randomized path pool
 # ---------------------------------------------------------------------------

@@ -215,6 +215,83 @@ def test_stabilized_index_samples_each_grid_point_once():
         assert got == (*cur, K) and K > K0
 
 
+def _counting(G):
+    """G, and the list of the times it was sampled at."""
+    calls = []
+
+    def F(t):
+        calls.append(float(t))
+        return G(t)
+    return F, calls
+
+
+@pytest.mark.parametrize("s", [PI, 7.5])
+def test_constant_callable_is_sampled_at_32_points(s):
+    G0 = diamond_all([np.eye(2) * 0.5, np.eye(2) * 0.605])
+    G, calls = _counting(lambda t: G0)
+    assert stabilized_index(G, s, 2) == stabilized_index(G0, s, 2)
+    assert len(calls) == len(set(calls)) == galerkin._NT_START == 32
+
+
+def _trig_G(n, top, s, seed):
+    """Symmetric positive G(t) whose harmonics are 0, 3 and top exactly."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((2, 2 * n, 2 * n))
+    S = [a + a.T for a in A]
+    S = [x / np.linalg.norm(x, 2) for x in S]
+
+    def G(t, w=2 * PI / s):
+        return (0.4 * np.eye(2 * n) + 0.03 * np.cos(3 * w * t) * S[0]
+                + 0.02 * np.sin(top * w * t + 0.4) * S[1])
+    return G
+
+
+def test_high_harmonic_escalates_to_the_points_it_needs():
+    # harmonic 20 stays in the band 8..16 or 16..32 of the 32- and 64-point
+    # transforms (aliased to 12 on 32 points), and leaves it at 128 points
+    s, n = 6.1, 2
+    base = _trig_G(n, 20, s, seed=4)
+    G, calls = _counting(base)
+    got = stabilized_index(G, s, n)
+    assert len(calls) == len(set(calls)) == 128
+    # the same eigenvalues and counts as the 512-point form
+    K = max(8, int(np.ceil(2.0 * s)))
+    prev = None
+    while True:
+        dense = _loop_dual_form(base, s, n, K)
+        form = assemble_dual_form(base, s, n, K)
+        assert np.allclose(form.eigenvalues(), np.linalg.eigvalsh(dense),
+                           rtol=0.0, atol=1e-12)
+        cur = morse_index_nullity(DualForm(s, n, K, blocks=(dense[None],)))
+        if cur == prev:
+            break
+        prev, K = cur, 2 * K
+    assert got == (*cur, K) and cur[0] > 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_G_is_refused(bad):
+    G0 = 0.5 * np.eye(2)
+    G0[0, 0] = bad
+    with pytest.raises(GalerkinError, match="non-finite"):
+        stabilized_index(G0, 3.0, 1)
+    with pytest.raises(GalerkinError, match="non-finite"):
+        stabilized_index(lambda t: G0 if t > 1.0 else 0.5 * np.eye(2), 3.0, 1)
+
+
+def test_asymmetric_G_is_refused():
+    A = np.array([[1.0, 0.3], [0.0, 1.0]])
+    with pytest.raises(GalerkinError, match="not symmetric"):
+        stabilized_index(A, 3.0, 1)
+    with pytest.raises(GalerkinError, match="not symmetric"):
+        stabilized_index(lambda t: A, 3.0, 1)
+    # asymmetry at rounding, as inv() leaves it, reads as the symmetric part
+    G0 = 0.5 * np.eye(2)
+    G1 = G0 + np.array([[0.0, 1e-12], [0.0, 0.0]])
+    assert stabilized_index(G1, 3.0, 1) == stabilized_index(G0, 3.0, 1)
+    assert stabilized_index(lambda t: G1, 3.0, 1) == stabilized_index(G0, 3.0, 1)
+
+
 @settings(max_examples=20, deadline=None)
 @given(s=st.floats(0.5, 15.0), rho=st.floats(0.7, 1.4))
 def test_constant_form_monotone_in_s(s, rho):

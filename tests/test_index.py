@@ -144,6 +144,17 @@ def test_mean_index_refuses_a_root_inside_the_cut_at_one():
         mean_index(rotation_path(2 * PI + 9.9e-5), 65536)
 
 
+@pytest.mark.parametrize("omega", [1.5, 0.5j, np.nan, complex(1.0, np.nan)])
+def test_omega_off_the_unit_circle_is_refused(omega):
+    # nan included: it used to reach the SVD, or read as no eigenvalue
+    path = rotation_path(2.0)
+    for call in (lambda: index_nu(path, omega),
+                 lambda: splitting_numbers_numeric(path, omega),
+                 lambda: ix._ArcRule(path, IndexOptions())([1j, omega])):
+        with pytest.raises(DimensionError, match="unit circle"):
+            call()
+
+
 @pytest.mark.parametrize("path, truth", [
     (rotation_path(2.0), (1, 0)),
     (exp_path(np.diag([0.4, 0.9, 0.4, 0.9])), (2, 0)),
@@ -565,6 +576,91 @@ def test_errors_keep_type_and_message():
         new, ref = _both(lambda: splitting_numbers_numeric(path, w),
                          lambda: _ref_splitting(path, w))
         assert new == ref and new[0] == kind, (new, ref)
+
+
+class _LoopArcRule(ix._ArcRule):
+    """The arc rule with each query classified on its own, in Python: the
+    reference for the batched classification of `_ArcRule.__call__`."""
+
+    def locate(self, a):
+        j = sum(lo - ix._CUT_TOL <= a for lo, _ in self.cuts) - 1
+        return j, a <= self.cuts[j][1] + ix._CUT_TOL
+
+    def __call__(self, omegas=(), arcs=()):
+        queries = []
+        points = {}
+        for omega in omegas:
+            w = ix._normalize_omega(omega)
+            a = _principal_angle(w)
+            j, near = self.locate(a)
+            if (j == 0 and a > self.cuts[0][1] + self.opts.rank_tol
+                    and ix._AT_ONE <= abs(w - 1.0) < ix._NEAR_ONE):
+                near = False
+            if not near:
+                queries.append((self._arcs, j))
+                continue
+            key = round(a, 12)
+            if key not in self._direct:
+                points.setdefault(key, w if w.imag >= 0.0 else w.conjugate())
+            queries.append((self._direct, key))
+        queries += [(self._arcs, j) for j in arcs]
+        mids = {j: 0.5 * (self.cuts[j][1] + self.cuts[j + 1][0])
+                for store, j in queries
+                if store is self._arcs and j not in self._arcs}
+        res = ix._index_nus(self.samples, [np.exp(1j * mid) for mid in
+                                           mids.values()]
+                            + list(points.values()), self.opts)
+        for (j, mid), r in zip(mids.items(), res):
+            if not isinstance(r, Exception) and r.nullity:
+                r = TangencyError(f"arc midpoint at angle {mid:.6g} reports "
+                                  f"nullity {r.nullity}")
+            self._arcs[j] = r if isinstance(r, Exception) else r.index
+        for key, r in zip(points, res[len(mids):]):
+            self._direct[key] = r if isinstance(r, Exception) else r.as_tuple()
+        values = [ix._value(store[key]) for store, key in queries]
+        split = len(queries) - len(arcs)
+        return ([(v, 0) if store is self._arcs else v
+                 for (store, _), v in zip(queries[:split], values)],
+                values[split:])
+
+
+# angles inside the band 1e-12 < |omega - 1| < 1e-4 that a direct count
+# refuses, on both sides of 1, and just outside it
+_BAND_ANGLES = (2e-12, -3e-10, 4e-7, -9e-7, 2e-6, 5e-5, -5e-5, 9.9e-5, 1.2e-4,
+                9e-4, 1.1e-3)
+
+
+@pytest.mark.parametrize("case, Ks", [
+    pytest.param(lambda: rotation_path(2.0), (256, 4096, 100001),
+                 id="rotation"),
+    pytest.param(lambda: _GEN, (256, 4096), id="elliptic n=2"),
+    pytest.param(lambda: rotation_path(2 * PI + 5e-4), (256, 4096),
+                 id="cut merged with 1"),
+    pytest.param(lambda: normal_form_path(N1_block(1.0, 1.0)), (256, 4096),
+                 id="shear at 1"),
+    pytest.param(lambda: _arc_midpoint_case()[0], (256, 4096),
+                 id="failing arc"),
+])
+def test_batched_arc_rule_equals_per_query_loop(case, Ks):
+    # the same pairs, and the same first error in query order, as the rule
+    # that classifies one query at a time; a rule serves repeated calls
+    path = case()
+    band = [np.exp(1j * a) for a in _BAND_ANGLES]
+    for K in Ks:
+        roots = ix._mean_roots(K)
+        if K < 100001:
+            roots = roots + [np.exp(-2j * PI * k / K) for k in range(1, K // 2)]
+        new, ref = ix._ArcRule(path, IndexOptions()), _LoopArcRule(
+            path, IndexOptions())
+        arcs = range(len(new.cuts) - 1)
+        for omegas in (roots, band + roots[:9], roots + band,
+                       [band[5], 1.5, band[0], 2j], [band[6]]):
+            got, want = _both(lambda: new(omegas, arcs),
+                              lambda: ref(omegas, arcs))
+            assert got == want, (path.label, K)
+        for w in band:
+            got, want = _both(lambda: new([w]), lambda: ref([w]))
+            assert got == want, (path.label, np.angle(w))
 
 
 def _random_rows(rng, rows, width):

@@ -3,6 +3,8 @@ benchmark's oracles pass their self-test."""
 
 import importlib.util
 import json
+import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,8 @@ import pytest
 
 import symstab
 import symstab.cli
-from symstab import galerkin, index, paths, spectral, sympl
+from symstab import (classify, dynamics, galerkin, index, io, paths,
+                     spectral, sympl)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -76,6 +79,33 @@ def test_benchmark_trace_reports_every_exercised_figure(tmp_path, capsys):
             "bench.self_s"}
     assert {k for k, (v, _unit) in metrics.items() if v == 0} == idle
     assert metrics["index.crossings"][0] == 1
+
+
+def test_benchmark_workloads_pass_their_checks(tmp_path, monkeypatch):
+    # one untimed pass of every workload of `perfbench/run.py`: each op runs
+    # and its output passes the workload's check, as in a timed pass; an op
+    # that raised a SymstabError would count as failed, and none does
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    for name in ("oracles", "workloads"):   # fresh copies, imported by name
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    wl = importlib.import_module("workloads")
+    sx = types.SimpleNamespace(
+        package=symstab, classify=classify, cli=symstab.cli,
+        dynamics=dynamics, galerkin=galerkin, index=index, io=io,
+        paths=paths, spectral=spectral, sympl=sympl)
+    failed = []
+    for name, cls in wl.WORKLOADS.items():
+        work = cls(sx, 1, tmp_path)
+        work.setup()
+        work.check_setup()
+        for op in work.ops():
+            try:
+                out = op.run()
+            except symstab.SymstabError:
+                failed.append((name, op.label))
+                continue
+            op.check(out)
+    assert failed == []
 
 
 def _canned(pass_s, setup_s, attempted=60, failed=0, correct=True):
