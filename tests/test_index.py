@@ -582,9 +582,7 @@ class _LoopArcRule(ix._ArcRule):
     """The arc rule with each query classified on its own, in Python: the
     reference for the batched classification of `_ArcRule.__call__`."""
 
-    def locate(self, a):
-        j = sum(lo - ix._CUT_TOL <= a for lo, _ in self.cuts) - 1
-        return j, a <= self.cuts[j][1] + ix._CUT_TOL
+    locate = _RefArcRule.locate
 
     def __call__(self, omegas=(), arcs=()):
         queries = []
