@@ -19,27 +19,24 @@ rounding floor, the standard truncation test of a Fourier series; each
 doubling samples only the new odd points.  The ceiling is the fixed
 grid Nt = max(512, 2^ceil(log2(8K + 8))): a G that never resolves gets
 that transform, bit for bit.  A resolved spectrum is zero-padded to the
-ceiling's length, so the split and the certificate below read it as
-they read the full one.  Aliasing is assumed away: a harmonic beyond the
+ceiling's length, so the layout choice and the certificate below read it
+as they read the full one.  Aliasing is assumed away: a harmonic beyond the
 resolved band is taken as zero, as one beyond the ceiling's band always
 is.  Along the plane circles of a `SurfaceSpec` surface G is constant, so
 32 points resolve it.  The memo of G in `stabilized_index` is exact: the
 grids of all levels and all K share their points bit for bit.
 
-Modes k and k' couple only through the harmonics k - k' and k + k' of G.
-When every harmonic G carries is a multiple of g, modes p and q couple
-only if p = +-q (mod g), so the form splits into residue classes mod g
-(the Bott formula on the Galerkin side), and each class is assembled and
-diagonalized as its own block.  `assemble_dual_form` keeps the harmonics
-above the transform's rounding floor, takes g as their gcd and zeros the
-rest; g = 1 leaves one block, the whole form, bit for bit.  A constant G
-keeps harmonic 0 alone, so every mode is its own class.  Along the plane
-circles of a `SurfaceSpec` surface G is constant in t, since the quartic
-terms depend only on the |z_l|^2.  The certificate: the form is the
+Modes k and k' couple only through the harmonics k - k' and k + k' of G,
+so the form has one of two layouts.  When no harmonic 0 < |h| <= 2K lies
+above the transform's rounding floor, G reads as constant: those
+harmonics are zeroed, and every mode is its own 4n x 4n block.  Along the
+plane circles of a `SurfaceSpec` surface G is constant in t, since the
+quartic terms depend only on the |z_l|^2.  Otherwise the whole form is
+one dense block and nothing is dropped.  The certificate: the form is the
 compression of multiplication by G onto an orthonormal basis, so the
 zeroed part has norm at most delta, the sum of the zeroed coefficient
 norms.  `morse_index_nullity` raises a `GalerkinError` carrying the
-margin when a class eigenvalue lies within delta of the zero threshold.
+margin when an eigenvalue lies within delta of the zero threshold.
 """
 
 from __future__ import annotations
@@ -65,9 +62,15 @@ _NT_START = 32
 _SYM_TOL = 1e-8
 
 
+def _checked_period(s: float) -> float:
+    """s, unless it is not a finite positive period."""
+    if not (np.isfinite(s) and s > 0):
+        raise GalerkinError(f"period must be finite and positive, got {s}")
+    return s
+
+
 def mode_frequencies(s: float, K: int) -> np.ndarray:
-    if s <= 0:
-        raise GalerkinError(f"period must be positive, got {s}")
+    _checked_period(s)
     if K < 1:
         raise GalerkinError(f"need at least one mode, got K={K}")
     return TWO_PI * np.arange(1, K + 1) / s
@@ -75,23 +78,22 @@ def mode_frequencies(s: float, K: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DualForm:
-    """Assembled quadratic form as residue-class blocks.
+    """Assembled quadratic form as a stack of blocks.
 
-    `blocks` holds one (C, 4n Kc, 4n Kc) stack per class size Kc, each
-    class in the dense layout of `assemble_dual_form` restricted to its
-    modes.  `delta` bounds the spectral norm of the coupling the split
-    dropped; it is 0 when nothing was dropped.
+    `blocks` is (K, 4n, 4n), one block per mode, for a G that reads as
+    constant, or (1, 4nK, 4nK), the whole form, otherwise.  `delta`
+    bounds the spectral norm of the coupling the per-mode layout dropped;
+    it is 0 when nothing was dropped.
     """
 
     s: float
     n: int
     K: int
-    blocks: tuple[np.ndarray, ...]
+    blocks: np.ndarray
     delta: float = 0.0
 
     def eigenvalues(self) -> np.ndarray:
-        return np.sort(np.concatenate(
-            [np.linalg.eigvalsh(b).ravel() for b in self.blocks]))
+        return np.sort(np.linalg.eigvalsh(self.blocks).ravel())
 
 
 def _drop_floor(c0: np.ndarray, Nt: int) -> float:
@@ -103,25 +105,22 @@ def _drop_floor(c0: np.ndarray, Nt: int) -> float:
     return Nt * np.finfo(float).eps * float(np.linalg.norm(c0))
 
 
-def _split(Ghat: np.ndarray, K: int) -> tuple[int, float, np.ndarray]:
-    """(g, delta, Ghat with every harmonic off the multiples of g zeroed).
-
-    The K-mode form reads the harmonics -(K-1)..2K.  g is the gcd of those
-    above the rounding floor, or 2K + 1 when none is, which leaves every
-    mode its own class.  The zeroed part is the compression of
-    multiplication by the real loop of the zeroed harmonics and their
-    conjugates, so delta sums the Frobenius norms of all of them.
+def _split(Ghat: np.ndarray, K: int) -> tuple[bool, float, np.ndarray]:
+    """(constant, delta, Ghat): constant when none of the harmonics
+    0 < |h| <= 2K that the K-mode form reads lies above the rounding
+    floor.  Then they are zeroed, and delta sums their Frobenius norms:
+    the zeroed part is the compression of multiplication by their real
+    loop.  Otherwise Ghat is kept whole and delta is 0.
     """
     Nt = len(Ghat)
     h = np.arange(-2 * K, 2 * K + 1)
+    h = h[h != 0]
     norms = np.linalg.norm(Ghat[h % Nt], axis=(1, 2))
-    kept = h[(h != 0) & (norms > _drop_floor(Ghat[0], Nt))]
-    g = int(np.gcd.reduce(np.abs(kept))) or 2 * K + 1
-    off = h % g != 0
-    if off.any():
-        Ghat = Ghat.copy()
-        Ghat[h[off] % Nt] = 0.0
-    return g, float(norms[off].sum()), Ghat
+    if (norms > _drop_floor(Ghat[0], Nt)).any():
+        return False, 0.0, Ghat
+    Ghat = Ghat.copy()
+    Ghat[h % Nt] = 0.0
+    return True, float(norms.sum()), Ghat
 
 
 def _class_blocks(Ghat: np.ndarray, modes: np.ndarray, w: np.ndarray,
@@ -211,9 +210,10 @@ def assemble_dual_form(G, s: float, n: int, K: int) -> DualForm:
     0, or a callable t -> matrix on [0, s), whose harmonics are read from
     the resolved transform of the module docstring: as few as 32 samples
     when G's spectrum allows, at most Nt = max(512, 2^ceil(log2(8K + 8))).
-    A non-finite or asymmetric G raises a GalerkinError.  The form splits
-    into the residue classes mod g of `_split`, one block each; with g = 1
-    the one block is the whole form.
+    A non-finite or asymmetric G, or a period s that is not finite and
+    positive, raises a GalerkinError.  The layout is the one `_split`
+    picks: one block per mode when G reads as constant, one dense block
+    otherwise.
     """
     d = 2 * n
     w = mode_frequencies(s, K)
@@ -226,28 +226,18 @@ def assemble_dual_form(G, s: float, n: int, K: int) -> DualForm:
             raise GalerkinError(f"G has shape {G0.shape}, expected {(d, d)}")
         Ghat = np.zeros((Nt, d, d), complex)
         Ghat[0] = _checked(G0[None], "G")[0]
-    g, delta, Ghat = _split(Ghat, K)
-
-    # modes p, q share a class iff p = +-q (mod g); group the classes by
-    # size so that each size is one batched assembly
+    constant, delta, Ghat = _split(Ghat, K)
     k = np.arange(1, K + 1)
-    cls = np.minimum(k % g, -k % g)
-    size = np.bincount(cls)[cls]
-    modes = k[np.lexsort((k, cls, size))]
-    blocks, start = [], 0
-    for Kc in np.unique(size):
-        stop = start + int(np.count_nonzero(size == Kc))
-        group = modes[start:stop].reshape(-1, Kc)
-        blocks.append(_class_blocks(Ghat, group, w[group - 1]))
-        start = stop
-    return DualForm(s=s, n=n, K=K, blocks=tuple(blocks), delta=delta)
+    modes = k[:, None] if constant else k[None]
+    blocks = _class_blocks(Ghat, modes, w[modes - 1])
+    return DualForm(s=s, n=n, K=K, blocks=blocks, delta=delta)
 
 
 def morse_index_nullity(form: DualForm) -> tuple[int, int]:
     """Count negative and near-zero eigenvalues of the assembled form.
 
     A dropped part of norm delta moves each eigenvalue by at most delta
-    (Weyl) and the threshold thr by at most _ZERO_TOL delta, so a class
+    (Weyl) and the threshold thr by at most _ZERO_TOL delta, so an
     eigenvalue that close to +-thr raises a GalerkinError with the margin.
     """
     vals = form.eigenvalues()
@@ -257,9 +247,10 @@ def morse_index_nullity(form: DualForm) -> tuple[int, int]:
             - form.delta * (1.0 + _ZERO_TOL)
         if margin <= 0:
             raise GalerkinError(
-                f"class split dropped a coupling of norm {form.delta:.3e}, "
-                f"which could move an eigenvalue across the zero threshold "
-                f"{thr:.3e} (margin {margin:.3e})", margin=margin)
+                f"per-mode layout dropped a coupling of norm "
+                f"{form.delta:.3e}, which could move an eigenvalue across "
+                f"the zero threshold {thr:.3e} (margin {margin:.3e})",
+                margin=margin)
     null = int(np.sum(np.abs(vals) <= thr))
     neg = int(np.sum(vals < -thr))
     return neg, null
@@ -277,7 +268,7 @@ def stabilized_index(G, s: float, n: int) -> tuple[int, int, int]:
         # grid's even points equal the coarser one's bit for bit, as
         # 2k (s / 2Nt) = k (s / Nt) exactly
         G = functools.cache(G)
-    K = max(8, int(np.ceil(2.0 * s)))
+    K = max(8, int(np.ceil(2.0 * _checked_period(s))))
     prev = None
     for _ in range(_MAX_DOUBLINGS + 1):
         form = assemble_dual_form(G, s, n, K)
@@ -303,15 +294,3 @@ def constant_form_index(s: float, rho: float, n: int) -> int:
         raise ResonantFormError(
             f"period s={s:.6g} resonates with the rho={rho:.6g} level set")
     return 2 * n * int(np.floor(ratio))
-
-
-def constant_form_bounds(s: float, r: float, R: float, n: int,
-                         ) -> tuple[int, int]:
-    """Index bounds from enclosing radii r <= |x| <= R on the level set.
-
-    Domination of inverse Hessians gives i(R-ball) <= i <= i(r-ball) for
-    the dual-form (orbit convention) index at period s.
-    """
-    if not 0 < r <= R:
-        raise GalerkinError(f"need 0 < r <= R, got r={r}, R={R}")
-    return constant_form_index(s, R, n), constant_form_index(s, r, n)

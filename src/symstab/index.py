@@ -17,7 +17,7 @@ Points within 1e-4 of omega = 1, other than 1 itself up to 1e-12
 rounding, are refused: their crossings sit at the very start of the
 path, where the count cannot resolve them.  The arc rule (below) reads
 such a point from the arc it lies on when no endpoint eigenvalue lies
-between it and 1, nor within rank_tol of it.
+between it and 1, nor within _RANK_TOL of it.
 
 Crossings are located on a grid of the twisted path: N + 1 equal steps,
 geometric points towards both ends, and the seams.  The grid and the
@@ -32,11 +32,11 @@ closed form, larger ones by LAPACK (`_eigvals`).
 
 Every run of grid cells that holds a sign change of the real function
 D_omega = (-1)^(n-1) conj(omega)^n det(P - omega I), or a local minimum
-below `trigger` of the eigenvalue distance to omega, is a bracket; all
+below _TRIGGER of the eigenvalue distance to omega, is a bracket; all
 brackets are cut into 16 cells per level until they are narrower than
-64 refine_rtol tau.  Their midpoints, merged within one radius, are the
+64 _REFINE_RTOL tau.  Their midpoints, merged within one radius, are the
 candidate crossings.  A candidate counts only if P(t) - omega I has a
-numerical kernel (smallest singular value below rank_tol relative); the
+numerical kernel (smallest singular value below _RANK_TOL relative); the
 crossing form is restricted to that kernel.
 
 The counts of one twisted path and one step of the eps ladder are swept
@@ -106,19 +106,27 @@ _CUT_TOL = 1e-3
 # number of brackets stays bounded
 _SPLIT = 16
 _ALL_MINIMA = 3
+# equal steps of the crossing grid (at least; a path may hint more)
+_GRID = 256
+# twist halvings tried after the first twist before a TangencyError
+_EPS_LADDER = 7
+# singular values below _RANK_TOL (relative) span the numerical kernel
+_RANK_TOL = 1e-6
+# eigenvalue distance to omega below which a sampled minimum is a bracket
+_TRIGGER = 0.05
+# brackets are refined until narrower than 64 _REFINE_RTOL tau
+_REFINE_RTOL = 1e-12
+# crossing-form eigenvalues below _FORM_TOL (relative) are degenerate
+_FORM_TOL = 1e-7
 
 
 @dataclass(frozen=True)
 class IndexOptions:
-    grid: int = 256
+    """eps is the first twist of the ladder; a twisted endpoint with an
+    eigenvalue within 3 accept_tol of omega asks for a smaller one."""
+
     eps: float = 1e-4
-    eps_ladder: int = 7
-    rank_tol: float = 1e-6
     accept_tol: float = 1e-6
-    trigger: float = 0.05
-    refine_rtol: float = 1e-12
-    form_tol: float = 1e-7
-    check_start: bool = True
 
 
 @dataclass(frozen=True)
@@ -153,21 +161,21 @@ def _normalize_omega(omega) -> complex:
     return w / r
 
 
-def _kernel_basis(M: np.ndarray, omega: complex, rank_tol: float):
+def _kernel_basis(M: np.ndarray, omega: complex):
     dim = M.shape[0]
     K = M - omega * np.eye(dim)
     _, s, Vh = np.linalg.svd(K)
-    thr = rank_tol * max(1.0, float(s[0]))
+    thr = _RANK_TOL * max(1.0, float(s[0]))
     k = int(np.sum(s <= thr))
     if k == 0:
         return 0, None
     return k, Vh.conj().T[:, dim - k:]
 
 
-def _signature(F: np.ndarray, form_tol: float) -> int:
+def _signature(F: np.ndarray) -> int:
     F = 0.5 * (F + F.conj().T)
     vals = np.linalg.eigvalsh(F)
-    thr = form_tol * max(1.0, float(np.abs(vals).max()))
+    thr = _FORM_TOL * max(1.0, float(np.abs(vals).max()))
     if np.any(np.abs(vals) < thr):
         raise _Degenerate(f"crossing form eigenvalues {vals}")
     return int(np.sum(vals > 0) - np.sum(vals < 0))
@@ -319,14 +327,14 @@ def _sweep(samples: _Samples, sign: int, eps: float, jobs: list,
                     f"twisted endpoint still degenerate (eps={eps:.1e})")
         ok = ~(skew | stuck)
         br, rows = _bracket_rows(np.broadcast_to(ts, dist.shape)[ok],
-                                 Draw.real[ok], dist[ok], opts.trigger, True)
+                                 Draw.real[ok], dist[ok], _TRIGGER, True)
         live.append(br)
         owner.append(ks[ok][rows])
 
     # every bracket is cut into _SPLIT cells per level, and all new points
     # of a level are evaluated in one batched call; a bracket narrower than
     # `width` becomes a candidate crossing at its midpoint
-    width = 64.0 * opts.refine_rtol * tau
+    width = 64.0 * _REFINE_RTOL * tau
     live, owner = np.concatenate(live), np.concatenate(owner)
     found: list[list[float]] = [[] for _ in jobs]
     level = 0
@@ -341,28 +349,28 @@ def _sweep(samples: _Samples, sign: int, eps: float, jobs: list,
         xs = np.linspace(live[:, 0], live[:, 1], _SPLIT + 1, axis=1)
         ev = _eigvals(tw, xs.ravel()).reshape(*xs.shape, -1)
         Dv, dv = _measure(ev, omegas[owner, None], prefs[owner, None])
-        live, rows = _bracket_rows(xs, Dv.real, dv, opts.trigger,
+        live, rows = _bracket_rows(xs, Dv.real, dv, _TRIGGER,
                                    level <= _ALL_MINIMA)
         owner = owner[rows]
 
     for k, (w, _) in enumerate(jobs):
         if out[k] is None:
             try:
-                out[k] = _form_count(tw, w, found[k], opts)
+                out[k] = _form_count(tw, w, found[k])
             except _FAILURES as exc:  # the job's outcome, replayed in order
                 out[k] = exc
     return out
 
 
 def _form_count(tw: SymplecticPath, omega: complex, found: list,
-                opts: IndexOptions) -> tuple[int, tuple]:
+                ) -> tuple[int, tuple]:
     """Signature sum of the crossing forms at the candidate crossings
     `found` of omega on the twisted path, and the crossings counted."""
     tau = tw.tau
     # neighbouring brackets can close in on one crossing from both sides;
     # distinct crossings closer than this radius would be
     # indistinguishable to the form evaluation anyway
-    radius = max(200.0 * opts.refine_rtol * tau, 1e-6 * tau)
+    radius = max(200.0 * _REFINE_RTOL * tau, 1e-6 * tau)
     crossings: list[float] = []
     for t in sorted(found):
         if 1e-9 * tau <= t <= tau * (1.0 - 1e-13) and not (
@@ -377,24 +385,24 @@ def _form_count(tw: SymplecticPath, omega: complex, found: list,
     seam_atol = 1e-9 * tau
     mats = tw.values(np.array(crossings)) if crossings else ()
     for t, M in zip(crossings, mats):
-        k, B = _kernel_basis(M, omega, opts.rank_tol)
+        k, B = _kernel_basis(M, omega)
         if k == 0:
             continue  # a distance minimum that is no crossing
         near = [s for s in tw.seams if abs(s - t) < seam_atol]
         if near:
             s = near[0]
-            f1 = _signature(B.conj().T @ tw.sform(s, -1) @ B, opts.form_tol)
-            f2 = _signature(B.conj().T @ tw.sform(s, 1) @ B, opts.form_tol)
+            f1 = _signature(B.conj().T @ tw.sform(s, -1) @ B)
+            f2 = _signature(B.conj().T @ tw.sform(s, 1) @ B)
             if (f1 + f2) % 2:
                 raise NumericalConsistencyError(
                     f"odd corner signature pair ({f1},{f2}) at t={s:.6g}")
             total += (f1 + f2) // 2
         else:
-            total += _signature(B.conj().T @ tw.sform(t, 1) @ B, opts.form_tol)
+            total += _signature(B.conj().T @ tw.sform(t, 1) @ B)
         counted.append(t)
 
     if abs(omega - 1.0) < _AT_ONE:
-        sig0 = _signature(tw.sform(0.0, 1), opts.form_tol)
+        sig0 = _signature(tw.sform(0.0, 1))
         if sig0 % 2:
             raise NumericalConsistencyError("odd start-form signature")
         total += sig0 // 2
@@ -411,7 +419,7 @@ def _ladder_step(samples: _Samples, ws: list, eps: float,
     at 2N, at 4N only where those totals differ, and the upper twist at N
     only where the lower count succeeded.
     """
-    N = max(opts.grid, samples.path.grid_hint)
+    N = max(_GRID, samples.path.grid_hint)
     lower = _sweep(samples, -1, eps, [(w, N) for w in ws]
                    + [(w, 2 * N) for w in ws], opts)
     coarse, fine = lower[:len(ws)], lower[len(ws):]
@@ -453,7 +461,7 @@ def _index_nus(samples: _Samples, omegas: list,
                 raise DimensionError(
                     f"omega={w:.6g} lies within {_NEAR_ONE:g} of 1 but is "
                     "not 1; the crossing count cannot resolve it")
-            nus[k], _ = _kernel_basis(samples.path.endpoint, w, opts.rank_tol)
+            nus[k], _ = _kernel_basis(samples.path.endpoint, w)
         except _FAILURES as exc:  # the query's outcome, replayed in order
             out[k] = exc
             continue
@@ -461,7 +469,7 @@ def _index_nus(samples: _Samples, omegas: list,
 
     active = list(ws)
     eps = opts.eps
-    for _ in range(opts.eps_ladder):
+    for _ in range(_EPS_LADDER):
         if not active:
             break
         retry = []
@@ -502,10 +510,9 @@ def index_nu(path: SymplecticPath, omega=1.0, opts: IndexOptions | None = None,
     Raises DimensionError for omega off the unit circle, and for
     1e-12 < |omega - 1| < 1e-4.
     """
-    opts = opts or IndexOptions()
-    if opts.check_start:
-        path.check_start()
-    return _value(_index_nus(_Samples(path), [omega], opts)[0])
+    path.check_start()
+    return _value(_index_nus(_Samples(path), [omega],
+                              opts or IndexOptions())[0])
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +527,7 @@ class _ArcRule:
     [lo, hi].  Between cuts the index is that of the arc midpoint and the
     nullity is 0.  Within _CUT_TOL of a cut, omega is counted directly,
     except that a point of the band the direct count refuses near 1 is
-    read from arc 0 when the cut at 1 ends more than rank_tol below its
+    read from arc 0 when the cut at 1 ends more than _RANK_TOL below its
     angle.
     Lower half points are read through conjugate symmetry.  A call counts
     every arc and direct point its queries need in one `_index_nus` list;
@@ -529,8 +536,7 @@ class _ArcRule:
     """
 
     def __init__(self, path: SymplecticPath, opts: IndexOptions):
-        if opts.check_start:
-            path.check_start()
+        path.check_start()
         self.path, self.opts = path, opts
         self.samples = _Samples(path)
         ev = np.linalg.eigvals(path.endpoint)
@@ -575,7 +581,7 @@ class _ArcRule:
         # refused by the direct count, but past the cut at 1 by more than
         # the kernel test can blur, so on arc 0
         d1 = np.abs(W - 1.0)
-        near &= ~((J == 0) & (A > self.cuts[0][1] + self.opts.rank_tol)
+        near &= ~((J == 0) & (A > self.cuts[0][1] + _RANK_TOL)
                   & (_AT_ONE <= d1) & (d1 < _NEAR_ONE))
         direct: dict[int, float] = {}      # query position -> direct key
         points: dict[float, complex] = {}
@@ -708,22 +714,21 @@ def splitting_numbers_numeric(path: SymplecticPath, omega,
     that side, minus i_omega; omega counts as the cut it lies near.  At
     +-1 both sides are the same arc by conjugate symmetry.
 
-    At omega within rank_tol of +-1 with nullity 0, +-1 is no eigenvalue
+    At omega within _RANK_TOL of +-1 with nullity 0, +-1 is no eigenvalue
     and the pair is (0, 0).  Raises MergedCutError when omega is farther
-    than rank_tol from +-1 but its cut merged with the cut at +-1: the arc
+    than _RANK_TOL from +-1 but its cut merged with the cut at +-1: the arc
     between omega and +-1 is then never counted.
     """
     w = _normalize_omega(omega)
-    opts = opts or IndexOptions()
-    rule = _ArcRule(path, opts)
+    rule = _ArcRule(path, opts or IndexOptions())
     a = _principal_angle(w)
     J, nears = rule.locate(np.array([a]))
     j, near = int(J[0]), bool(nears[0])
     last = len(rule.cuts) - 2
     lo, hi = rule.cuts[j]
-    # within rank_tol of +-1 the kernel test cannot tell omega from +-1
+    # within _RANK_TOL of +-1 the kernel test cannot tell omega from +-1
     gap = min(a, np.pi - a)
-    if near and j in (0, last + 1) and lo < hi and gap > opts.rank_tol:
+    if near and j in (0, last + 1) and lo < hi and gap > _RANK_TOL:
         raise MergedCutError(
             f"omega at angle {a:.9g} lies {gap:.2e} rad from "
             f"{'+1' if j == 0 else '-1'}, at the merged cut "
@@ -733,9 +738,9 @@ def splitting_numbers_numeric(path: SymplecticPath, omega,
     # per call, not two) unless omega is +-1, where they are read only if
     # +-1 turns out to be an eigenvalue
     sides = [min(j, last), max(j - 1, 0)]
-    early = near and gap > opts.rank_tol
+    early = near and gap > _RANK_TOL
     [(i0, nu0)], arcs = rule([w], sides if early else ())
-    if not near or (nu0 == 0 and gap <= opts.rank_tol):
+    if not near or (nu0 == 0 and gap <= _RANK_TOL):
         # omega is no eigenvalue: the splitting numbers vanish there, so
         # a cut at +-1 merged with a nearby eigenvalue is not read
         return SplittingPair(0, 0)

@@ -284,8 +284,8 @@ def _classify_rotation(M: np.ndarray, J: np.ndarray, angle: float, alg: int,
 
     # second form kappa(x, (M - omega) x) separates the two defective variants
     G2 = 1j * (Bg.conj().T @ J @ K @ Bg)
-    vals2 = np.sort(np.abs(np.linalg.eigvalsh(0.5 * (G2 + G2.conj().T))))[::-1]
     sig2 = np.linalg.eigvalsh(0.5 * (G2 + G2.conj().T))
+    vals2 = np.sort(np.abs(sig2))[::-1]
     lead = vals2[0]
     if n2 < len(vals2) and vals2[n2] > 1e-3 * lead:
         raise UnsupportedNormalForm(

@@ -9,9 +9,8 @@ from symstab import (
     stabilized_index,
 )
 from symstab import galerkin
-from symstab.galerkin import (DualForm, assemble_dual_form, constant_form_bounds,
-                              constant_form_index, mode_frequencies,
-                              morse_index_nullity)
+from symstab.galerkin import (DualForm, assemble_dual_form, constant_form_index,
+                              mode_frequencies, morse_index_nullity)
 from symstab.errors import GalerkinError, ResonantFormError
 from symstab.sympl import standard_J
 
@@ -25,6 +24,14 @@ def test_mode_frequencies():
         mode_frequencies(-1.0, 4)
     with pytest.raises(GalerkinError):
         mode_frequencies(1.0, 0)
+    # a period that is not finite and positive is refused before K is read
+    G0 = 0.5 * np.eye(2)
+    for s in (np.nan, np.inf, -np.inf, 0.0, -1.0):
+        for G in (G0, lambda t: G0):
+            with pytest.raises(GalerkinError, match="finite and positive"):
+                stabilized_index(G, s, 1)
+            with pytest.raises(GalerkinError, match="finite and positive"):
+                assemble_dual_form(G, s, 1, 8)
 
 
 def test_constant_form_index_values():
@@ -40,15 +47,6 @@ def test_constant_form_resonance():
         constant_form_index(PI, 1.0, 1)
     with pytest.raises(ResonantFormError):
         constant_form_index(2 * PI, 1.0, 1)
-
-
-def test_constant_form_bounds_order():
-    lo, hi = constant_form_bounds(5.0, 0.9, 1.2, 1)
-    assert lo <= hi
-    assert lo == constant_form_index(5.0, 1.2, 1)
-    assert hi == constant_form_index(5.0, 0.9, 1)
-    with pytest.raises(GalerkinError):
-        constant_form_bounds(5.0, 1.2, 0.9, 1)
 
 
 def test_callable_matches_constant():
@@ -141,7 +139,7 @@ def test_callable_assembly_equals_block_loop(n):
     G = _loop_G(n, seed=n)
     for K in (1, 2, 9, 40, 70):
         form = assemble_dual_form(G, 5.3, n, K)
-        (got,) = form.blocks   # G carries harmonics 1, 2, ...: g = 1
+        got = form.blocks   # G carries harmonics 1, 2, ...: one dense block
         assert got.shape[0] == 1 and form.delta == 0.0
         assert np.array_equal(got[0], _loop_dual_form(G, 5.3, n, K))
 
@@ -165,16 +163,26 @@ def test_class_split_equals_dense_form(n, g):
     G = _periodic_G(n, g, seed=10 * n + g)
     for K in (7, 24):
         form = assemble_dual_form(G, 5.3, n, K)
-        # g = 2: odd and even modes; g = 3: multiples of 3 and the rest;
-        # constant G: one class per mode
-        assert sum(len(b) for b in form.blocks) == (2 if g else K)
-        assert 0.0 <= form.delta < 1e-13
+        dense = DualForm(5.3, n, K, blocks=_loop_dual_form(G, 5.3, n, K)[None])
+        got = morse_index_nullity(form)
+        assert got == morse_index_nullity(dense) and got[0] > 0
+        # the class-split reference: harmonics off the multiples of g read
+        # as zero (g = 0, a constant G: every mode its own class)
         split = _loop_dual_form(G, 5.3, n, K, g=g or 2 * K + 1)
         assert np.allclose(form.eigenvalues(), np.linalg.eigvalsh(split),
                            rtol=0.0, atol=1e-12)
-        whole = DualForm(5.3, n, K, blocks=(_loop_dual_form(G, 5.3, n, K)[None],))
-        got = morse_index_nullity(form)
-        assert got == morse_index_nullity(whole) and got[0] > 0
+        if g:
+            # harmonics g, 2g, ... are carried: one dense block, nothing
+            # dropped
+            assert form.blocks.shape == (1, 4 * n * K, 4 * n * K)
+            assert form.delta == 0.0
+            continue
+        # harmonic 0 alone, sampled or given as a matrix: one block per mode
+        assert form.blocks.shape == (K, 4 * n, 4 * n)
+        assert 0.0 <= form.delta < 1e-13
+        const = assemble_dual_form(G(0.0), 5.3, n, K)
+        assert const.blocks.shape == (K, 4 * n, 4 * n) and const.delta == 0.0
+        assert morse_index_nullity(const) == got
 
 
 def test_dropping_a_carried_harmonic_is_refused(monkeypatch):
@@ -183,10 +191,10 @@ def test_dropping_a_carried_harmonic_is_refused(monkeypatch):
     # could move it across the threshold
     G = lambda t: (0.25 + 0.1 * np.cos(4 * PI * t / 5.3)) * np.eye(2)
     form = assemble_dual_form(G, 5.3, 1, 8)
-    assert sum(len(b) for b in form.blocks) == 2 and form.delta < 1e-13
+    assert len(form.blocks) == 1 and form.delta == 0.0
     monkeypatch.setattr(galerkin, "_drop_floor", lambda c0, Nt: 1.0)
     form = assemble_dual_form(G, 5.3, 1, 8)
-    assert sum(len(b) for b in form.blocks) == 8
+    assert len(form.blocks) == 8
     assert form.delta == pytest.approx(0.1 * np.sqrt(2))   # c_2, c_-2
     with pytest.raises(GalerkinError) as err:
         morse_index_nullity(form)
@@ -262,7 +270,7 @@ def test_high_harmonic_escalates_to_the_points_it_needs():
         form = assemble_dual_form(base, s, n, K)
         assert np.allclose(form.eigenvalues(), np.linalg.eigvalsh(dense),
                            rtol=0.0, atol=1e-12)
-        cur = morse_index_nullity(DualForm(s, n, K, blocks=(dense[None],)))
+        cur = morse_index_nullity(DualForm(s, n, K, blocks=dense[None]))
         if cur == prev:
             break
         prev, K = cur, 2 * K

@@ -107,10 +107,13 @@ def test_diamond_additivity():
     assert tup(diamond_paths([a, b]), 1.0) == (ia[0] + ib[0], ia[1] + ib[1])
 
 
-def test_grid_doubling_stable():
+def test_grid_doubling_stable(monkeypatch):
     for p, w in [(rotation_path(4.0), np.exp(4j)),
                  (rotation_path(2 * PI), 1.0)]:
-        assert tup(p, w) == tup(p, w, grid=512)
+        coarse = tup(p, w)
+        with monkeypatch.context() as m:
+            m.setattr(ix, "_GRID", 512)
+            assert tup(p, w) == coarse
 
 
 def test_nullity_matches_endpoint_kernel():
@@ -269,8 +272,8 @@ def _ref_count_once(samples, omega, sign, eps, opts, N):
     if dist[-1] < 3.0 * opts.accept_tol:
         raise ix._RetryEps(f"twisted endpoint still degenerate (eps={eps:.1e})")
 
-    width = 64.0 * opts.refine_rtol * tau
-    live = np.reshape(_ref_brackets(ts, Draw.real, dist, opts.trigger, True),
+    width = 64.0 * ix._REFINE_RTOL * tau
+    live = np.reshape(_ref_brackets(ts, Draw.real, dist, ix._TRIGGER, True),
                       (-1, 2))
     found = []
     level = 0
@@ -286,12 +289,12 @@ def _ref_count_once(samples, omega, sign, eps, opts, N):
         live = np.reshape(
             [br for x, D, d in zip(xs, Dv.real.reshape(xs.shape),
                                    dv.reshape(xs.shape))
-             for br in _ref_brackets(x, D, d, opts.trigger,
+             for br in _ref_brackets(x, D, d, ix._TRIGGER,
                                      level <= ix._ALL_MINIMA)],
             (-1, 2))
     samples.levels.append((sign, eps, N, level))
 
-    radius = max(200.0 * opts.refine_rtol * tau, 1e-6 * tau)
+    radius = max(200.0 * ix._REFINE_RTOL * tau, 1e-6 * tau)
     crossings = []
     for t in sorted(found):
         if 1e-9 * tau <= t <= tau * (1.0 - 1e-13) and not (
@@ -303,25 +306,24 @@ def _ref_count_once(samples, omega, sign, eps, opts, N):
     seam_atol = 1e-9 * tau
     mats = tw.values(np.array(crossings)) if crossings else ()
     for t, M in zip(crossings, mats):
-        k, B = ix._kernel_basis(M, omega, opts.rank_tol)
+        k, B = ix._kernel_basis(M, omega)
         if k == 0:
             continue
         near = [s for s in tw.seams if abs(s - t) < seam_atol]
         if near:
             s = near[0]
-            f1 = ix._signature(B.conj().T @ tw.sform(s, -1) @ B, opts.form_tol)
-            f2 = ix._signature(B.conj().T @ tw.sform(s, 1) @ B, opts.form_tol)
+            f1 = ix._signature(B.conj().T @ tw.sform(s, -1) @ B)
+            f2 = ix._signature(B.conj().T @ tw.sform(s, 1) @ B)
             if (f1 + f2) % 2:
                 raise NumericalConsistencyError(
                     f"odd corner signature pair ({f1},{f2}) at t={s:.6g}")
             total += (f1 + f2) // 2
         else:
-            total += ix._signature(B.conj().T @ tw.sform(t, 1) @ B,
-                                   opts.form_tol)
+            total += ix._signature(B.conj().T @ tw.sform(t, 1) @ B)
         counted.append(t)
 
     if abs(omega - 1.0) < ix._AT_ONE:
-        sig0 = ix._signature(tw.sform(0.0, 1), opts.form_tol)
+        sig0 = ix._signature(tw.sform(0.0, 1))
         if sig0 % 2:
             raise NumericalConsistencyError("odd start-form signature")
         total += sig0 // 2
@@ -330,7 +332,7 @@ def _ref_count_once(samples, omega, sign, eps, opts, N):
 
 
 def _ref_count_total(samples, omega, sign, eps, opts, verify_grid):
-    N = max(opts.grid, samples.path.grid_hint)
+    N = max(ix._GRID, samples.path.grid_hint)
     if verify_grid and not isinstance(samples, _FreshSamples):
         samples.grid(sign, eps, 2 * N)
     t1, c1 = _ref_count_once(samples, omega, sign, eps, opts, N)
@@ -353,10 +355,10 @@ def _ref_index_nu(samples, omega, opts):
         raise DimensionError(
             f"omega={w:.6g} lies within {ix._NEAR_ONE:g} of 1 but is not 1; "
             "the crossing count cannot resolve it")
-    nu, _ = ix._kernel_basis(samples.path.endpoint, w, opts.rank_tol)
+    nu, _ = ix._kernel_basis(samples.path.endpoint, w)
     eps = opts.eps
     last = "no attempt"
-    for _ in range(opts.eps_ladder):
+    for _ in range(ix._EPS_LADDER):
         try:
             i_minus, cr = _ref_count_total(samples, w, -1, eps, opts, True)
             i_plus, _ = _ref_count_total(samples, w, 1, eps, opts, False)
@@ -447,14 +449,14 @@ def _ref_splitting(path, omega, opts=IndexOptions()):
     last = len(rule.cuts) - 2
     lo, hi = rule.cuts[j]
     gap = min(a, PI - a)
-    if near and j in (0, last + 1) and lo < hi and gap > opts.rank_tol:
+    if near and j in (0, last + 1) and lo < hi and gap > ix._RANK_TOL:
         raise MergedCutError(
             f"omega at angle {a:.9g} lies {gap:.2e} rad from "
             f"{'+1' if j == 0 else '-1'}, at the merged cut "
             f"[{lo:.9g}, {hi:.9g}]; the splitting numbers there are not "
             "resolved", gap)
     i0, nu0 = rule(w)
-    if not near or (nu0 == 0 and gap <= opts.rank_tol):
+    if not near or (nu0 == 0 and gap <= ix._RANK_TOL):
         return SplittingPair(0, 0)
     above = rule.arc(min(j, last)) - i0
     below = rule.arc(max(j - 1, 0)) - i0
@@ -591,7 +593,7 @@ class _LoopArcRule(ix._ArcRule):
             w = ix._normalize_omega(omega)
             a = _principal_angle(w)
             j, near = self.locate(a)
-            if (j == 0 and a > self.cuts[0][1] + self.opts.rank_tol
+            if (j == 0 and a > self.cuts[0][1] + ix._RANK_TOL
                     and ix._AT_ONE <= abs(w - 1.0) < ix._NEAR_ONE):
                 near = False
             if not near:
@@ -702,7 +704,7 @@ def _counting(path):
 
 
 def _grid_reads(path, calls):
-    N = max(IndexOptions().grid, path.grid_hint)
+    N = max(ix._GRID, path.grid_hint)
     return [sum(np.array_equal(ts, ix._grid(path, k * N)) for ts in calls)
             for k in (1, 2, 4)]
 
@@ -791,7 +793,7 @@ def test_counts_of_a_twisted_path_share_refinement_batches(K):
     # but each refinement level of a sweep is one batch: one sweep per
     # twisted path and ladder step holds the lower counts at N and 2N,
     # one the lower counts at 4N, one the upper counts
-    N = max(IndexOptions().grid, _GEN.grid_hint)
+    N = max(ix._GRID, _GEN.grid_hint)
     depth = collections.defaultdict(int)
     for sign, eps, n_grid, levels in rule.samples.levels:
         stage = (sign, eps, n_grid == 4 * N)
@@ -898,7 +900,7 @@ def test_factor_spectra_give_the_determinant_function_on_orbit_paths():
     for path in paths:
         n = path.n
         assert [f.n for f in path.factors] == [1] * n
-        N = max(opts.grid, path.grid_hint)
+        N = max(ix._GRID, path.grid_hint)
         for sign in (1, -1):
             tw = twisted_path(path, opts.eps, sign)
             assert [f.n for f in tw.factors] == [1] * n
