@@ -158,7 +158,7 @@ def _periodic_G(n, g, seed):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("g", [2, 3, 0])
+@pytest.mark.parametrize("g", [1, 2, 3, 0])
 def test_class_split_equals_dense_form(n, g):
     G = _periodic_G(n, g, seed=10 * n + g)
     for K in (7, 24):
@@ -172,8 +172,8 @@ def test_class_split_equals_dense_form(n, g):
         assert np.allclose(form.eigenvalues(), np.linalg.eigvalsh(split),
                            rtol=0.0, atol=1e-12)
         if g:
-            # harmonics g, 2g, ... are carried: one dense block, nothing
-            # dropped
+            # harmonics g, 2g, ... are carried (g = 1: all of them): one dense
+            # block, nothing dropped
             assert form.blocks.shape == (1, 4 * n * K, 4 * n * K)
             assert form.delta == 0.0
             continue
