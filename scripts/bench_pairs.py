@@ -10,11 +10,22 @@ read.  For each workload,
 first in even pairs, the working tree first in odd ones, so drift of
 the machine's speed falls on both sides alike.  The summary goes to
 BENCH_<label>.json in the repository root: per workload and end-to-end
-metric each side's median and quartiles and the number of pairs the
-change won, and per side the attempted and failed operations.  The
-exit status is 1 when the change's share of failed operations is higher
-than the parent's on any workload, or a run of the change gave a wrong
-output.
+metric each side's median and quartiles, the number of pairs the change
+won and a verdict, and per side the attempted and failed operations.
+The verdict applies the acceptance rule of a claimed gain:
+
+    gain        the change wins at least 9 in 10 pairs, and its median is
+                better than the parent's by more than the parent's
+                quartile distance q3 - q1;
+    regressed   the change's median is worse than the parent's by more
+                than the metric's relative `bound` in BENCHMARK.json;
+    even        the medians differ by no more than that quartile distance;
+    unresolved  anything else: a gap wider than the parent's spread that
+                the pairs do not confirm, or a loss within the bound.
+
+One line per workload and metric prints the verdict.  The exit status is
+1 when the change's share of failed operations is higher than the
+parent's on any workload, or a run of the change gave a wrong output.
 
     python3 scripts/bench_pairs.py --parent HEAD --label mychange \\
         --workloads verify-pinched --pairs 10 --seed 41 --seconds 30
@@ -58,12 +69,27 @@ def _spread(values: list) -> dict:
     return {"median": med, "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list, better: dict) -> dict:
+def verdict(entry: dict, pairs: int, bound: float | None) -> str:
+    """gain, regressed, even or unresolved for one metric's summary entry
+    (see the module docstring); bound None never regresses."""
+    p, c = entry["parent"], entry["change"]
+    sign = 1.0 if entry["better"] == "lower" else -1.0
+    gap = sign * (p["median"] - c["median"])     # > 0: the change is better
+    spread = p["q3"] - p["q1"]
+    if 10 * entry["change_wins"] >= 9 * pairs and gap > spread:
+        return "gain"
+    if bound is not None and -gap > bound * abs(p["median"]):
+        return "regressed"
+    return "even" if abs(gap) <= spread else "unresolved"
+
+
+def summarize(pairs: list, better: dict, bounds: dict | None = None) -> dict:
     """Summary of one workload from its (parent, change) run results.
 
     better maps a metric name to "lower" or "higher"; metrics not in it
-    are taken as lower-is-better.  A metric enters only from pairs where
-    both sides report it.
+    are taken as lower-is-better.  bounds maps a metric name to the
+    relative worsening that makes it `regressed`.  A metric enters only
+    from pairs where both sides report it.
     """
     sides = ("parent", "change")
     out = {"pairs": len(pairs), "metrics": {}}
@@ -81,6 +107,8 @@ def summarize(pairs: list, better: dict) -> dict:
         entry["change_vs_parent"] = (entry["change"]["median"]
                                      / entry["parent"]["median"] - 1.0
                                      if entry["parent"]["median"] else None)
+        entry["verdict"] = verdict(entry, len(both),
+                                   (bounds or {}).get(name))
         out["metrics"][name] = entry
     for key in ("attempted", "failed"):
         out[key] = {side: sum(run[i].get(key, 0) for run in pairs)
@@ -91,6 +119,15 @@ def summarize(pairs: list, better: dict) -> dict:
              for side in sides}
     out["more_failures"] = share["change"] > share["parent"]
     return out
+
+
+def summary_line(workload: str, name: str, entry: dict, pairs: int) -> str:
+    p, c = entry["parent"], entry["change"]
+    rel = entry["change_vs_parent"]
+    return (f"{workload} {name}: {entry['verdict']}, parent {p['median']:.4g} "
+            f"(q1 {p['q1']:.4g}, q3 {p['q3']:.4g}) change {c['median']:.4g}"
+            + (f" ({rel:+.1%})" if rel is not None else "")
+            + f", change won {entry['change_wins']}/{pairs}")
 
 
 def _unpack_parent(rev: str, dest: pathlib.Path) -> None:
@@ -134,6 +171,7 @@ def main(argv=None) -> int:
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     rev = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT,
                          capture_output=True, text=True, check=True
                          ).stdout.strip()
@@ -158,10 +196,13 @@ def main(argv=None) -> int:
                         for s in ("parent", "change"))
                 print(f"{workload} pair {i + 1}: pass_ref_s parent {p} "
                       f"change {c}", flush=True)
-            report["workloads"][workload] = summarize(pairs, better)
+            report["workloads"][workload] = summarize(pairs, better, bounds)
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     print(f"wrote {out.name}")
+    for workload, summary in report["workloads"].items():
+        for name, entry in summary["metrics"].items():
+            print(summary_line(workload, name, entry, summary["pairs"]))
     bad = [w for w, s in report["workloads"].items()
            if s["more_failures"] or not s["correct"]["change"]]
     for w in bad:

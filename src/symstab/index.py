@@ -8,7 +8,11 @@ computed by crossing counting:
       + endpoint resolution by a rotational twist.
 
 The crossing form at time t on ker(P(t) - omega) is the restriction of
-the symmetric coefficient S(t) = J^{-1} P' P^{-1}.  Both one-sided twists
+the symmetric coefficient S(t) = J^{-1} P' P^{-1}.  On a diamond product
+(every orbit path) P and S are block diagonal in the plane-interleaved
+basis, so the kernel is the direct sum of the factor kernels and the
+signature of the form is the sum of the factors' signatures; kernels and
+forms are read per factor (`_form_count`).  Both one-sided twists
 gamma(t) exp(+-eps t J / tau) are counted; the lower one is the index
 (lower semicontinuous convention) and their difference must equal the
 endpoint nullity, which is asserted on every call.  Degenerate crossing
@@ -35,9 +39,11 @@ D_omega = (-1)^(n-1) conj(omega)^n det(P - omega I), or a local minimum
 below _TRIGGER of the eigenvalue distance to omega, is a bracket; all
 brackets are cut into 16 cells per level until they are narrower than
 64 _REFINE_RTOL tau.  Their midpoints, merged within one radius, are the
-candidate crossings.  A candidate counts only if P(t) - omega I has a
-numerical kernel (smallest singular value below _RANK_TOL relative); the
-crossing form is restricted to that kernel.
+candidate crossings.  A candidate counts only if the matrix of some
+factor, F(t) - omega I, has a numerical kernel (singular values below
+_RANK_TOL relative to its largest); each factor's crossing form is
+restricted to its own kernel, and the signatures add.  Every factor is
+evaluated at all candidates of a count in one call, with one batched SVD.
 
 The counts of one twisted path and one step of the eps ladder are swept
 together: all their omega, and the grid sizes N and 2N of the lower
@@ -162,14 +168,16 @@ def _normalize_omega(omega) -> complex:
 
 
 def _kernel_basis(M: np.ndarray, omega: complex):
-    dim = M.shape[0]
-    K = M - omega * np.eye(dim)
-    _, s, Vh = np.linalg.svd(K)
-    thr = _RANK_TOL * max(1.0, float(s[0]))
-    k = int(np.sum(s <= thr))
-    if k == 0:
-        return 0, None
-    return k, Vh.conj().T[:, dim - k:]
+    """Numerical kernel of M - omega I: (k, basis), the basis in columns,
+    or (0, None).  Singular values up to _RANK_TOL * max(1, s_0) of each
+    matrix span its kernel.  A stack (m, d, d) takes one batched SVD and
+    gives the list of the m pairs."""
+    dim = M.shape[-1]
+    _, s, Vh = np.linalg.svd(M - omega * np.eye(dim))
+    ks = np.sum(s <= _RANK_TOL * np.maximum(1.0, s[..., :1]), axis=-1)
+    out = [(k, V.conj().T[:, dim - k:] if k else None)
+           for k, V in zip(ks.reshape(-1).tolist(), Vh.reshape(-1, dim, dim))]
+    return out[0] if M.ndim == 2 else out
 
 
 def _signature(F: np.ndarray) -> int:
@@ -365,7 +373,17 @@ def _sweep(samples: _Samples, sign: int, eps: float, jobs: list,
 def _form_count(tw: SymplecticPath, omega: complex, found: list,
                 ) -> tuple[int, tuple]:
     """Signature sum of the crossing forms at the candidate crossings
-    `found` of omega on the twisted path, and the crossings counted."""
+    `found` of omega on the twisted path, and the crossings counted.
+
+    Both are read factor by factor.  In the plane-interleaved basis P(t)
+    and S(t) of a diamond product are block diagonal, so ker(P - omega) is
+    the direct sum of the factor kernels, the form restricted to it is
+    block diagonal too, and its signature is the sum of the factors'
+    (Long 2002, Ch. 8); the same holds for the start form.  Each factor
+    is evaluated at all candidates in one call and its kernels come from
+    one batched SVD; a candidate counts when some factor has a kernel
+    there.  A path that is no diamond product is its own single factor.
+    """
     tau = tw.tau
     # neighbouring brackets can close in on one crossing from both sides;
     # distinct crossings closer than this radius would be
@@ -383,26 +401,29 @@ def _form_count(tw: SymplecticPath, omega: complex, found: list,
     total = 0
     counted = []
     seam_atol = 1e-9 * tau
-    mats = tw.values(np.array(crossings)) if crossings else ()
-    for t, M in zip(crossings, mats):
-        k, B = _kernel_basis(M, omega)
-        if k == 0:
+    ts = np.array(crossings)
+    kernels = [(f, _kernel_basis(f.values(ts), omega))
+               for f in tw.factors] if crossings else []
+    for c, t in enumerate(crossings):
+        hits = [(f, ker[c][1]) for f, ker in kernels if ker[c][0]]
+        if not hits:
             continue  # a distance minimum that is no crossing
         near = [s for s in tw.seams if abs(s - t) < seam_atol]
-        if near:
-            s = near[0]
-            f1 = _signature(B.conj().T @ tw.sform(s, -1) @ B)
-            f2 = _signature(B.conj().T @ tw.sform(s, 1) @ B)
-            if (f1 + f2) % 2:
-                raise NumericalConsistencyError(
-                    f"odd corner signature pair ({f1},{f2}) at t={s:.6g}")
-            total += (f1 + f2) // 2
-        else:
-            total += _signature(B.conj().T @ tw.sform(t, 1) @ B)
+        for f, B in hits:
+            if near:
+                s = near[0]
+                f1 = _signature(B.conj().T @ f.sform(s, -1) @ B)
+                f2 = _signature(B.conj().T @ f.sform(s, 1) @ B)
+                if (f1 + f2) % 2:
+                    raise NumericalConsistencyError(
+                        f"odd corner signature pair ({f1},{f2}) at t={s:.6g}")
+                total += (f1 + f2) // 2
+            else:
+                total += _signature(B.conj().T @ f.sform(t, 1) @ B)
         counted.append(t)
 
     if abs(omega - 1.0) < _AT_ONE:
-        sig0 = _signature(tw.sform(0.0, 1))
+        sig0 = sum(_signature(f.sform(0.0, 1)) for f in tw.factors)
         if sig0 % 2:
             raise NumericalConsistencyError("odd start-form signature")
         total += sig0 // 2

@@ -293,7 +293,12 @@ def _ref_count_once(samples, omega, sign, eps, opts, N):
                                      level <= ix._ALL_MINIMA)],
             (-1, 2))
     samples.levels.append((sign, eps, N, level))
+    return _ref_form_count(tw, omega, found)
 
+
+def _ref_form_count(tw, omega, found):
+    # the whole 2n x 2n matrix: one SVD and one crossing form per candidate
+    tau = tw.tau
     radius = max(200.0 * ix._REFINE_RTOL * tau, 1e-6 * tau)
     crossings = []
     for t in sorted(found):
@@ -928,3 +933,136 @@ def test_orbit_path_integers_equal_the_lapack_reference():
         assert [r.as_tuple() for r in table] == [
             r.as_tuple() for r in _ref_table(rule, 4)], path.label
         assert mean == _ref_mean(rule, 256), path.label
+
+
+def _form_counts_of(path, omegas):
+    """(tw, omega, found) of every crossing-form count the engine makes
+    for `index_nu(path, w)`, w in omegas."""
+    calls = []
+    form_count = ix._form_count
+
+    def recorded(tw, omega, found):
+        calls.append((tw, omega, list(found)))
+        return form_count(tw, omega, found)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ix, "_form_count", recorded)
+        for w in omegas:
+            _outcome(lambda: index_nu(path, w))
+    return calls
+
+
+def _form_outcome(count, tw, omega, found):
+    try:
+        return count(tw, omega, found)
+    except ix._FAILURES as exc:
+        return type(exc).__name__, str(exc)
+
+
+# iterate roots of m = 1..3 and omega = +-1; the start form is read at 1
+_ROOTS = [1.0, -1.0, np.exp(2j * PI / 3), np.exp(-2j * PI / 3)]
+_SEAMED = diamond_paths([iterate_path(rotation_path(1.5), 2),
+                         rotation_path(2.0, tau=2.0)])
+
+
+@pytest.mark.parametrize("paths, omegas", [
+    pytest.param(_shipped_orbit_paths, _ROOTS, id="orbit paths"),
+    pytest.param(lambda: [diamond_paths([rotation_path(2.5)] * 2)],
+                 _ROOTS + [np.exp(1.3j), np.exp(2.5j)],
+                 id="two factors cross together"),
+    pytest.param(lambda: [diamond_paths([rotation_path(1.0),
+                                         rotation_path(4.0)])],
+                 _ROOTS + [np.exp(2.0j)], id="second factor crosses alone"),
+    pytest.param(lambda: [_SEAMED], _ROOTS + [np.exp(1.5j), np.exp(0.7j)],
+                 id="seam"),
+])
+def test_factor_form_count_equals_the_whole_matrix_reference(paths, omegas):
+    # the engine's candidate lists, counted per factor and on the whole
+    # matrix: the same (total, crossings), or the same error
+    counted = 0
+    for path in paths():
+        calls = _form_counts_of(path, omegas)
+        assert calls, path.label
+        for tw, w, found in calls:
+            got = _form_outcome(ix._form_count, tw, w, found)
+            assert got == _form_outcome(_ref_form_count, tw, w, found), (
+                path.label, w)
+            counted += isinstance(got[0], int) and got[0] != 0
+    assert counted
+
+
+def test_factor_form_count_at_a_seam():
+    # the lower twist of the first factor meets omega exactly at its seam
+    # t = 1, where both one-sided forms are read
+    eps = IndexOptions().eps
+    tw = twisted_path(_SEAMED, eps, -1)
+    w = np.exp(1j * (1.5 - 0.5 * eps))
+    for found in ([1.0], [0.4, 1.0, 1.0 + 1e-12, 1.7]):
+        got = ix._form_count(tw, w, found)
+        assert got == _ref_form_count(tw, w, found)
+        assert 1.0 in got[1] and got[0] == 1
+    # two factors meet omega at once, each with its own kernel
+    tw = twisted_path(diamond_paths([rotation_path(2.5)] * 2), eps, -1)
+    t = 1.3 / (2.5 - eps)
+    assert ix._form_count(tw, np.exp(1.3j), [t]) == (2, (t,))
+    assert _ref_form_count(tw, np.exp(1.3j), [t]) == (2, (t,))
+
+
+def test_kernel_basis_of_a_stack_equals_one_matrix_at_a_time():
+    rng = np.random.default_rng(3)
+    mats = np.stack([R_block(2.0), R_block(1.0), rng.standard_normal((2, 2)),
+                     np.eye(2)])
+    for w in (np.exp(2j), 1.0):
+        stacked = ix._kernel_basis(mats, w)
+        assert len(stacked) == len(mats)
+        for (k, B), M in zip(stacked, mats):
+            k1, B1 = ix._kernel_basis(M, w)
+            assert k == k1 and (B is None) == (B1 is None)
+            if k:
+                assert np.array_equal(B, B1)
+    assert [k for k, _ in ix._kernel_basis(mats, np.exp(2j))] == [1, 0, 0, 0]
+    assert [k for k, _ in ix._kernel_basis(mats, 1.0)] == [0, 0, 0, 2]
+
+
+def test_form_count_reads_only_the_plane_factors(monkeypatch):
+    # on an orbit path the crossing forms come from the 2x2 factors: no
+    # `values` or `sform` read of the whole twisted diamond, and one
+    # `values` call per factor and count
+    reads = None
+    for name in ("values", "sform"):
+        method = getattr(SymplecticPath, name)
+
+        def recorded(self, *args, _method=method, _name=name):
+            if reads is not None:
+                reads.append((_name, self))
+            return _method(self, *args)
+
+        monkeypatch.setattr(SymplecticPath, name, recorded)
+    form_count = ix._form_count
+    counts = []
+
+    def traced(tw, omega, found):
+        nonlocal reads
+        reads = []
+        try:
+            return form_count(tw, omega, found)
+        finally:
+            counts.append((tw, reads))
+            reads = None
+
+    monkeypatch.setattr(ix, "_form_count", traced)
+    spec = SurfaceSpec(**PERTURBED)
+    for orbit in find_orbits(spec, ALPHA):
+        path = monodromy_path(spec, ALPHA, orbit)
+        ix.iterates_and_mean(path, 3, 64)
+    assert counts
+    full = 0
+    for tw, seen in counts:
+        assert tw.n == 2 and len(tw.factors) == 2
+        assert all(p.n == 1 for _, p in seen), tw.label
+        per_factor = [sum(name == "values" and p is f for name, p in seen)
+                      for f in tw.factors]
+        assert per_factor in ([0, 0], [1, 1]), per_factor
+        full += per_factor == [1, 1] and any(name == "sform"
+                                             for name, _ in seen)
+    assert full

@@ -147,3 +147,33 @@ def test_bench_pairs_summary_of_canned_runs():
     # higher-is-better metrics win the other way
     s = bp.summarize(pairs[:1], {"pass_ref_s": "higher"})
     assert s["metrics"]["pass_ref_s"]["change_wins"] == 0
+
+    # verdicts
+    lower = {"pass_ref_s": "lower", "setup_s": "lower"}
+    bounds = {"pass_ref_s": 0.15, "setup_s": 0.25}
+
+    def verdicts(pairs, better=lower, bounds=bounds):
+        s = bp.summarize(pairs, better, bounds)
+        return {k: m["verdict"] for k, m in s["metrics"].items()}
+
+    # 3/4 pairs won: 0.160 -> 0.125 is wider than the parent's quartile
+    # distance 0.005, but short of 9 in 10 pairs; setup_s medians are equal
+    assert verdicts(pairs) == {"pass_ref_s": "unresolved", "setup_s": "even"}
+    # every pair won, and 0.16 -> 0.12 is wider than the spread 0.005
+    won = [pairs[k] for k in (0, 1, 3)]
+    assert verdicts(won)["pass_ref_s"] == "gain"
+    # the same runs with the sides swapped: 0.125 -> 0.160 is 28% worse
+    swapped = [(c, p) for p, c in pairs]
+    assert verdicts(swapped)["pass_ref_s"] == "regressed"
+    assert verdicts(swapped, bounds={"pass_ref_s": 0.5})["pass_ref_s"] == (
+        "unresolved")
+    # a metric without a bound never regresses; higher is better flips it
+    assert verdicts([(c, p) for p, c in won], bounds={})["pass_ref_s"] == (
+        "unresolved")
+    assert verdicts(won, {"pass_ref_s": "higher"})["pass_ref_s"] == (
+        "regressed")
+    s = bp.summarize(won, lower, bounds)
+    line = bp.summary_line("verify-pinched", "pass_ref_s",
+                           s["metrics"]["pass_ref_s"], s["pairs"])
+    assert line == ("verify-pinched pass_ref_s: gain, parent 0.16 (q1 0.155, "
+                    "q3 0.16) change 0.12 (-25.0%), change won 3/3")
