@@ -23,9 +23,13 @@ The verdict applies the acceptance rule of a claimed gain:
     unresolved  anything else: a gap wider than the parent's spread that
                 the pairs do not confirm, or a loss within the bound.
 
-One line per workload and metric prints the verdict.  The exit status is
-1 when the change's share of failed operations is higher than the
-parent's on any workload, or a run of the change gave a wrong output.
+One line per workload and metric prints the verdict.  Each run's exit
+code and the last lines of its stderr go into the file too.  A run that
+exits non-zero without printing a result line gets the verdict
+`run_failed`, apart from a run with a wrong output; it counts no
+operations.  The exit status is 1 when the change's share of failed
+operations is higher than the parent's on any workload, or a run of the
+change gave a wrong output or failed.
 
     python3 scripts/bench_pairs.py --parent HEAD --label mychange \\
         --workloads verify-pinched --pairs 10 --seed 41 --seconds 30
@@ -46,19 +50,31 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 WORKLOADS = ("verify-pinched", "index-degenerate", "dual-form-integrated")
 
 
-def parse_run(stdout: str) -> dict:
+STDERR_LINES = 20
+
+
+def parse_run(stdout: str, exit_code: int = 0, stderr: str = "") -> dict:
     """The result object of one run of perfbench/run.py: the JSON of its
-    last line, and the machine line.  A run that printed no result
-    counts as one failed operation with a wrong output."""
+    last line, the machine line, the exit code and the last STDERR_LINES
+    lines of stderr.  `verdict` is "ok", "wrong_output" (the result says
+    so, or a run that exited 0 printed none; one failed operation) or
+    "run_failed" (a non-zero exit and no result; no operations)."""
     lines = stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
+        verdict = "ok" if result.get("correct") else "wrong_output"
     except (IndexError, json.JSONDecodeError):
-        result = {"correct": False, "attempted": 1, "failed": 1,
-                  "metrics": {}}
+        if exit_code:
+            result, verdict = {"attempted": 0, "failed": 0}, "run_failed"
+        else:
+            result = {"correct": False, "attempted": 1, "failed": 1}
+            verdict = "wrong_output"
+        result["metrics"] = {}
     for line in lines:
         if line.startswith("machine "):
             result["machine"] = json.loads(line[len("machine "):])
+    result.update(exit_code=exit_code, verdict=verdict,
+                  stderr_tail=stderr.splitlines()[-STDERR_LINES:])
     return result
 
 
@@ -113,11 +129,32 @@ def summarize(pairs: list, better: dict, bounds: dict | None = None) -> dict:
     for key in ("attempted", "failed"):
         out[key] = {side: sum(run[i].get(key, 0) for run in pairs)
                     for i, side in enumerate(sides)}
-    out["correct"] = {side: all(run[i].get("correct", False) for run in pairs)
+    out["correct"] = {side: all(run[i]["verdict"] != "wrong_output"
+                                for run in pairs)
                       for i, side in enumerate(sides)}
+    out["run_failed"] = {side: sum(run[i]["verdict"] == "run_failed"
+                                   for run in pairs)
+                         for i, side in enumerate(sides)}
+    out["runs"] = [{side: {k: run[i][k] for k in ("exit_code", "stderr_tail",
+                                                   "verdict")}
+                    for i, side in enumerate(sides)} for run in pairs]
     share = {side: out["failed"][side] / max(out["attempted"][side], 1)
              for side in sides}
     out["more_failures"] = share["change"] > share["parent"]
+    return out
+
+
+def problems(workloads: dict) -> list:
+    """One line per way a workload's summary fails the change: runs that
+    failed, more failed operations than the parent, or a wrong output."""
+    out = []
+    for w, s in workloads.items():
+        if s["run_failed"]["change"]:
+            out.append(f"{w}: run_failed: {s['run_failed']['change']} run(s) "
+                       "of the change exited non-zero without a result")
+        if s["more_failures"] or not s["correct"]["change"]:
+            out.append(f"{w}: the change fails more operations or gives a "
+                       "wrong output")
     return out
 
 
@@ -153,7 +190,7 @@ def _run(tree: pathlib.Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
-    return parse_run(proc.stdout)
+    return parse_run(proc.stdout, proc.returncode, proc.stderr)
 
 
 def main(argv=None) -> int:
@@ -195,7 +232,14 @@ def main(argv=None) -> int:
                 p, c = (runs[s]["metrics"].get("pass_ref_s", {}).get("value")
                         for s in ("parent", "change"))
                 print(f"{workload} pair {i + 1}: pass_ref_s parent {p} "
-                      f"change {c}", flush=True)
+                      f"change {c}, exit parent "
+                      f"{runs['parent']['exit_code']} change "
+                      f"{runs['change']['exit_code']}", flush=True)
+                for side, run in runs.items():
+                    if run["exit_code"]:
+                        print(f"  {side} {run['verdict']}, stderr:")
+                        for line in run["stderr_tail"]:
+                            print("    " + line)
             report["workloads"][workload] = summarize(pairs, better, bounds)
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
@@ -203,10 +247,9 @@ def main(argv=None) -> int:
     for workload, summary in report["workloads"].items():
         for name, entry in summary["metrics"].items():
             print(summary_line(workload, name, entry, summary["pairs"]))
-    bad = [w for w, s in report["workloads"].items()
-           if s["more_failures"] or not s["correct"]["change"]]
-    for w in bad:
-        print(f"{w}: the change fails more operations or gives a wrong output")
+    bad = problems(report["workloads"])
+    for line in bad:
+        print(line)
     return 1 if bad else 0
 
 

@@ -19,16 +19,26 @@ z = x / j, the plane coefficients and grad j, with Hess j built on top
 only when a caller needs it.  Each SurfaceSpec builds the arrays that pass
 reads (weights, quartic coefficients, the Hessian mask, the identity) once.
 The plain flow makes a gradient-only pass per right-hand side call, the
-variational flow a full one; `enclosing_radii` evaluates the closed form
-on all its directions as one array expression.  Plane circles are
-confirmed as closed orbits by the algebraic orbit condition at one point
-(`find_orbits`), and the linearized flow along them comes in closed form
-from one Hessian (`monodromy_path`); neither integrates.  The flows are
-the independent route the tests and the benchmark check both against.
+variational flow a full one.  Plane circles are confirmed as closed orbits
+by the algebraic orbit condition at one point (`find_orbits`), and the
+linearized flow along them comes in closed form from one Hessian
+(`monodromy_path`); neither integrates.  The flows are the independent
+route the tests and the benchmark check both against.
+
+F and |x|^2 = sum_l a_l depend on x only through the plane radii
+a_l = rho_l^2, so the shape of the surface lives on the simplex of
+directions of a.  The ray through a meets the surface iff
+Q^2 + 4 delta P4 = a^T (w w^T + 4 delta diag q) a > 0.  That matrix is
+positive off its diagonal, so the form is positive on the whole simplex
+iff every diagonal entry w_l^2 + 4 delta q_l is, that is, iff every plane
+carries a circle; `SurfaceSpec` checks that once.  `enclosing_radii`
+takes the extremes of |x| exactly, from the stationary points of sum a on
+the faces of the simplex.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -46,8 +56,6 @@ TWO_PI = 2.0 * math.pi
 _CLOSED_FORM_TOL = 1e-9
 # DOP853 tolerances of every flow
 _RTOL, _ATOL = 1e-11, 1e-12
-# random directions (and their seed) that `enclosing_radii` samples
-_RADII_SAMPLES, _RADII_SEED = 4096, 0
 
 
 @dataclass(frozen=True)
@@ -68,11 +76,16 @@ class SurfaceSpec:
         quartic = quartic or (0.0,) * len(radii)
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "quartic", quartic)
+        w, q = 1.0 / np.asarray(radii) ** 2, np.asarray(quartic)
+        # star-shaped iff every plane carries a circle (module docstring)
+        bare = np.flatnonzero(~(w * w + 4.0 * (self.delta * q) > 0))
+        if bare.size:
+            raise GaugeError(f"plane {bare[0]} carries no circle: the "
+                             "surface is not star-shaped")
         # read-only constants of every gauge evaluation, built once; the
         # mask holds 8 delta q_l on the entries (l, n+l) x (l, n+l)
-        q = np.asarray(quartic)
         consts = dict(
-            _w=1.0 / np.asarray(radii) ** 2, _q=q,
+            _w=w, _q=q,
             _dq2=2.0 * self.delta * q,
             _mask=np.kron(np.ones((2, 2)), np.diag(8.0 * self.delta * q)),
             _eye=np.eye(2 * len(radii)))
@@ -105,10 +118,10 @@ def gauge(spec: SurfaceSpec, x: np.ndarray) -> float:
     if Q == 0.0:
         return 0.0
     P4 = float(np.dot(spec._q, r2 * r2))
-    j2 = 0.5 * (Q + math.sqrt(Q * Q + 4.0 * spec.delta * P4))
-    if j2 <= 0:
+    disc = Q * Q + 4.0 * spec.delta * P4
+    if disc < 0:
         raise GaugeError("surface is not star-shaped at this point")
-    return math.sqrt(j2)
+    return math.sqrt(0.5 * (Q + math.sqrt(disc)))
 
 
 def _gauge_derivs(spec: SurfaceSpec, x: np.ndarray, hess: bool):
@@ -139,23 +152,6 @@ def _gauge_derivs(spec: SurfaceSpec, x: np.ndarray, hess: bool):
     Z = (spec._eye - z[:, None] * grad) / j
     H = (Fzz @ Z) / s - g[:, None] * (Z.T @ (Fzz @ z + g)) / (s * s)
     return j, grad, 0.5 * (H + H.T)
-
-
-def _gauge_rows(spec: SurfaceSpec, u: np.ndarray) -> np.ndarray:
-    """`gauge` of each nonzero row of u, as one array expression.
-
-    np.vecdot takes the same dot product per row as np.dot does, so every
-    value equals the scalar `gauge` bit for bit.
-    """
-    n = spec.n
-    r2 = u[:, :n] ** 2 + u[:, n:] ** 2
-    Q = np.vecdot(r2, spec._w)
-    P4 = np.vecdot(r2 * r2, spec._q)
-    with np.errstate(invalid="ignore"):
-        j2 = 0.5 * (Q + np.sqrt(Q * Q + 4.0 * spec.delta * P4))
-    if not np.all(j2 > 0):
-        raise GaugeError("surface is not star-shaped in a sampled direction")
-    return np.sqrt(j2)
 
 
 def gauge_grad_hess(spec: SurfaceSpec, x: np.ndarray):
@@ -261,10 +257,7 @@ def plane_circle_radius(spec: SurfaceSpec, l: int) -> float:
     dq = spec.delta * spec.quartic[l]
     if dq == 0.0:
         return float(spec.radii[l])
-    disc = w * w + 4.0 * dq
-    if disc <= 0:
-        raise GaugeError(f"plane {l} carries no circle (not star-shaped)")
-    r2 = (-w + math.sqrt(disc)) / (2.0 * dq)
+    r2 = (-w + math.sqrt(w * w + 4.0 * dq)) / (2.0 * dq)
     if r2 <= 0:
         raise GaugeError(f"plane {l} circle radius is not positive")
     return math.sqrt(r2)
@@ -344,19 +337,45 @@ def monodromy_path(spec: SurfaceSpec, alpha: float,
 
 
 def enclosing_radii(spec: SurfaceSpec) -> tuple[float, float]:
-    """Min and max distance from the origin to the surface.
+    """Min and max distance from the origin to the surface, exact.
 
-    Dense direction sampling plus the exact plane-circle radii; for delta=0
-    these are the smallest and largest semiaxes.
+    With a_l = rho_l^2 the surface is F(a) = sum w_l a_l + delta sum q_l
+    a_l^2 = 1 on the simplex of directions a >= 0, and |x|^2 = sum a_l.
+    An extreme of sum a lies inside some face S (a_l > 0 exactly on S)
+    and is stationary there: w_l + 2 delta q_l a_l = mu on S.  A face of
+    one plane is its circle (`plane_circle_radius`).  On a larger face,
+    F = 1 gives mu^2 sum_S 1/(4 delta q_l) = 1 + sum_S w_l^2/(4 delta q_l),
+    and a plane with q_l = 0 fixes mu = w_l instead.  Only mu > 0 counts,
+    since mu sum a = Q + 2 delta P4 > 0 on the star-shaped sheet.  A face
+    with two planes of q_l = 0 has no isolated stationary point; where it
+    has any, their sum a is that of a smaller face.  For delta = 0 the
+    radii are the smallest and largest semiaxes.
     """
-    rng = np.random.default_rng(_RADII_SEED)
-    u = rng.standard_normal((_RADII_SAMPLES, 2 * spec.n))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    radii = 1.0 / _gauge_rows(spec, u)
-    exact = [plane_circle_radius(spec, l) for l in range(spec.n)]
-    lo = min(radii.min(), min(exact))
-    hi = max(radii.max(), max(exact))
-    return float(lo), float(hi)
+    radii = [plane_circle_radius(spec, l) for l in range(spec.n)]
+    w = spec.weights.tolist()
+    dq = [spec.delta * q for q in spec.quartic]
+    for size in range(2, spec.n + 1):
+        for S in itertools.combinations(range(spec.n), size):
+            flat = [l for l in S if dq[l] == 0.0]
+            curved = [l for l in S if dq[l] != 0.0]
+            if len(flat) > 1:
+                continue
+            if flat:
+                mu = w[flat[0]]
+            else:
+                A = sum(1.0 / (4.0 * dq[l]) for l in S)
+                B = 1.0 + sum(w[l] ** 2 / (4.0 * dq[l]) for l in S)
+                if A == 0.0 or B / A <= 0.0:
+                    continue
+                mu = math.sqrt(B / A)
+            a = [(mu - w[l]) / (2.0 * dq[l]) for l in curved]
+            if flat:   # F = 1 fixes the radius of the flat plane
+                a.append((1.0 - sum(ak * (w[l] + dq[l] * ak)
+                                    for l, ak in zip(curved, a)))
+                         / w[flat[0]])
+            if min(a) > 0.0:
+                radii.append(math.sqrt(sum(a)))
+    return min(radii), max(radii)
 
 
 def convexity_margin(spec: SurfaceSpec, samples: int = 256, seed: int = 0,

@@ -15,7 +15,9 @@ signature of the form is the sum of the factors' signatures; kernels and
 forms are read per factor (`_form_count`).  Both one-sided twists
 gamma(t) exp(+-eps t J / tau) are counted; the lower one is the index
 (lower semicontinuous convention) and their difference must equal the
-endpoint nullity, which is asserted on every call.  Degenerate crossing
+endpoint nullity, which is asserted on every call; where it does not,
+the upper twist is counted again on the finer grid where the lower
+count settled before the twist is halved.  Degenerate crossing
 forms trigger an eps ladder; persistent degeneracy raises TangencyError.
 Points within 1e-4 of omega = 1, other than 1 itself up to 1e-12
 rounding, are refused: their crossings sit at the very start of the
@@ -431,39 +433,49 @@ def _form_count(tw: SymplecticPath, omega: complex, found: list,
     return total, tuple(counted)
 
 
-def _ladder_step(samples: _Samples, ws: list, eps: float,
+def _ladder_step(samples: _Samples, ws: list, nus: list, eps: float,
                  opts: IndexOptions) -> list:
     """One-sided counts of every omega in ws at one eps of the ladder.
 
     Per omega the outcome is (i_minus, crossings, i_plus) or an exception,
     taken in the order of one count at a time: the lower twist at N, then
     at 2N, at 4N only where those totals differ, and the upper twist at N
-    only where the lower count succeeded.
+    only where the lower count succeeded.  Where the upper minus the lower
+    count is not the nullity nus[k], the upper twist is counted again on
+    the grid where the lower count settled: two crossings of different
+    factors can share a cell of the N grid.
     """
     N = max(_GRID, samples.path.grid_hint)
     lower = _sweep(samples, -1, eps, [(w, N) for w in ws]
                    + [(w, 2 * N) for w in ws], opts)
     coarse, fine = lower[:len(ws)], lower[len(ws):]
     out: list = [None] * len(ws)
+    settled = {}
     finest = []
     for k, (c1, c2) in enumerate(zip(coarse, fine)):
         if isinstance(c1, Exception):
             out[k] = c1
         elif isinstance(c2, Exception) or c2[0] == c1[0]:
-            out[k] = c2
+            out[k], settled[k] = c2, 2 * N
         else:
             finest.append(k)
     for k, c4 in zip(finest, _sweep(samples, -1, eps,
                                     [(ws[k], 4 * N) for k in finest], opts)):
         if isinstance(c4, Exception) or c4[0] == fine[k][0]:
-            out[k] = c4
+            out[k], settled[k] = c4, 4 * N
         else:
             out[k] = IndexUnstableError(
                 "crossing count kept changing under grid refinement at "
                 f"omega={ws[k]:.6g} ({coarse[k][0]}, {fine[k][0]}, {c4[0]})")
     done = [k for k in range(len(ws)) if not isinstance(out[k], Exception)]
-    for k, up in zip(done, _sweep(samples, 1, eps,
-                                  [(ws[k], N) for k in done], opts)):
+    upper = dict(zip(done, _sweep(samples, 1, eps,
+                                  [(ws[k], N) for k in done], opts)))
+    again = [k for k, up in upper.items() if not isinstance(up, Exception)
+             and up[0] - out[k][0] != nus[k]]
+    upper.update(zip(again, _sweep(samples, 1, eps,
+                                   [(ws[k], settled[k]) for k in again],
+                                   opts)))
+    for k, up in upper.items():
         out[k] = up if isinstance(up, Exception) else (*out[k], up[0])
     return out
 
@@ -495,7 +507,8 @@ def _index_nus(samples: _Samples, omegas: list,
             break
         retry = []
         for k, res in zip(active, _ladder_step(
-                samples, [ws[k] for k in active], eps, opts)):
+                samples, [ws[k] for k in active], [nus[k] for k in active],
+                eps, opts)):
             if isinstance(res, (_Degenerate, _RetryEps)):
                 last[k] = str(res)
                 retry.append(k)
@@ -517,6 +530,15 @@ def _index_nus(samples: _Samples, omegas: list,
     return out
 
 
+def _check_path(path: SymplecticPath) -> None:
+    """What every public entry checks first: the path starts at the
+    identity, and its endpoint is finite."""
+    path.check_start()
+    if not np.isfinite(path.endpoint).all():
+        raise NumericalConsistencyError(
+            f"endpoint of {path!r} at t={path.tau:.6g} is not finite")
+
+
 def _value(outcome):
     """A replayed outcome: raise it if it is an error."""
     if isinstance(outcome, Exception):
@@ -531,7 +553,7 @@ def index_nu(path: SymplecticPath, omega=1.0, opts: IndexOptions | None = None,
     Raises DimensionError for omega off the unit circle, and for
     1e-12 < |omega - 1| < 1e-4.
     """
-    path.check_start()
+    _check_path(path)
     return _value(_index_nus(_Samples(path), [omega],
                               opts or IndexOptions())[0])
 
@@ -557,7 +579,7 @@ class _ArcRule:
     """
 
     def __init__(self, path: SymplecticPath, opts: IndexOptions):
-        path.check_start()
+        _check_path(path)
         self.path, self.opts = path, opts
         self.samples = _Samples(path)
         ev = np.linalg.eigvals(path.endpoint)

@@ -31,6 +31,10 @@ ALPHA = 1.5
 ELLIPSOID_RADII = ((0.9,), (1.0, 1.1), (1.0, 1.1, 1.25))
 PERTURBED = dict(radii=(1.0, 1.1), quartic=(0.3, -0.2), delta=0.15)
 PERTURBED_N1 = dict(radii=(0.9,), quartic=(0.25,), delta=0.1)
+# just above the pinching bound: R^2/r^2 = 1.500101, with the minimum
+# radius inside the face a_1 = 0 of the simplex of plane radii
+SURFACE_X = dict(radii=(1.0659, 1.229663, 1.0606),
+                 quartic=(-0.0372, -0.2928, -0.0775), delta=0.15)
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +160,12 @@ def orbit_path_pool():
 def bott_path_pool():
     """Deterministic paths for two-iterate identity checks: 194 random
     ones, then `orbit_path_pool()`."""
+    return random_path_pool() + orbit_path_pool()
+
+
+def random_path_pool():
+    """The 194 random paths of `bott_path_pool()`: 140 exponentials of
+    symmetric generators, then 54 normal-form paths."""
     rng = np.random.default_rng(42)
     paths = []
     for n in (1,) * 100 + (2,) * 40:
@@ -165,7 +175,7 @@ def bott_path_pool():
         paths.append(exp_path(S))
     for n in (1,) * 34 + (2,) * 20:
         paths.append(normal_form_path(_random_normal_form(rng, n)))
-    return paths + orbit_path_pool()
+    return paths
 
 
 def splitting_cases():

@@ -50,7 +50,6 @@ from symstab.dynamics import gauge_grad_hess
 from symstab.errors import (
     MergedCutError,
     ResonantFormError,
-    SymstabError,
     TangencyError,
 )
 from symstab.galerkin import constant_form_index
@@ -222,18 +221,19 @@ def test_splitting_next_to_a_close_eigenvalue():
 
 
 def test_double_n1_splitting_at_minus_one():
-    # two shears at -1: the numeric limits may refuse, never disagree
-    must_resolve = {(1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)}
+    # two shears at -1: the crossings of the two factors can share a cell
+    # of the upper twist's first grid, so it is counted again on the grid
+    # of the lower twist; then every pair resolves and agrees
     for b in (1.0, -1.0, 0.0):
         for c in (1.0, -1.0, 0.0):
             M = diamond_all([N1_block(-1.0, b), N1_block(-1.0, c)])
             table = splitting_table(spectral_summary(M), -1.0).as_tuple()
-            try:
-                num = splitting_numbers_numeric(normal_form_path(M), -1.0)
-            except SymstabError:
-                assert (b, c) not in must_resolve, (b, c)
-                continue
+            num = splitting_numbers_numeric(normal_form_path(M), -1.0)
             assert num.as_tuple() == table, (b, c)
+    double = normal_form_path(diamond_all([N1_block(-1.0, 1.0),
+                                           N1_block(-1.0, 1.0)]))
+    assert [r.as_tuple() for r in iterate_indices(double, 2)] == [(2, 0),
+                                                                  (4, 2)]
 
 
 def test_arc_midpoint_with_a_kernel_is_refused():

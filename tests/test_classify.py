@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import SURFACE_X
 from symstab import (
     SurfaceSpec,
     diamond_all,
@@ -102,3 +103,17 @@ def test_pinch_ratio_constant():
 def test_verify_surface_rejects_no_iterates():
     with pytest.raises(DimensionError):
         verify_surface(SurfaceSpec((1.0, 1.1)), m_max=0)
+
+
+def test_surface_just_above_the_pinching_bound_is_not_gated():
+    # R^2/r^2 lies above 1.5, so the checks of the theorems are reported,
+    # not enforced: `index-interlacing` and `second-iterate-window` fail
+    # on this surface, and nothing requires them to hold there
+    rep = verify_surface(SurfaceSpec(**SURFACE_X), m_max=2)
+    assert rep.pinch_ratio >= PINCH_RATIO
+    assert rep.pinch_ratio == pytest.approx(1.500101, abs=1e-6)
+    assert not rep.gate_passed and not rep.theorems_apply
+    assert rep.passed
+    failed = {c.name for c in rep.checks if not c.passed}
+    assert failed == {"pinch-gate", "index-interlacing",
+                      "second-iterate-window"}

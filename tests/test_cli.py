@@ -158,6 +158,10 @@ def test_python_dash_m_runs_the_cli(files, capsys):
     assert json.loads(proc.stdout)["passed"] is True
 
 
+_NOT_STAR_SHAPED = {"radii": [1.0, 1.1], "perturbation": {
+    "delta": 0.35, "quartic_coeffs": [-0.6, -0.6]}}
+
+
 @pytest.mark.parametrize("argv, doc", [
     (["path-index", "shear:abc"], None),
     (["path-index", "rotation:nan"], None),
@@ -167,6 +171,9 @@ def test_python_dash_m_runs_the_cli(files, capsys):
     (["verify", "{f}"], {"radii": [1.0, 1.1], "perturbation": {"delta": "x"}}),
     (["verify", "{f}"], {"radii": [1.0, 1.1],
                          "perturbation": {"quartic_coeffs": 0.3}}),
+    # no circle in either plane: the surface is not star-shaped
+    (["verify", "{f}"], _NOT_STAR_SHAPED),
+    (["orbits-find", "{f}"], _NOT_STAR_SHAPED),
     (["matrix-analyze", "{f}"], "n=1\n1 nan\n0 1\n"),
     (["path-index", "samples:{f}"],
      "n=1\nt=0\n1 0\n0 1\nt=0.5\n1 nan\n0 1\nt=1\n1 0\n0 1\n"),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from conftest import ALPHA, PERTURBED, PERTURBED_N1
+from conftest import ALPHA, PERTURBED, PERTURBED_N1, SURFACE_X
 from symstab import (
     SurfaceSpec,
     enclosing_radii,
@@ -34,6 +34,17 @@ def test_spec_validation():
     s = SurfaceSpec((1.0, 1.1))
     assert s.n == 2 and s.is_ellipsoid()
     assert not SurfaceSpec(**PERTURBED).is_ellipsoid()
+    # w_l^2 + 4 delta q_l < 0: rays near plane l miss the surface, where
+    # `gauge` would take the square root of a negative number
+    with pytest.raises(GaugeError, match="plane 1 carries no circle"):
+        SurfaceSpec((1.0, 1.1), (-0.6, -0.6), 0.35)
+    with pytest.raises(GaugeError, match="plane 0 carries no circle"):
+        SurfaceSpec((1.0, 1.1), (-0.8, 0.0), 0.35)
+    # a circle in every plane makes the surface star-shaped
+    s = SurfaceSpec((1.0, 1.1), (-0.6, -0.45), 0.35)
+    rng = np.random.default_rng(3)
+    assert all(dynamics.gauge(s, u) > 0
+               for u in rng.standard_normal((200, 4)))
 
 
 def test_plane_circle_radius_ellipsoid():
@@ -216,6 +227,47 @@ def test_enclosing_radii():
     lo, hi = enclosing_radii(SurfaceSpec((1.0, 1.1, 1.25)))
     assert lo == pytest.approx(1.0, abs=1e-9)
     assert hi == pytest.approx(1.25, abs=1e-9)
+    # where both extremes are plane circles they are read bit for bit
+    for kw in (PERTURBED, dict(radii=(1.0, 1.08, 1.15),
+                               quartic=(0.2, -0.1, 0.15), delta=0.1)):
+        spec = SurfaceSpec(**kw)
+        circles = [plane_circle_radius(spec, l) for l in range(spec.n)]
+        assert enclosing_radii(spec) == (min(circles), max(circles))
+    # the minimum lies on the face of a plane with q_l = 0
+    lo, _ = enclosing_radii(SurfaceSpec((1.062, 1.03), (0.0, -0.243), 0.15))
+    assert lo == pytest.approx(1.05053792233, abs=1e-11)
+
+
+def _simplex_grid_radii(spec, N):
+    """Min and max of rho = 1/j over the directions whose plane radii
+    a_l / sum a lie on a grid of N steps per edge of the simplex."""
+    axes = np.meshgrid(*[np.arange(N + 1)] * (spec.n - 1), indexing="ij")
+    head = np.stack([ax.ravel() for ax in axes], axis=1)
+    head = head[head.sum(axis=1) <= N]
+    a = np.hstack([head, N - head.sum(axis=1, keepdims=True)]) / N
+    Q, P4 = a @ spec.weights, (a * a) @ np.asarray(spec.quartic)
+    rho = np.sqrt(2.0 / (Q + np.sqrt(Q * Q + 4.0 * spec.delta * P4)))
+    return rho.min(), rho.max()
+
+
+@pytest.mark.parametrize("spec, N", [
+    # minima inside the faces a_1 = 0 and a_2 = 0
+    (SurfaceSpec((1.0659, 1.1577, 1.0606), (-0.0372, -0.2928, -0.0775),
+                 0.15), 600),
+    (SurfaceSpec((1.0407, 1.0525, 1.1501), (-0.1757, -0.0118, 0.3846),
+                 0.15), 600),
+    (SurfaceSpec(**SURFACE_X), 600),
+    # the minimum r = 1.05053792233 lies on a face with a q_l = 0 plane
+    (SurfaceSpec((1.062, 1.03), (0.0, -0.243), 0.15), 20000),
+], ids=["face-0-2", "face-0-1", "X", "flat-plane"])
+def test_enclosing_radii_match_a_dense_simplex_grid(spec, N):
+    # the exact extremes bound every grid point, and the grid closes in on
+    # them quadratically in its step: within 7e-9 here, far inside the
+    # 8e-5 to 1.3e-4 by which 4096 random directions miss the first three
+    lo, hi = enclosing_radii(spec)
+    grid_lo, grid_hi = _simplex_grid_radii(spec, N)
+    assert grid_lo - 1e-7 <= lo <= grid_lo + 1e-13
+    assert grid_hi - 1e-13 <= hi <= grid_hi + 1e-7
 
 
 def test_perturbed_surface_orbits_and_convexity():
@@ -319,33 +371,6 @@ def test_gauge_derivatives_bit_identical_to_reference(spec):
         assert np.array_equal(grad, rgrad) and np.array_equal(hess, rhess)
     with pytest.raises(GaugeError):
         gauge_grad_hess(spec, np.zeros(2 * spec.n))
-
-
-def _scalar_enclosing_radii(spec, samples, seed):
-    rng = np.random.default_rng(seed)
-    u = rng.standard_normal((samples, 2 * spec.n))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    radii = np.array([1.0 / _ref_gauge(spec, ui) for ui in u])
-    exact = [plane_circle_radius(spec, l) for l in range(spec.n)]
-    return min(radii.min(), min(exact)), max(radii.max(), max(exact))
-
-
-@pytest.mark.parametrize("spec", _GAUGE_SPECS, ids=repr)
-def test_enclosing_radii_bit_identical_to_scalar_gauge_loop(spec, monkeypatch):
-    assert enclosing_radii(spec) == _scalar_enclosing_radii(spec, 4096, 0)
-    # another sample count and seed through the module constants
-    monkeypatch.setattr(dynamics, "_RADII_SAMPLES", 257)
-    monkeypatch.setattr(dynamics, "_RADII_SEED", 3)
-    assert enclosing_radii(spec) == _scalar_enclosing_radii(spec, 257, 3)
-
-
-def test_gauge_rows_bit_identical_to_scalar_gauge():
-    rng = np.random.default_rng(11)
-    for spec in _GAUGE_SPECS:
-        u = rng.standard_normal((1000, 2 * spec.n))
-        u *= rng.uniform(0.05, 4.0, (1000, 1))
-        want = [_ref_gauge(spec, ui) for ui in u]
-        assert np.array_equal(dynamics._gauge_rows(spec, u), want)
 
 
 def test_flows_bit_identical_to_reference_right_hand_sides():

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from conftest import ALPHA, PERTURBED, _random_normal_form, bott_path_pool
+from conftest import (ALPHA, PERTURBED, _random_normal_form, bott_path_pool,
+                      random_path_pool)
 
 from symstab import (
     IndexOptions,
@@ -337,18 +338,19 @@ def _ref_form_count(tw, omega, found):
 
 
 def _ref_count_total(samples, omega, sign, eps, opts, verify_grid):
+    # (total, crossings, the grid size where the total settled)
     N = max(ix._GRID, samples.path.grid_hint)
     if verify_grid and not isinstance(samples, _FreshSamples):
         samples.grid(sign, eps, 2 * N)
     t1, c1 = _ref_count_once(samples, omega, sign, eps, opts, N)
     if not verify_grid:
-        return t1, c1
+        return t1, c1, N
     t2, c2 = _ref_count_once(samples, omega, sign, eps, opts, 2 * N)
     if t2 == t1:
-        return t2, c2
+        return t2, c2, 2 * N
     t4, c4 = _ref_count_once(samples, omega, sign, eps, opts, 4 * N)
     if t4 == t2:
-        return t4, c4
+        return t4, c4, 4 * N
     raise IndexUnstableError(
         f"crossing count kept changing under grid refinement at omega={omega:.6g} "
         f"({t1}, {t2}, {t4})")
@@ -365,8 +367,11 @@ def _ref_index_nu(samples, omega, opts):
     last = "no attempt"
     for _ in range(ix._EPS_LADDER):
         try:
-            i_minus, cr = _ref_count_total(samples, w, -1, eps, opts, True)
-            i_plus, _ = _ref_count_total(samples, w, 1, eps, opts, False)
+            i_minus, cr, N = _ref_count_total(samples, w, -1, eps, opts, True)
+            i_plus, _, _ = _ref_count_total(samples, w, 1, eps, opts, False)
+            if i_plus - i_minus != nu:
+                # the upper twist again on the grid where the lower settled
+                i_plus, _ = _ref_count_once(samples, w, 1, eps, opts, N)
         except (ix._Degenerate, ix._RetryEps) as e:
             last = str(e)
             eps *= 0.5
@@ -498,9 +503,8 @@ _GEN = exp_path(np.array([[0.9, 0.2, 0.1, 0.0], [0.2, 1.3, 0.0, 0.3],
                  id="seams"),
     pytest.param(iterate_path(rotation_path(2 * PI), 2), [1.0, -1.0, 1j],
                  False, id="crossings at the seams"),
-    pytest.param(iterate_path(normal_form_path(diamond_all(
-        [N2_block(2.0, trivial=True), R_block(2.0)])), 2), [np.exp(2j)],
-        True, id="eps ladder"),
+    pytest.param(random_path_pool()[179], [np.exp(0.777j)], True,
+                 id="eps ladder"),
 ])
 def test_shared_sampling_leaves_results_unchanged(path, omegas, ladder):
     # the engine, which samples each twisted grid once and sweeps all
@@ -569,14 +573,27 @@ def _arc_midpoint_case():
     return normal_form_path(M), -1.0
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp")
+def test_non_finite_endpoint_is_a_typed_error():
+    # exp(800 t) overflows: the endpoint is nan, which LAPACK would meet
+    # as a raw LinAlgError
+    path = exp_path(np.diag([800.0, 1.0, -800.0, 1.0]))
+    calls = (lambda: index_nu(path, 1.0), lambda: index_nu(path, -1.0),
+             lambda: mean_index(path, 32))
+    for call in calls:
+        with pytest.raises(NumericalConsistencyError,
+                           match="endpoint of .* is not finite"):
+            call()
+
+
 def test_errors_keep_type_and_message():
-    double = normal_form_path(diamond_all([N1_block(-1.0, 1.0),
-                                           N1_block(-1.0, 1.0)]))
-    new, ref = _both(lambda: iterate_indices(double, 2),
-                     lambda: _ref_table(_RefArcRule(double), 2))
+    # next to a Jordan block at 1 the counts stay inconsistent
+    shear, w = normal_form_path(N1_block(1.0, 1.0)), np.exp(1.1e-3j)
+    new, ref = _both(lambda: index_nu(shear, w),
+                     lambda: _ref_index(shear, w))
     assert new == ref == ("TangencyError", (
-        "tangency unresolved at omega=-1+1.22465e-16j after twist ladder: "
-        "one-sided counts 2/2 inconsistent with nullity 2 at eps=1.6e-06"))
+        "tangency unresolved at omega=0.999999+0.0011j after twist ladder: "
+        "one-sided counts -1/0 inconsistent with nullity 0 at eps=1.6e-06"))
     for case, kind in ((_merged_cut_case, "MergedCutError"),
                        (_arc_midpoint_case, "TangencyError")):
         path, w = case()

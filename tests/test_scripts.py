@@ -139,11 +139,40 @@ def test_bench_pairs_summary_of_canned_runs():
     assert s["failed"] == {"parent": 0, "change": 1}
     assert s["more_failures"] and s["correct"] == {"parent": True,
                                                    "change": True}
-    # a run that printed no result is a failed operation with a wrong output
-    broken = bp.parse_run("Traceback (most recent call last):\n")
+    # a run that exited 0 but printed no result is a failed operation with
+    # a wrong output
+    broken = bp.parse_run("pass 1: wall 0.1 s\n")
+    assert broken["verdict"] == "wrong_output"
     s = bp.summarize([(pairs[0][0], broken)], {})
     assert s["more_failures"] and not s["correct"]["change"]
-    assert s["metrics"] == {}
+    assert s["metrics"] == {} and s["run_failed"] == {"parent": 0,
+                                                      "change": 0}
+    # a run that crashed: its own verdict, its exit code and the last
+    # lines of its stderr, and no operations
+    trace = "\n".join(["Traceback (most recent call last):"]
+                      + [f'  File "x.py", line {k}' for k in range(30)]
+                      + ["ValueError: math domain error"])
+    crashed = bp.parse_run('machine {"cores": 2}\n', 1, trace)
+    assert crashed["verdict"] == "run_failed" and crashed["exit_code"] == 1
+    assert len(crashed["stderr_tail"]) == bp.STDERR_LINES
+    assert crashed["stderr_tail"][-1] == "ValueError: math domain error"
+    assert crashed["machine"] == {"cores": 2}
+    s = bp.summarize([pairs[0], (pairs[1][0], crashed)], {})
+    assert s["run_failed"] == {"parent": 0, "change": 1}
+    assert s["correct"] == {"parent": True, "change": True}
+    assert s["attempted"] == {"parent": 120, "change": 60}
+    assert s["failed"] == {"parent": 0, "change": 0}
+    assert s["runs"][1]["change"] == {"exit_code": 1, "verdict": "run_failed",
+                                      "stderr_tail": crashed["stderr_tail"]}
+    assert s["runs"][0]["parent"] == {"exit_code": 0, "verdict": "ok",
+                                      "stderr_tail": []}
+    assert bp.problems({"w": s}) == [
+        "w: run_failed: 1 run(s) of the change exited non-zero without a "
+        "result"]
+    assert bp.problems({"w": bp.summarize(pairs[:2], {})}) == []
+    # a wrong output that exits 1 prints its result line: not a crash
+    wrong = bp.parse_run(_canned(0.1, 0.5, correct=False), 1, "")
+    assert wrong["verdict"] == "wrong_output" and wrong["metrics"]
     # higher-is-better metrics win the other way
     s = bp.summarize(pairs[:1], {"pass_ref_s": "higher"})
     assert s["metrics"]["pass_ref_s"]["change_wins"] == 0
