@@ -8,9 +8,11 @@ along the orbit, the mode-k block in suitably rescaled coordinates is
     [[ G, J/w_k ], [ -J/w_k, G ]],      w_k = 2 pi k / s,
 
 plus Fourier coupling between modes when G depends on t.  The Morse index
-of this form equals the path index minus n, and its nullity equals the
-path nullity plus one.  Conjugating G by a constant rotation relabels the
-mode basis and leaves index and nullity unchanged.
+of this form equals the path index minus n.  Its nullity equals the path
+nullity nu for a general path; along an autonomous orbit (the linearized
+flow of a closed characteristic) it is nu + 1, the + 1 being the flow
+direction.  Conjugating G by a constant rotation relabels the mode basis
+and leaves index and nullity unchanged.
 
 A callable G is sampled only as finely as its spectrum needs.  The
 transform starts from 32 points per period and doubles until every

@@ -12,7 +12,7 @@ the symmetric coefficient S(t) = J^{-1} P' P^{-1}.  On a diamond product
 (every orbit path) P and S are block diagonal in the plane-interleaved
 basis, so the kernel is the direct sum of the factor kernels and the
 signature of the form is the sum of the factors' signatures; kernels and
-forms are read per factor (`_form_count`).  Both one-sided twists
+forms are read per factor (`_form_counts`).  Both one-sided twists
 gamma(t) exp(+-eps t J / tau) are counted; the lower one is the index
 (lower semicontinuous convention) and their difference must equal the
 endpoint nullity, which is asserted on every call; where it does not,
@@ -44,15 +44,19 @@ brackets are cut into 16 cells per level until they are narrower than
 candidate crossings.  A candidate counts only if the matrix of some
 factor, F(t) - omega I, has a numerical kernel (singular values below
 _RANK_TOL relative to its largest); each factor's crossing form is
-restricted to its own kernel, and the signatures add.  Every factor is
-evaluated at all candidates of a count in one call, with one batched SVD.
+restricted to its own kernel, and the signatures add.
 
 The counts of one twisted path and one step of the eps ladder are swept
 together: all their omega, and the grid sizes N and 2N of the lower
 twist, share one batched evaluation and one bracket detection per
-level.  Each count keeps its own brackets, and the outcomes, errors
-included, are read in the order of one count at a time, so a sweep
-returns what separate counts would.
+level, and then one read of the crossing forms (`_form_counts`).  That
+read is per factor and exact: the kernel and the form of a factor at a
+candidate depend only on the factor, the time and omega, so each factor
+is evaluated once at the candidates of all counts, with one batched SVD
+whose rows carry their own omega, and its coefficient is read once per
+side.  Each count keeps its own brackets and candidates, and the
+outcomes, errors included, are read in the order of one count at a
+time, so a sweep returns what separate counts would.
 
 Mean indices, iterate tables and splitting numbers need i_omega at many
 points of the circle U.  By the Bott-type formula i_omega is constant on
@@ -161,34 +165,34 @@ class _RetryEps(Exception):
 _FAILURES = (SymstabError, _Degenerate, np.linalg.LinAlgError)
 
 
+def _as_complex(omega) -> complex:
+    try:
+        return complex(omega)
+    except (TypeError, ValueError):
+        raise DimensionError(
+            f"omega must be a complex number, got {omega!r}") from None
+
+
 def _normalize_omega(omega) -> complex:
-    w = complex(omega)
+    w = _as_complex(omega)
     r = abs(w)
     if not abs(r - 1.0) <= _ON_CIRCLE_TOL:
         raise DimensionError(f"omega must lie on the unit circle, got {omega}")
     return w / r
 
 
-def _kernel_basis(M: np.ndarray, omega: complex):
+def _kernel_basis(M: np.ndarray, omega):
     """Numerical kernel of M - omega I: (k, basis), the basis in columns,
     or (0, None).  Singular values up to _RANK_TOL * max(1, s_0) of each
     matrix span its kernel.  A stack (m, d, d) takes one batched SVD and
-    gives the list of the m pairs."""
+    gives the list of the m pairs; omega is one value or one per row."""
     dim = M.shape[-1]
-    _, s, Vh = np.linalg.svd(M - omega * np.eye(dim))
+    w = np.asarray(omega)[..., None, None]
+    _, s, Vh = np.linalg.svd(M - w * np.eye(dim))
     ks = np.sum(s <= _RANK_TOL * np.maximum(1.0, s[..., :1]), axis=-1)
     out = [(k, V.conj().T[:, dim - k:] if k else None)
            for k, V in zip(ks.reshape(-1).tolist(), Vh.reshape(-1, dim, dim))]
     return out[0] if M.ndim == 2 else out
-
-
-def _signature(F: np.ndarray) -> int:
-    F = 0.5 * (F + F.conj().T)
-    vals = np.linalg.eigvalsh(F)
-    thr = _FORM_TOL * max(1.0, float(np.abs(vals).max()))
-    if np.any(np.abs(vals) < thr):
-        raise _Degenerate(f"crossing form eigenvalues {vals}")
-    return int(np.sum(vals > 0) - np.sum(vals < 0))
 
 
 def _grid(path: SymplecticPath, N: int) -> np.ndarray:
@@ -308,8 +312,10 @@ def _sweep(samples: _Samples, sign: int, eps: float, jobs: list,
     """Crossing counts of the jobs (omega, N) on one twisted path.
 
     Each job counts on its own grid, but every refinement level of all the
-    jobs makes one batched evaluation.  The outcome of a job is
-    (total, crossings) or the exception its count raised.
+    jobs makes one batched evaluation, and the crossing forms at the
+    candidates of all the jobs are read together (`_form_counts`).  The
+    outcome of a job is (total, crossings) or the exception its count
+    raised.
     """
     if not jobs:
         return []
@@ -363,74 +369,173 @@ def _sweep(samples: _Samples, sign: int, eps: float, jobs: list,
                                    level <= _ALL_MINIMA)
         owner = owner[rows]
 
-    for k, (w, _) in enumerate(jobs):
-        if out[k] is None:
-            try:
-                out[k] = _form_count(tw, w, found[k])
-            except _FAILURES as exc:  # the job's outcome, replayed in order
-                out[k] = exc
+    todo = [k for k in range(len(jobs)) if out[k] is None]
+    for k, res in zip(todo, _form_counts(tw, [(jobs[k][0], found[k])
+                                              for k in todo])):
+        out[k] = res
     return out
 
 
-def _form_count(tw: SymplecticPath, omega: complex, found: list,
-                ) -> tuple[int, tuple]:
-    """Signature sum of the crossing forms at the candidate crossings
-    `found` of omega on the twisted path, and the crossings counted.
+def _rows(read, n: int, blank, failed):
+    """read(sel) for the rows sel = 0..n-1 in one call.  If that raises
+    one of _FAILURES, every row is read on its own: a row whose read fails
+    reports failed(row, error) and gets `blank` (a one-row array or list)."""
+    try:
+        return read(np.arange(n))
+    except _FAILURES:
+        pass
+    parts = []
+    for r in range(n):
+        try:
+            parts.append(read(np.array([r])))
+        except _FAILURES as exc:
+            failed(r, exc)
+            parts.append(blank)
+    return np.concatenate(parts) if isinstance(blank, np.ndarray) else [
+        item for part in parts for item in part]
 
-    Both are read factor by factor.  In the plane-interleaved basis P(t)
-    and S(t) of a diamond product are block diagonal, so ker(P - omega) is
-    the direct sum of the factor kernels, the form restricted to it is
-    block diagonal too, and its signature is the sum of the factors'
-    (Long 2002, Ch. 8); the same holds for the start form.  Each factor
-    is evaluated at all candidates in one call and its kernels come from
-    one batched SVD; a candidate counts when some factor has a kernel
-    there.  A path that is no diamond product is its own single factor.
+
+def _form_counts(tw: SymplecticPath, jobs: list) -> list:
+    """Signature sums of the crossing forms of the jobs (omega, found) on
+    the twisted path: per job (total, crossings counted), or its error.
+
+    In the plane-interleaved basis P(t) and S(t) of a diamond product are
+    block diagonal, so ker(P - omega) is the direct sum of the factor
+    kernels, the form restricted to it is block diagonal too, and its
+    signature is the sum of the factors' (Long 2002, Ch. 8); the same
+    holds for the start form.  A path that is no diamond product is its
+    own single factor.  So each factor makes one `values` call at the
+    candidates of all jobs, one batched SVD of F(t) - omega I with each
+    row's own omega, and one `sforms` call per side where it has a kernel
+    (a seam reads both sides; the start form of omega = 1 rides on the
+    right side at t = 0, once for all jobs).  A candidate counts when some
+    factor has a kernel there.  The restricted forms go to one `eigvalsh`
+    per kernel size.
+
+    Each job keeps its first error in the order of a count of its own.
+    A batched read that fails is read again row by row, so each error
+    lands on the rows it belongs to.
     """
     tau = tw.tau
     # neighbouring brackets can close in on one crossing from both sides;
     # distinct crossings closer than this radius would be
     # indistinguishable to the form evaluation anyway
     radius = max(200.0 * _REFINE_RTOL * tau, 1e-6 * tau)
-    crossings: list[float] = []
-    for t in sorted(found):
-        if 1e-9 * tau <= t <= tau * (1.0 - 1e-13) and not (
-                crossings and t - crossings[-1] < radius):
-            crossings.append(t)
-
-    # the kernel test is the only acceptance test: near a Krein collision
-    # the eigenvalue distance to omega grows like sqrt|t - t_c|, while the
-    # smallest singular value of P - omega I grows linearly in t
-    total = 0
-    counted = []
     seam_atol = 1e-9 * tau
-    ts = np.array(crossings)
-    kernels = [(f, _kernel_basis(f.values(ts), omega))
-               for f in tw.factors] if crossings else []
-    for c, t in enumerate(crossings):
-        hits = [(f, ker[c][1]) for f, ker in kernels if ker[c][0]]
-        if not hits:
-            continue  # a distance minimum that is no crossing
-        near = [s for s in tw.seams if abs(s - t) < seam_atol]
-        for f, B in hits:
-            if near:
-                s = near[0]
-                f1 = _signature(B.conj().T @ f.sform(s, -1) @ B)
-                f2 = _signature(B.conj().T @ f.sform(s, 1) @ B)
-                if (f1 + f2) % 2:
-                    raise NumericalConsistencyError(
-                        f"odd corner signature pair ({f1},{f2}) at t={s:.6g}")
-                total += (f1 + f2) // 2
-            else:
-                total += _signature(B.conj().T @ f.sform(t, 1) @ B)
-        counted.append(t)
+    owner, cands = [], []
+    for k, (_, found) in enumerate(jobs):
+        crossings: list[float] = []
+        for t in sorted(found):
+            if 1e-9 * tau <= t <= tau * (1.0 - 1e-13) and not (
+                    crossings and t - crossings[-1] < radius):
+                crossings.append(t)
+        owner += [k] * len(crossings)
+        cands += crossings
+    R = len(cands)
+    ts = np.array(cands, dtype=float)
+    ws = np.array([w for w, _ in jobs])[owner]
+    # the seam a candidate sits on, where both one-sided forms are read
+    seam = [next((s for s in tw.seams if abs(s - t) < seam_atol), None)
+            for t in cands]
+    starts = [k for k, (w, _) in enumerate(jobs) if abs(w - 1.0) < _AT_ONE]
 
-    if abs(omega - 1.0) < _AT_ONE:
-        sig0 = sum(_signature(f.sform(0.0, 1)) for f in tw.factors)
+    errors: dict = {}
+
+    # the order of a count of its own: the values (0, factor, row); per
+    # candidate the kernels (1, row, -1, factor), then per factor the forms
+    # (1, row, factor, step), step 0/1 the read and signature of the left
+    # form, 2/3 of the right one and 4 their parity; then per factor the
+    # start form (2, factor, 0/1) and (3,) its parity.  Each job keeps its
+    # first error in that order
+    def fail(r, key, exc):
+        for k in (starts if r is None else [owner[r]]):
+            if k not in errors or key < errors[k][0]:
+                errors[k] = (key, exc)
+
+    def form_key(r, fi, step):
+        return (2, fi, step - 2) if r is None else (1, r, fi, step)
+
+    # forms[size] collects (form, row, factor, step) of one kernel size
+    # (the start forms, unrestricted, apart); step 1 is a left form, 3 a
+    # right one
+    forms: dict = {}
+    crossed: set = set()
+    for fi, f in enumerate(tw.factors):
+        d = 2 * f.n
+        blank = np.full((1, d, d), np.nan)
+        hits = []
+        if R:
+            P = _rows(lambda sel: f.values(ts[sel]), R, blank,
+                      lambda r, e: fail(r, (0, fi, r), e))
+            kers = _rows(lambda sel: _kernel_basis(P[sel], ws[sel]), R,
+                         [(0, None)], lambda r, e: fail(r, (1, r, -1, fi), e))
+            # the kernel test is the only acceptance test: near a Krein
+            # collision the eigenvalue distance to omega grows like
+            # sqrt|t - t_c|, while the smallest singular value of
+            # F - omega I grows linearly in t
+            hits = [r for r in range(R) if kers[r][0]]
+            crossed.update(hits)
+        left = [(seam[r], r, 1) for r in hits if seam[r] is not None]
+        right = [(ts[r] if seam[r] is None else seam[r], r, 3) for r in hits]
+        right += [(0.0, None, 3)] * bool(starts)
+        for side, rows in ((-1, left), (1, right)):
+            if not rows:
+                continue
+            at = np.array([t for t, _, _ in rows])
+            S = _rows(lambda sel: f.sforms(at[sel], side), len(rows), blank,
+                      lambda i, e: fail(rows[i][1], form_key(
+                          rows[i][1], fi, rows[i][2] - 1), e))
+            for (_, r, step), Si in zip(rows, S):
+                if r is None:
+                    forms.setdefault("start", []).append((Si, r, fi, step))
+                else:
+                    k, B = kers[r]
+                    forms.setdefault(k, []).append(
+                        (B.conj().T @ Si @ B, r, fi, step))
+
+    sigs = {}
+    for entries in forms.values():
+        F = np.stack([form for form, *_ in entries])
+        F = 0.5 * (F + F.conj().transpose(0, 2, 1))
+        vals = _rows(lambda sel: np.linalg.eigvalsh(F[sel]), len(F),
+                     np.full((1, F.shape[-1]), np.nan),
+                     lambda i, e: fail(entries[i][1],
+                                       form_key(*entries[i][1:]), e))
+        thr = _FORM_TOL * np.maximum(1.0, np.abs(vals).max(axis=1))
+        degenerate = (np.abs(vals) < thr[:, None]).any(axis=1)
+        sig = (vals > 0).sum(axis=1) - (vals < 0).sum(axis=1)
+        for i, (_, r, fi, step) in enumerate(entries):
+            if degenerate[i]:
+                fail(r, form_key(r, fi, step), _Degenerate(
+                    f"crossing form eigenvalues {vals[i]}"))
+            sigs[r, fi, step] = int(sig[i])
+
+    total = [0] * len(jobs)
+    counted: list[list] = [[] for _ in jobs]
+    for (r, fi, step), sg in sigs.items():
+        if r is None or step == 1:
+            continue
+        k = owner[r]
+        if seam[r] is None:
+            total[k] += sg
+        else:
+            f1 = sigs.get((r, fi, 1), 0)
+            if (f1 + sg) % 2:
+                fail(r, (1, r, fi, 4), NumericalConsistencyError(
+                    f"odd corner signature pair ({f1},{sg}) at "
+                    f"t={seam[r]:.6g}"))
+            total[k] += (f1 + sg) // 2
+    for r in sorted(crossed):
+        counted[owner[r]].append(cands[r])
+    if starts:
+        sig0 = sum(sg for (r, _, _), sg in sigs.items() if r is None)
         if sig0 % 2:
-            raise NumericalConsistencyError("odd start-form signature")
-        total += sig0 // 2
-
-    return total, tuple(counted)
+            fail(None, (3,), NumericalConsistencyError(
+                "odd start-form signature"))
+        for k in starts:
+            total[k] += sig0 // 2
+    return [errors[k][1] if k in errors else (total[k], tuple(counted[k]))
+            for k in range(len(jobs))]
 
 
 def _ladder_step(samples: _Samples, ws: list, nus: list, eps: float,
@@ -611,7 +716,7 @@ class _ArcRule:
         query whose count failed raises its error.
         """
         omegas = list(omegas)
-        W = np.fromiter(map(complex, omegas), complex, len(omegas))
+        W = np.fromiter(map(_as_complex, omegas), complex, len(omegas))
         radius = np.abs(W)
         off = ~(np.abs(radius - 1.0) <= _ON_CIRCLE_TOL)
         if off.any():   # the first omega off the circle raises its error
@@ -664,14 +769,22 @@ class _ArcRule:
         return pairs, [_value(self._arcs[j]) for j in arcs]
 
 
-def _check_K(K) -> int:
+def _positive_int(value, need: str) -> int:
     try:
-        k = operator.index(K)
+        k = operator.index(value)
     except TypeError:
         k = 0
     if k < 1:
-        raise DimensionError(f"mean index needs an integer K >= 1, got {K!r}")
+        raise DimensionError(f"{need} >= 1, got {value!r}")
     return k
+
+
+def _check_m_max(m_max) -> int:
+    return _positive_int(m_max, "iterate table needs an integer m_max")
+
+
+def _check_K(K) -> int:
+    return _positive_int(K, "mean index needs an integer K")
 
 
 def _mean_roots(K: int) -> list:
@@ -709,10 +822,10 @@ def iterate_indices(path: SymplecticPath, m_max: int,
 
         i(gamma, m) = sum over omega^m = 1 of i_omega(gamma),
 
-    with every i_omega read from the arc rule; m_max < 1 raises DimensionError.
+    with every i_omega read from the arc rule.  Raises DimensionError
+    unless m_max is an integer >= 1.
     """
-    if m_max < 1:
-        raise DimensionError(f"iterate table needs m_max >= 1, got {m_max}")
+    m_max = _check_m_max(m_max)
     return _iterates_and_mean(_ArcRule(path, opts or IndexOptions()),
                               m_max, None)[0]
 
@@ -738,9 +851,8 @@ def iterates_and_mean(path: SymplecticPath, m_max: int, K: int = 1024,
                       ) -> tuple[list[IndexResult], tuple[float, float]]:
     """`iterate_indices(path, m_max)` and `mean_index(path, K)` from one
     arc rule, so the counts both need (omega = +-1, the arcs) run once.
-    Raises DimensionError for m_max < 1, as `iterate_indices` does."""
-    if m_max < 1:
-        raise DimensionError(f"iterate table needs m_max >= 1, got {m_max}")
+    Raises DimensionError for m_max and K as those two do."""
+    m_max = _check_m_max(m_max)
     K = _check_K(K)
     return _iterates_and_mean(_ArcRule(path, opts or IndexOptions()),
                               m_max, K)

@@ -11,9 +11,10 @@ needs the symmetric coefficient
 
     S(t) = J^{-1} dgamma/dt gamma(t)^{-1},
 
-i.e. the Hamiltonian matrix of the linear system the path solves.  Every
-constructor here provides S in closed form (a spline through samples, from
-its derivative); `sform` symmetrizes it and checks the residual.
+i.e. the Hamiltonian matrix of the linear system the path solves.  It too
+has one batched evaluator, which every constructor here gives in closed
+form (a spline through samples, from its derivative); `sforms`
+symmetrizes its stack and checks the residual row by row.
 
 Paths carry a list of interior seam times where they may only be C^0;
 S(t, side) takes one-sided limits there.  A direct sum keeps its parts
@@ -28,7 +29,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import DimensionError, NumericalConsistencyError, SymplecticityError
-from .sympl import diamond_all, expJ, standard_J, sympl_dim
+from .sympl import expJ, standard_J, sympl_dim
 
 __all__ = [
     "SymplecticPath",
@@ -50,8 +51,12 @@ class SymplecticPath:
 
     values_fn, the only evaluator, takes a 1-d float array of times and
     returns the stacked (m, 2n, 2n) matrices; `value(t)` is values_fn at
-    the single time t.  sform_fn returns the symmetric coefficient S(t)
-    with a side argument (+1 right limit, -1 left limit) honoured at seams.
+    the single time t.  sform_fn(ts, side) is the only coefficient
+    evaluator, batched the same way: it returns the (m, 2n, 2n) stack of
+    S at the times ts, with the side (+1 right limit, -1 left limit)
+    honoured at seams.  `sforms` checks that shape and raises
+    DimensionError otherwise, so a scalar coefficient function fails with
+    a typed error; `sform(t, side)` is `sforms` at the single time t.
     `factors` are the paths whose diamond product this path is, in plane
     order; a path that is no such product is its own single factor.
     """
@@ -92,15 +97,36 @@ class SymplecticPath:
             self._endpoint = self.value(self.tau)
         return self._endpoint
 
+    def sforms(self, ts, side: int = 1) -> np.ndarray:
+        """S(t) = J^{-1} P' P^{-1} at every time of ts, symmetrized, with
+        one-sided limits: the (m, 2n, 2n) stack."""
+        return self._symmetric(np.asarray(ts, dtype=float), int(side))
+
     def sform(self, t: float, side: int = 1) -> np.ndarray:
-        """S(t) = J^{-1} P' P^{-1}, symmetrized, with one-sided limits."""
-        S = self._sform(float(t), int(side))
-        Ssym = 0.5 * (S + S.T)
-        asym = np.abs(S - Ssym).max()
-        if asym > 1e-3 * (1.0 + np.abs(Ssym).max()):
+        # the stored evaluator, not self.sforms, as in `value`
+        return self._symmetric(np.array([float(t)]), int(side))[0]
+
+    def _symmetric(self, ts, side):
+        d = 2 * self.n
+        try:
+            S = np.asarray(self._sform(ts, side))
+        except TypeError as exc:
+            raise DimensionError(
+                f"{self.label or 'path'}: sform_fn must take a 1-d array of "
+                f"times ({exc})") from exc
+        if S.shape != (len(ts), d, d):
+            raise DimensionError(
+                f"{self.label or 'path'}: sform_fn returned shape {S.shape} "
+                f"for {len(ts)} times, not ({len(ts)}, {d}, {d})")
+        Ssym = 0.5 * (S + S.transpose(0, 2, 1))
+        asym = np.abs(S - Ssym).max(axis=(1, 2))
+        bad = asym > 1e-3 * (1.0 + np.abs(Ssym).max(axis=(1, 2)))
+        if bad.any():
+            r = int(bad.argmax())
             raise NumericalConsistencyError(
-                f"{self.label or 'path'}: coefficient at t={t:.6g} is not "
-                f"symmetric (residual {asym:.2e}); path may not be symplectic")
+                f"{self.label or 'path'}: coefficient at t={ts[r]:.6g} is not "
+                f"symmetric (residual {asym[r]:.2e}); path may not be "
+                "symplectic")
         return Ssym
 
     # -- convenience --------------------------------------------------------
@@ -165,6 +191,11 @@ def _pade_exp(L: np.ndarray):
     return values
 
 
+def _constant(S: np.ndarray):
+    """Batched coefficient evaluator of a constant S."""
+    return lambda ts, side: np.broadcast_to(S, (len(ts), *S.shape))
+
+
 def exp_path(S_sym: np.ndarray, tau: float = 1.0, label="") -> SymplecticPath:
     """Path exp(t J S) of the constant linear system x' = J S x.
 
@@ -194,11 +225,8 @@ def exp_path(S_sym: np.ndarray, tau: float = 1.0, label="") -> SymplecticPath:
     else:
         values = _pade_exp(L)
 
-    def sform(t, side):
-        return S_sym
-
     hint = 96 + int(16 * min(np.linalg.norm(L, 2) * tau, 400))
-    return SymplecticPath(n, tau, values, sform_fn=sform,
+    return SymplecticPath(n, tau, values, sform_fn=_constant(S_sym),
                           grid_hint=hint, label=label or "exp")
 
 
@@ -215,8 +243,7 @@ def rotation_path(theta: float, tau: float = 1.0) -> SymplecticPath:
         out[:, 1, 1] = c
         return out
 
-    S = rate * np.eye(2)
-    return SymplecticPath(1, tau, values, sform_fn=lambda t, side: S,
+    return SymplecticPath(1, tau, values, sform_fn=_constant(rate * np.eye(2)),
                           grid_hint=96 + int(16 * abs(theta)),
                           label=f"rotation({theta:.4g})")
 
@@ -234,7 +261,7 @@ def shear_path(b: float, tau: float = 1.0) -> SymplecticPath:
     beta = b / tau
     S = np.array([[0.0, 0.0], [0.0, -beta]])
     return SymplecticPath(1, tau, lambda ts: _shear_values(ts, beta, 0, 1),
-                          sform_fn=lambda t, side: S,
+                          sform_fn=_constant(S),
                           label=f"shear({b:.4g})")
 
 
@@ -243,7 +270,7 @@ def lower_shear_path(b: float, tau: float = 1.0) -> SymplecticPath:
     beta = b / tau
     S = np.array([[beta, 0.0], [0.0, 0.0]])
     return SymplecticPath(1, tau, lambda ts: _shear_values(ts, beta, 1, 0),
-                          sform_fn=lambda t, side: S,
+                          sform_fn=_constant(S),
                           label=f"lshear({b:.4g})")
 
 
@@ -261,10 +288,10 @@ def product_path(p1: SymplecticPath, p2: SymplecticPath,
     def values(ts):
         return p1.values(ts) @ p2.values(ts)
 
-    def sform(t, side):
-        A = p1.value(t)
-        Ait = np.linalg.inv(A).T
-        return p1.sform(t, side) + Ait @ p2.sform(t, side) @ Ait.T
+    def sform(ts, side):
+        Ait = np.linalg.inv(p1.values(ts)).transpose(0, 2, 1)
+        return (p1.sforms(ts, side)
+                + Ait @ p2.sforms(ts, side) @ Ait.transpose(0, 2, 1))
 
     return SymplecticPath(n, tau, values, sform_fn=sform,
                           seams=sorted(set(p1.seams) | set(p2.seams)),
@@ -284,13 +311,11 @@ def iterate_path(p: SymplecticPath, m: int) -> SymplecticPath:
     for _ in range(m):
         powers.append(M @ powers[-1])
 
-    def split(t):
-        j = int(np.floor(t / tau + 1e-13))
-        j = min(max(j, 0), m - 1)
-        return t - j * tau, j
+    def pieces(ts):
+        return np.clip(np.floor(ts / tau + 1e-13).astype(int), 0, m - 1)
 
     def values(ts):
-        js = np.clip(np.floor(ts / tau + 1e-13).astype(int), 0, m - 1)
+        js = pieces(ts)
         out = np.empty((len(ts), 2 * n, 2 * n))
         for j in range(m):
             sel = js == j
@@ -298,13 +323,17 @@ def iterate_path(p: SymplecticPath, m: int) -> SymplecticPath:
                 out[sel] = p.values(ts[sel] - j * tau) @ powers[j]
         return out
 
-    def sform(t, side):
-        s, j = split(t)
-        if s <= 1e-13 * tau and side < 0 and j > 0:
-            return p.sform(tau, -1)
-        if tau - s <= 1e-13 * tau and side > 0 and j < m - 1:
-            return p.sform(0.0, 1)
-        return p.sform(s, side)
+    def sform(ts, side):
+        # S of the iterate at t is S of gamma at the time within its piece;
+        # at a seam, the left limit is gamma's at tau and the right one
+        # gamma's at 0, so every time keeps the side of the call
+        js = pieces(ts)
+        s = ts - js * tau
+        if side < 0:
+            s = np.where((s <= 1e-13 * tau) & (js > 0), tau, s)
+        elif side > 0:
+            s = np.where((tau - s <= 1e-13 * tau) & (js < m - 1), 0.0, s)
+        return p.sforms(s, side)
 
     seams = sorted({j * tau for j in range(1, m)}
                    | {j * tau + s for j in range(m) for s in p.seams})
@@ -322,8 +351,7 @@ def diamond_paths(paths) -> SymplecticPath:
             raise DimensionError("direct sum needs a common tau")
     n = sum(q.n for q in paths)
 
-    def values(ts):
-        parts = [q.values(ts) for q in paths]
+    def place(parts, ts):
         out = np.zeros((len(ts), 2 * n, 2 * n))
         off = 0
         for q, blk in zip(paths, parts):
@@ -332,8 +360,11 @@ def diamond_paths(paths) -> SymplecticPath:
             off += q.n
         return out
 
-    def sform(t, side):
-        return diamond_all([q.sform(t, side) for q in paths])
+    def values(ts):
+        return place([q.values(ts) for q in paths], ts)
+
+    def sform(ts, side):
+        return place([q.sforms(ts, side) for q in paths], ts)
 
     seams = sorted(set().union(*(q.seams for q in paths)))
     return SymplecticPath(n, tau, values, sform_fn=sform, seams=seams,
@@ -360,9 +391,9 @@ def twisted_path(p: SymplecticPath, eps: float, sign: int) -> SymplecticPath:
         tw = c[:, None, None] * np.eye(2 * n) + s[:, None, None] * J
         return base @ tw
 
-    def sform(t, side):
-        G = J @ p.value(t)
-        return p.sform(t, side) + rate * (G @ G.T)
+    def sform(ts, side):
+        G = J @ p.values(ts)
+        return p.sforms(ts, side) + rate * (G @ G.transpose(0, 2, 1))
 
     factors = ([twisted_path(f, eps, sign) for f in p.factors]
                if len(p.factors) > 1 else None)
@@ -441,9 +472,8 @@ def path_from_samples(ts, mats, label="samples") -> SymplecticPath:
     dspl = spl.derivative()
     J = standard_J(n)
 
-    def sform(t, side):
-        P = spl(t)
-        return -J @ dspl(t) @ np.linalg.inv(P)
+    def sform(ts, side):
+        return -J @ dspl(ts) @ np.linalg.inv(spl(ts))
 
     return SymplecticPath(n, float(ts[-1]), spl, sform_fn=sform,
                           grid_hint=max(96, 2 * len(ts)), label=label)

@@ -56,7 +56,7 @@ def tup(path, omega, **kw):
 def test_constant_path():
     const = SymplecticPath(1, 1.0,
                            lambda ts: np.tile(np.eye(2), (len(ts), 1, 1)),
-                           sform_fn=lambda t, s: np.zeros((2, 2)))
+                           sform_fn=lambda ts, s: np.zeros((len(ts), 2, 2)))
     assert tup(const, 1.0) == (-1, 2)
 
 
@@ -297,6 +297,15 @@ def _ref_count_once(samples, omega, sign, eps, opts, N):
     return _ref_form_count(tw, omega, found)
 
 
+def _ref_signature(F):
+    F = 0.5 * (F + F.conj().T)
+    vals = np.linalg.eigvalsh(F)
+    thr = ix._FORM_TOL * max(1.0, float(np.abs(vals).max()))
+    if np.any(np.abs(vals) < thr):
+        raise ix._Degenerate(f"crossing form eigenvalues {vals}")
+    return int(np.sum(vals > 0) - np.sum(vals < 0))
+
+
 def _ref_form_count(tw, omega, found):
     # the whole 2n x 2n matrix: one SVD and one crossing form per candidate
     tau = tw.tau
@@ -318,18 +327,18 @@ def _ref_form_count(tw, omega, found):
         near = [s for s in tw.seams if abs(s - t) < seam_atol]
         if near:
             s = near[0]
-            f1 = ix._signature(B.conj().T @ tw.sform(s, -1) @ B)
-            f2 = ix._signature(B.conj().T @ tw.sform(s, 1) @ B)
+            f1 = _ref_signature(B.conj().T @ tw.sform(s, -1) @ B)
+            f2 = _ref_signature(B.conj().T @ tw.sform(s, 1) @ B)
             if (f1 + f2) % 2:
                 raise NumericalConsistencyError(
                     f"odd corner signature pair ({f1},{f2}) at t={s:.6g}")
             total += (f1 + f2) // 2
         else:
-            total += ix._signature(B.conj().T @ tw.sform(t, 1) @ B)
+            total += _ref_signature(B.conj().T @ tw.sform(t, 1) @ B)
         counted.append(t)
 
     if abs(omega - 1.0) < ix._AT_ONE:
-        sig0 = ix._signature(tw.sform(0.0, 1))
+        sig0 = _ref_signature(tw.sform(0.0, 1))
         if sig0 % 2:
             raise NumericalConsistencyError("odd start-form signature")
         total += sig0 // 2
@@ -721,7 +730,7 @@ def _counting(path):
         calls.append(np.array(ts))
         return path.values(ts)
 
-    return SymplecticPath(path.n, path.tau, values, sform_fn=path.sform,
+    return SymplecticPath(path.n, path.tau, values, sform_fn=path.sforms,
                           seams=path.seams, grid_hint=path.grid_hint), calls
 
 
@@ -808,10 +817,13 @@ def test_counts_of_a_twisted_path_share_refinement_batches(K):
     ref_path, ref_calls = _counting(_GEN)
     rule = _RefArcRule(ref_path)
     assert got == (_ref_table(rule, 4), _ref_mean(rule, K))
-    # the same matrices are evaluated
+    # the same matrices are evaluated, but the start form at omega = 1 is
+    # read once per sweep, not once for each of its counts at N and 2N
     flat = np.sort(np.concatenate(calls))
-    assert np.array_equal(flat, np.sort(np.concatenate(ref_calls)))
-    assert len(flat) == 2308
+    ref_flat = np.sort(np.concatenate(ref_calls))
+    assert np.array_equal(flat, np.delete(ref_flat, 0))
+    assert ref_flat[0] == ref_flat[1] == 0.0
+    assert len(flat) == 2307
     # but each refinement level of a sweep is one batch: one sweep per
     # twisted path and ladder step holds the lower counts at N and 2N,
     # one the lower counts at 4N, one the upper counts
@@ -857,6 +869,28 @@ def test_iterate_table_refuses_m_max_below_one(m_max):
         ix.iterates_and_mean(path, m_max, 8)
     # the mean alone still reads no iterate table
     assert mean_index(path, 8) == (0.625, 0.5)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda p: index_nu(p, "x"), id="index_nu text"),
+    pytest.param(lambda p: index_nu(p, None), id="index_nu None"),
+    pytest.param(lambda p: splitting_numbers_numeric(p, "x"),
+                 id="splitting text"),
+    pytest.param(lambda p: ix._ArcRule(p, IndexOptions())(["x"]),
+                 id="arc rule text"),
+    pytest.param(lambda p: ix._ArcRule(p, IndexOptions())([1j, None]),
+                 id="arc rule None after a good omega"),
+    pytest.param(lambda p: iterate_indices(p, 2.5), id="iterates float"),
+    pytest.param(lambda p: ix.iterates_and_mean(p, 2.5, 8),
+                 id="iterates_and_mean float m_max"),
+    pytest.param(lambda p: ix.iterates_and_mean(p, "2", 8),
+                 id="iterates_and_mean text m_max"),
+    pytest.param(lambda p: ix.iterates_and_mean(p, 2, 2.5),
+                 id="iterates_and_mean float K"),
+])
+def test_unusable_index_arguments_raise_dimension_error(call):
+    with pytest.raises(DimensionError):
+        call(rotation_path(2.0))
 
 
 @pytest.mark.parametrize("K", [0, -4, 2.5, 4.0, "8"])
@@ -952,20 +986,19 @@ def test_orbit_path_integers_equal_the_lapack_reference():
         assert mean == _ref_mean(rule, 256), path.label
 
 
-def _form_counts_of(path, omegas):
-    """(tw, omega, found) of every crossing-form count the engine makes
-    for `index_nu(path, w)`, w in omegas."""
+def _form_batches_of(path, omegas):
+    """(tw, jobs) of every batched crossing-form count the engine makes
+    when it counts all the omegas on the path together."""
     calls = []
-    form_count = ix._form_count
+    form_counts = ix._form_counts
 
-    def recorded(tw, omega, found):
-        calls.append((tw, omega, list(found)))
-        return form_count(tw, omega, found)
+    def recorded(tw, jobs):
+        calls.append((tw, [(w, list(found)) for w, found in jobs]))
+        return form_counts(tw, jobs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ix, "_form_count", recorded)
-        for w in omegas:
-            _outcome(lambda: index_nu(path, w))
+        mp.setattr(ix, "_form_counts", recorded)
+        ix._index_nus(ix._Samples(path), list(omegas), IndexOptions())
     return calls
 
 
@@ -974,6 +1007,18 @@ def _form_outcome(count, tw, omega, found):
         return count(tw, omega, found)
     except ix._FAILURES as exc:
         return type(exc).__name__, str(exc)
+
+
+def _batch_outcomes(tw, jobs):
+    return [r if isinstance(r, tuple) else (type(r).__name__, str(r))
+            for r in ix._form_counts(tw, jobs)]
+
+
+def _assert_batch_equals_one_job_reference(tw, jobs):
+    got = _batch_outcomes(tw, jobs)
+    assert got == [_form_outcome(_ref_form_count, tw, w, found)
+                   for w, found in jobs], tw.label
+    return got
 
 
 # iterate roots of m = 1..3 and omega = +-1; the start form is read at 1
@@ -994,35 +1039,81 @@ _SEAMED = diamond_paths([iterate_path(rotation_path(1.5), 2),
                  id="seam"),
 ])
 def test_factor_form_count_equals_the_whole_matrix_reference(paths, omegas):
-    # the engine's candidate lists, counted per factor and on the whole
-    # matrix: the same (total, crossings), or the same error
+    # the candidate lists of all omegas of a case, counted as one batch per
+    # factor and job by job on the whole matrix: the same (total,
+    # crossings), or the same error
     counted = 0
     for path in paths():
-        calls = _form_counts_of(path, omegas)
+        calls = _form_batches_of(path, omegas)
         assert calls, path.label
-        for tw, w, found in calls:
-            got = _form_outcome(ix._form_count, tw, w, found)
-            assert got == _form_outcome(_ref_form_count, tw, w, found), (
-                path.label, w)
-            counted += isinstance(got[0], int) and got[0] != 0
+        assert max(len(jobs) for _, jobs in calls) > 1, path.label
+        for tw, jobs in calls:
+            got = _assert_batch_equals_one_job_reference(tw, jobs)
+            counted += sum(isinstance(g[0], int) and g[0] != 0 for g in got)
     assert counted
 
 
-def test_factor_form_count_at_a_seam():
-    # the lower twist of the first factor meets omega exactly at its seam
-    # t = 1, where both one-sided forms are read
+def test_one_batch_gives_every_job_its_own_count():
     eps = IndexOptions().eps
+    # kernel sizes 1 and 2 of one factor: R(t (4 - eps)) is -I at pi
+    tw = twisted_path(rotation_path(4.0), eps, -1)
+    rate = 4.0 - eps
+    jobs = [(-1.0 + 0j, [PI / rate]), (np.exp(1.3j), [1.3 / rate]),
+            (np.exp(0.3j), [])]
+    kernels = [ix._kernel_basis(tw.value(found[0]), w)[0]
+               for w, found in jobs[:2]]
+    assert kernels == [2, 1]
+    assert _assert_batch_equals_one_job_reference(tw, jobs) == [
+        (2, (PI / rate,)), (1, (1.3 / rate,)), (0, ())]
+    # the first factor meets omega at the seam t = 1 of its iterate, where
+    # both one-sided forms are read; beside it a job with no candidates
     tw = twisted_path(_SEAMED, eps, -1)
     w = np.exp(1j * (1.5 - 0.5 * eps))
-    for found in ([1.0], [0.4, 1.0, 1.0 + 1e-12, 1.7]):
-        got = ix._form_count(tw, w, found)
-        assert got == _ref_form_count(tw, w, found)
-        assert 1.0 in got[1] and got[0] == 1
+    jobs = [(w, [1.0]), (np.exp(0.7j), []), (w, [0.4, 1.0, 1.0 + 1e-12, 1.7])]
+    got = _assert_batch_equals_one_job_reference(tw, jobs)
+    assert got[0] == (1, (1.0,)) and got[1] == (0, ())
+    assert 1.0 in got[2][1] and got[2][0] == 1
     # two factors meet omega at once, each with its own kernel
     tw = twisted_path(diamond_paths([rotation_path(2.5)] * 2), eps, -1)
     t = 1.3 / (2.5 - eps)
-    assert ix._form_count(tw, np.exp(1.3j), [t]) == (2, (t,))
-    assert _ref_form_count(tw, np.exp(1.3j), [t]) == (2, (t,))
+    assert _assert_batch_equals_one_job_reference(
+        tw, [(np.exp(1.3j), [t])]) == [(2, (t,))]
+    # a degenerate form next to a job that resolves: the shear plane has
+    # the kernel e1 of P - I, where its coefficient vanishes
+    tw = diamond_paths([shear_path(0.8), rotation_path(2.0)])
+    got = _assert_batch_equals_one_job_reference(
+        tw, [(1.0 + 0j, [0.5]), (np.exp(1.0j), [0.5])])
+    assert got[0][0] == "_Degenerate" and got[1] == (1, (0.5,))
+
+
+def _unreadable(path, bad_at):
+    """path whose values are nan at the times in bad_at."""
+    def values(ts):
+        out = path.values(ts)
+        out[np.isin(ts, bad_at)] = np.nan
+        return out
+
+    return SymplecticPath(path.n, path.tau, values, sform_fn=path.sforms,
+                          seams=path.seams)
+
+
+def test_a_failing_read_is_charged_to_its_own_rows():
+    # the batched SVD fails on the nan rows; re-read row by row, it fails
+    # only the jobs those rows belong to, each with the error a count of
+    # its own raises
+    tw = _unreadable(rotation_path(2.0), [0.25])
+    jobs = [(np.exp(0.5j), [0.25]), (np.exp(1.0j), [0.5]),
+            (np.exp(1.5j), [0.25, 0.75]), (1.0 + 0j, [])]
+    got = _assert_batch_equals_one_job_reference(tw, jobs)
+    assert got[0][0] == got[2][0] == "LinAlgError"
+    assert got[1] == (1, (0.5,)) and got[3] == (1, ())
+    # candidate by candidate: a degenerate form at an earlier candidate
+    # comes before a failing kernel at a later one
+    tw = diamond_paths([shear_path(0.8),
+                        _unreadable(rotation_path(2.0), [0.75])])
+    got = _assert_batch_equals_one_job_reference(
+        tw, [(1.0 + 0j, [0.5, 0.75]), (1.0 + 0j, [0.75])])
+    assert [g[0] for g in got] == ["_Degenerate", "LinAlgError"]
 
 
 def test_kernel_basis_of_a_stack_equals_one_matrix_at_a_time():
@@ -1042,44 +1133,50 @@ def test_kernel_basis_of_a_stack_equals_one_matrix_at_a_time():
 
 
 def test_form_count_reads_only_the_plane_factors(monkeypatch):
-    # on an orbit path the crossing forms come from the 2x2 factors: no
-    # `values` or `sform` read of the whole twisted diamond, and one
-    # `values` call per factor and count
+    # on an orbit path the crossing forms of all the jobs of a sweep come
+    # from the 2x2 factors: per sweep, one `values` read of each factor and
+    # at most one `sforms` read per side, and no read of the whole twisted
+    # diamond
     reads = None
-    for name in ("values", "sform"):
+    for name in ("values", "sforms", "sform"):
         method = getattr(SymplecticPath, name)
 
         def recorded(self, *args, _method=method, _name=name):
             if reads is not None:
-                reads.append((_name, self))
+                reads.append((_name, self, args[1] if len(args) > 1 else 1))
             return _method(self, *args)
 
         monkeypatch.setattr(SymplecticPath, name, recorded)
-    form_count = ix._form_count
-    counts = []
+    form_counts = ix._form_counts
+    sweeps = []
 
-    def traced(tw, omega, found):
+    def traced(tw, jobs):
         nonlocal reads
         reads = []
         try:
-            return form_count(tw, omega, found)
+            return form_counts(tw, jobs)
         finally:
-            counts.append((tw, reads))
+            sweeps.append((tw, jobs, reads))
             reads = None
 
-    monkeypatch.setattr(ix, "_form_count", traced)
+    monkeypatch.setattr(ix, "_form_counts", traced)
     spec = SurfaceSpec(**PERTURBED)
     for orbit in find_orbits(spec, ALPHA):
         path = monodromy_path(spec, ALPHA, orbit)
         ix.iterates_and_mean(path, 3, 64)
-    assert counts
-    full = 0
-    for tw, seen in counts:
+    assert sweeps
+    shared = 0
+    for tw, jobs, seen in sweeps:
         assert tw.n == 2 and len(tw.factors) == 2
-        assert all(p.n == 1 for _, p in seen), tw.label
-        per_factor = [sum(name == "values" and p is f for name, p in seen)
-                      for f in tw.factors]
-        assert per_factor in ([0, 0], [1, 1]), per_factor
-        full += per_factor == [1, 1] and any(name == "sform"
-                                             for name, _ in seen)
-    assert full
+        assert all(p.n == 1 and name != "sform" for name, p, _ in seen), (
+            tw.label)
+        with_candidates = sum(bool(found) for _, found in jobs)
+        for f in tw.factors:
+            own = collections.Counter(
+                (name, side) for name, p, side in seen if p is f)
+            assert own["values", 1] == (with_candidates > 0), own
+            assert own["sforms", 1] <= 1 and own["sforms", -1] <= 1, own
+        shared += with_candidates > 1 and any(
+            name == "sforms" for name, _, _ in seen)
+    # sweeps where several jobs have candidates and forms are read
+    assert shared

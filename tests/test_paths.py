@@ -9,6 +9,7 @@ from symstab import (
     SymplecticPath,
     diamond_all,
     exp_path,
+    index_nu,
     iterate_path,
     lower_shear_path,
     normal_form_path,
@@ -275,9 +276,29 @@ def test_sform_matches_finite_difference(name):
         S, ref = p.sform(t, side), _fd_sform(p, t, side)
         assert np.abs(S - ref).max() < 1e-7 * (1.0 + np.abs(S).max()), (
             t, side)
+    # the batched read of a stack is the single read, row by row, up to
+    # the rounding of a batched product (the Pade evaluator's)
+    ts = np.array([t for t, _ in points])
+    for side in (1, -1):
+        rows = np.stack([p.sform(t, side) for t in ts])
+        assert np.abs(p.sforms(ts, side) - rows).max() <= 1e-14 * (
+            1.0 + np.abs(rows).max()), side
     if p.seams:
         s = p.seams[0]
         assert np.abs(p.sform(s, -1) - p.sform(s, 1)).max() > 1e-3
+
+
+def test_scalar_coefficient_function_raises_dimension_error():
+    # sform_fn maps a stack of times to a stack of coefficients; one of a
+    # single time fails with a typed error, in the path and in a count
+    rot = rotation_path(1.0)
+    for fn in (lambda t, side: np.eye(2),
+               lambda t, side: float(t) * np.eye(2)):
+        p = SymplecticPath(1, 1.0, rot.values, sform_fn=fn)
+        with pytest.raises(DimensionError):
+            p.sforms([0.1, 0.2])
+        with pytest.raises(DimensionError):
+            index_nu(p, 1.0)
 
 
 def test_path_from_samples_roundtrip():
