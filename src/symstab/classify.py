@@ -17,7 +17,7 @@ from .dynamics import (SurfaceSpec, enclosing_radii, find_orbits,
                        monodromy_path)
 from .errors import DimensionError
 from .galerkin import stabilized_index
-from .index import IndexOptions, _check_K, iterates_and_mean
+from .index import IndexOptions, _positive_int, iterates_and_mean
 from .spectral import SpectralSummary, spectral_summary
 from .sympl import diamond_all
 
@@ -221,7 +221,7 @@ def verify_surface(spec: SurfaceSpec, alpha: float = 1.5, m_max: int = 2,
     """
     if m_max < 1:
         raise DimensionError(f"m_max must be at least 1, got {m_max}")
-    mean_K = _check_K(mean_K)
+    mean_K = _positive_int(mean_K, "mean index needs an integer K")
     opts = opts or IndexOptions()
     n = spec.n
     lo, hi = enclosing_radii(spec)

@@ -376,23 +376,21 @@ def _sweep(samples: _Samples, sign: int, eps: float, jobs: list,
     return out
 
 
-def _rows(read, n: int, blank, failed):
-    """read(sel) for the rows sel = 0..n-1 in one call.  If that raises
-    one of _FAILURES, every row is read on its own: a row whose read fails
-    reports failed(row, error) and gets `blank` (a one-row array or list)."""
+def _outcomes(read, n: int):
+    """read(sel) for the rows sel = 0..n-1 in one call, indexed by row.
+    If that raises one of _FAILURES, every row is read on its own into a
+    list, and a row whose read fails holds its error."""
     try:
         return read(np.arange(n))
     except _FAILURES:
         pass
-    parts = []
+    out = []
     for r in range(n):
         try:
-            parts.append(read(np.array([r])))
+            out.append(read(np.array([r]))[0])
         except _FAILURES as exc:
-            failed(r, exc)
-            parts.append(blank)
-    return np.concatenate(parts) if isinstance(blank, np.ndarray) else [
-        item for part in parts for item in part]
+            out.append(exc)
+    return out
 
 
 def _form_counts(tw: SymplecticPath, jobs: list) -> list:
@@ -408,13 +406,15 @@ def _form_counts(tw: SymplecticPath, jobs: list) -> list:
     candidates of all jobs, one batched SVD of F(t) - omega I with each
     row's own omega, and one `sforms` call per side where it has a kernel
     (a seam reads both sides; the start form of omega = 1 rides on the
-    right side at t = 0, once for all jobs).  A candidate counts when some
-    factor has a kernel there.  The restricted forms go to one `eigvalsh`
-    per kernel size.
+    right side at t = 0, once for all jobs).  The forms go to one
+    `eigvalsh` per matrix size.
 
-    Each job keeps its first error in the order of a count of its own.
-    A batched read that fails is read again row by row, so each error
-    lands on the rows it belongs to.
+    Every read keeps, per row, its result or the error it raised (a
+    batched read that fails is read again row by row).  Each job then
+    walks its own rows in the order of a count of its own: per factor the
+    values and then the kernels of all its candidates; per candidate with
+    a kernel in some factor, the forms of those factors; the start form.
+    The first error met is the job's outcome.
     """
     tau = tw.tau
     # neighbouring brackets can close in on one crossing from both sides;
@@ -422,120 +422,118 @@ def _form_counts(tw: SymplecticPath, jobs: list) -> list:
     # indistinguishable to the form evaluation anyway
     radius = max(200.0 * _REFINE_RTOL * tau, 1e-6 * tau)
     seam_atol = 1e-9 * tau
-    owner, cands = [], []
-    for k, (_, found) in enumerate(jobs):
+    rows_of, cands = [], []
+    for _, found in jobs:
         crossings: list[float] = []
         for t in sorted(found):
             if 1e-9 * tau <= t <= tau * (1.0 - 1e-13) and not (
                     crossings and t - crossings[-1] < radius):
                 crossings.append(t)
-        owner += [k] * len(crossings)
+        rows_of.append(range(len(cands), len(cands) + len(crossings)))
         cands += crossings
     R = len(cands)
     ts = np.array(cands, dtype=float)
-    ws = np.array([w for w, _ in jobs])[owner]
+    ws = np.repeat([w for w, _ in jobs], [len(rows) for rows in rows_of])
     # the seam a candidate sits on, where both one-sided forms are read
     seam = [next((s for s in tw.seams if abs(s - t) < seam_atol), None)
             for t in cands]
-    starts = [k for k, (w, _) in enumerate(jobs) if abs(w - 1.0) < _AT_ONE]
+    at_one = [abs(w - 1.0) < _AT_ONE for w, _ in jobs]
 
-    errors: dict = {}
-
-    # the order of a count of its own: the values (0, factor, row); per
-    # candidate the kernels (1, row, -1, factor), then per factor the forms
-    # (1, row, factor, step), step 0/1 the read and signature of the left
-    # form, 2/3 of the right one and 4 their parity; then per factor the
-    # start form (2, factor, 0/1) and (3,) its parity.  Each job keeps its
-    # first error in that order
-    def fail(r, key, exc):
-        for k in (starts if r is None else [owner[r]]):
-            if k not in errors or key < errors[k][0]:
-                errors[k] = (key, exc)
-
-    def form_key(r, fi, step):
-        return (2, fi, step - 2) if r is None else (1, r, fi, step)
-
-    # forms[size] collects (form, row, factor, step) of one kernel size
-    # (the start forms, unrestricted, apart); step 1 is a left form, 3 a
-    # right one
-    forms: dict = {}
-    crossed: set = set()
+    # per factor the values and kernels of every row; the signature of
+    # every form, keyed (row, factor, side), the start form by row None
+    reads: list = []
+    sigs: dict = {}
+    forms: dict = {}      # forms[shape]: the (key, form) pairs to sign
     for fi, f in enumerate(tw.factors):
         d = 2 * f.n
-        blank = np.full((1, d, d), np.nan)
-        hits = []
+        P = kers = []
         if R:
-            P = _rows(lambda sel: f.values(ts[sel]), R, blank,
-                      lambda r, e: fail(r, (0, fi, r), e))
-            kers = _rows(lambda sel: _kernel_basis(P[sel], ws[sel]), R,
-                         [(0, None)], lambda r, e: fail(r, (1, r, -1, fi), e))
-            # the kernel test is the only acceptance test: near a Krein
-            # collision the eigenvalue distance to omega grows like
-            # sqrt|t - t_c|, while the smallest singular value of
-            # F - omega I grows linearly in t
-            hits = [r for r in range(R) if kers[r][0]]
-            crossed.update(hits)
-        left = [(seam[r], r, 1) for r in hits if seam[r] is not None]
-        right = [(ts[r] if seam[r] is None else seam[r], r, 3) for r in hits]
-        right += [(0.0, None, 3)] * bool(starts)
+            P = _outcomes(lambda sel: f.values(ts[sel]), R)
+            # a row whose values failed is read as nan; its kernel is
+            # never asked for
+            M = P if isinstance(P, np.ndarray) else np.stack([
+                np.full((d, d), np.nan) if isinstance(p, Exception) else p
+                for p in P])
+            kers = _outcomes(lambda sel: _kernel_basis(M[sel], ws[sel]), R)
+        reads.append((P, kers))
+        # the kernel test is the only acceptance test: near a Krein
+        # collision the eigenvalue distance to omega grows like
+        # sqrt|t - t_c|, while the smallest singular value of F - omega I
+        # grows linearly in t
+        hits = [r for r in range(R)
+                if not isinstance(kers[r], Exception) and kers[r][0]]
+        left = [(seam[r], r) for r in hits if seam[r] is not None]
+        right = [(ts[r] if seam[r] is None else seam[r], r) for r in hits]
+        right += [(0.0, None)] * any(at_one)
         for side, rows in ((-1, left), (1, right)):
             if not rows:
                 continue
-            at = np.array([t for t, _, _ in rows])
-            S = _rows(lambda sel: f.sforms(at[sel], side), len(rows), blank,
-                      lambda i, e: fail(rows[i][1], form_key(
-                          rows[i][1], fi, rows[i][2] - 1), e))
-            for (_, r, step), Si in zip(rows, S):
-                if r is None:
-                    forms.setdefault("start", []).append((Si, r, fi, step))
-                else:
-                    k, B = kers[r]
-                    forms.setdefault(k, []).append(
-                        (B.conj().T @ Si @ B, r, fi, step))
+            at = np.array([t for t, _ in rows])
+            S = _outcomes(lambda sel: f.sforms(at[sel], side), len(rows))
+            for (_, r), Si in zip(rows, S):
+                if isinstance(Si, Exception):
+                    sigs[r, fi, side] = Si
+                    continue
+                if r is not None:
+                    B = kers[r][1]
+                    Si = B.conj().T @ Si @ B
+                forms.setdefault(Si.shape, []).append(((r, fi, side), Si))
 
-    sigs = {}
     for entries in forms.values():
-        F = np.stack([form for form, *_ in entries])
+        F = np.stack([form for _, form in entries])
         F = 0.5 * (F + F.conj().transpose(0, 2, 1))
-        vals = _rows(lambda sel: np.linalg.eigvalsh(F[sel]), len(F),
-                     np.full((1, F.shape[-1]), np.nan),
-                     lambda i, e: fail(entries[i][1],
-                                       form_key(*entries[i][1:]), e))
-        thr = _FORM_TOL * np.maximum(1.0, np.abs(vals).max(axis=1))
-        degenerate = (np.abs(vals) < thr[:, None]).any(axis=1)
-        sig = (vals > 0).sum(axis=1) - (vals < 0).sum(axis=1)
-        for i, (_, r, fi, step) in enumerate(entries):
-            if degenerate[i]:
-                fail(r, form_key(r, fi, step), _Degenerate(
-                    f"crossing form eigenvalues {vals[i]}"))
-            sigs[r, fi, step] = int(sig[i])
+        vals = _outcomes(lambda sel: np.linalg.eigvalsh(F[sel]), len(F))
+        V = vals if isinstance(vals, np.ndarray) else np.stack([
+            np.full(F.shape[-1], np.nan) if isinstance(v, Exception) else v
+            for v in vals])
+        thr = _FORM_TOL * np.maximum(1.0, np.abs(V).max(axis=1))
+        degenerate = (np.abs(V) < thr[:, None]).any(axis=1)
+        sig = (V > 0).sum(axis=1) - (V < 0).sum(axis=1)
+        for i, (key, _) in enumerate(entries):
+            if isinstance(vals[i], Exception):
+                sigs[key] = vals[i]
+            elif degenerate[i]:
+                sigs[key] = _Degenerate(f"crossing form eigenvalues {V[i]}")
+            else:
+                sigs[key] = int(sig[i])
 
-    total = [0] * len(jobs)
-    counted: list[list] = [[] for _ in jobs]
-    for (r, fi, step), sg in sigs.items():
-        if r is None or step == 1:
-            continue
-        k = owner[r]
-        if seam[r] is None:
-            total[k] += sg
-        else:
-            f1 = sigs.get((r, fi, 1), 0)
-            if (f1 + sg) % 2:
-                fail(r, (1, r, fi, 4), NumericalConsistencyError(
-                    f"odd corner signature pair ({f1},{sg}) at "
-                    f"t={seam[r]:.6g}"))
-            total[k] += (f1 + sg) // 2
-    for r in sorted(crossed):
-        counted[owner[r]].append(cands[r])
-    if starts:
-        sig0 = sum(sg for (r, _, _), sg in sigs.items() if r is None)
-        if sig0 % 2:
-            fail(None, (3,), NumericalConsistencyError(
-                "odd start-form signature"))
-        for k in starts:
-            total[k] += sig0 // 2
-    return [errors[k][1] if k in errors else (total[k], tuple(counted[k]))
-            for k in range(len(jobs))]
+    def count(k):
+        rows = rows_of[k]
+        for P, kers in reads:
+            for read in (P, kers):
+                for r in rows:
+                    if isinstance(read[r], Exception):
+                        raise read[r]
+        total, counted = 0, []
+        for r in rows:
+            hits = [fi for fi, (_, kers) in enumerate(reads) if kers[r][0]]
+            if not hits:
+                continue  # a distance minimum that is no crossing
+            for fi in hits:
+                if seam[r] is None:
+                    total += _value(sigs[r, fi, 1])
+                    continue
+                f1, f2 = _value(sigs[r, fi, -1]), _value(sigs[r, fi, 1])
+                if (f1 + f2) % 2:
+                    raise NumericalConsistencyError(
+                        f"odd corner signature pair ({f1},{f2}) at "
+                        f"t={seam[r]:.6g}")
+                total += (f1 + f2) // 2
+            counted.append(cands[r])
+        if at_one[k]:
+            sig0 = sum(_value(sigs[None, fi, 1]) for fi in range(len(reads)))
+            if sig0 % 2:
+                raise NumericalConsistencyError("odd start-form signature")
+            total += sig0 // 2
+        return total, tuple(counted)
+
+    out: list = []
+    for k in range(len(jobs)):
+        try:
+            out.append(count(k))
+        except _FAILURES as exc:
+            out.append(exc)
+    return out
 
 
 def _ladder_step(samples: _Samples, ws: list, nus: list, eps: float,
@@ -779,14 +777,6 @@ def _positive_int(value, need: str) -> int:
     return k
 
 
-def _check_m_max(m_max) -> int:
-    return _positive_int(m_max, "iterate table needs an integer m_max")
-
-
-def _check_K(K) -> int:
-    return _positive_int(K, "mean index needs an integer K")
-
-
 def _mean_roots(K: int) -> list:
     """The K-th roots of unity on the closed upper half circle."""
     ends = [1.0, -1.0] if K % 2 == 0 else [1.0]
@@ -825,7 +815,7 @@ def iterate_indices(path: SymplecticPath, m_max: int,
     with every i_omega read from the arc rule.  Raises DimensionError
     unless m_max is an integer >= 1.
     """
-    m_max = _check_m_max(m_max)
+    m_max = _positive_int(m_max, "iterate table needs an integer m_max")
     return _iterates_and_mean(_ArcRule(path, opts or IndexOptions()),
                               m_max, None)[0]
 
@@ -842,7 +832,7 @@ def mean_index(path: SymplecticPath, K: int = 1024,
     half circle is visited.  Raises DimensionError unless K is an integer
     >= 1.
     """
-    K = _check_K(K)
+    K = _positive_int(K, "mean index needs an integer K")
     return _iterates_and_mean(_ArcRule(path, opts or IndexOptions()), 0, K)[1]
 
 
@@ -852,8 +842,8 @@ def iterates_and_mean(path: SymplecticPath, m_max: int, K: int = 1024,
     """`iterate_indices(path, m_max)` and `mean_index(path, K)` from one
     arc rule, so the counts both need (omega = +-1, the arcs) run once.
     Raises DimensionError for m_max and K as those two do."""
-    m_max = _check_m_max(m_max)
-    K = _check_K(K)
+    m_max = _positive_int(m_max, "iterate table needs an integer m_max")
+    K = _positive_int(K, "mean index needs an integer K")
     return _iterates_and_mean(_ArcRule(path, opts or IndexOptions()),
                               m_max, K)
 

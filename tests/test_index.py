@@ -102,10 +102,30 @@ def test_iterated_path_directly():
     assert tup(iterate_path(rotation_path(2 * PI), 2), 1.0) == (3, 2)
 
 
+def _mixed_sizes():
+    # a 2x2 plane beside a 4x4 factor that is elliptic at angles 0.23 and
+    # 1.11, so both factors cross the circle
+    b = normal_form_path(random_symplectic(2, np.random.default_rng(3)))
+    return rotation_path(4.0), b
+
+
 def test_diamond_additivity():
     a, b = rotation_path(5.0), shear_path(0.8)
     ia, ib = tup(a, 1.0), tup(b, 1.0)
     assert tup(diamond_paths([a, b]), 1.0) == (ia[0] + ib[0], ia[1] + ib[1])
+    # factors of two sizes: their start forms at omega = 1 differ in size
+    a, b = _mixed_sizes()
+    d = diamond_paths([a, b])
+    assert [f.n for f in d.factors] == [1, 2]
+    for w in (1.0, -1.0, np.exp(0.9j), np.exp(2.0j)):
+        ia, ib = tup(a, w), tup(b, w)
+        assert tup(d, w) == (ia[0] + ib[0], ia[1] + ib[1]), w
+    table, (mean, _) = ix.iterates_and_mean(d, 3, 64)
+    parts = [ix.iterates_and_mean(q, 3, 64) for q in (a, b)]
+    assert [r.as_tuple() for r in table] == [
+        (ra.index + rb.index, ra.nullity + rb.nullity)
+        for ra, rb in zip(parts[0][0], parts[1][0])]
+    assert mean == pytest.approx(parts[0][1][0] + parts[1][1][0], abs=1e-12)
 
 
 def test_grid_doubling_stable(monkeypatch):
@@ -339,6 +359,51 @@ def _ref_form_count(tw, omega, found):
 
     if abs(omega - 1.0) < ix._AT_ONE:
         sig0 = _ref_signature(tw.sform(0.0, 1))
+        if sig0 % 2:
+            raise NumericalConsistencyError("odd start-form signature")
+        total += sig0 // 2
+
+    return total, tuple(counted)
+
+
+def _ref_factor_form_count(tw, omega, found):
+    # one job on its own, factor by factor: per factor the values and the
+    # kernels of all candidates, then per candidate the forms of the
+    # factors with a kernel, then the start form of each factor
+    tau = tw.tau
+    radius = max(200.0 * ix._REFINE_RTOL * tau, 1e-6 * tau)
+    crossings = []
+    for t in sorted(found):
+        if 1e-9 * tau <= t <= tau * (1.0 - 1e-13) and not (
+                crossings and t - crossings[-1] < radius):
+            crossings.append(t)
+
+    total = 0
+    counted = []
+    seam_atol = 1e-9 * tau
+    ts = np.array(crossings)
+    kernels = [(f, ix._kernel_basis(f.values(ts), omega))
+               for f in tw.factors] if crossings else []
+    for c, t in enumerate(crossings):
+        hits = [(f, ker[c][1]) for f, ker in kernels if ker[c][0]]
+        if not hits:
+            continue
+        near = [s for s in tw.seams if abs(s - t) < seam_atol]
+        for f, B in hits:
+            if near:
+                s = near[0]
+                f1 = _ref_signature(B.conj().T @ f.sform(s, -1) @ B)
+                f2 = _ref_signature(B.conj().T @ f.sform(s, 1) @ B)
+                if (f1 + f2) % 2:
+                    raise NumericalConsistencyError(
+                        f"odd corner signature pair ({f1},{f2}) at t={s:.6g}")
+                total += (f1 + f2) // 2
+            else:
+                total += _ref_signature(B.conj().T @ f.sform(t, 1) @ B)
+        counted.append(t)
+
+    if abs(omega - 1.0) < ix._AT_ONE:
+        sig0 = sum(_ref_signature(f.sform(0.0, 1)) for f in tw.factors)
         if sig0 % 2:
             raise NumericalConsistencyError("odd start-form signature")
         total += sig0 // 2
@@ -1015,9 +1080,17 @@ def _batch_outcomes(tw, jobs):
 
 
 def _assert_batch_equals_one_job_reference(tw, jobs):
+    # each job gets what a count of its own gives, errors included; the
+    # whole-matrix reference gives the same counts and fails on the same
+    # jobs, though where a job meets two errors it may meet them in
+    # another order
     got = _batch_outcomes(tw, jobs)
-    assert got == [_form_outcome(_ref_form_count, tw, w, found)
+    assert got == [_form_outcome(_ref_factor_form_count, tw, w, found)
                    for w, found in jobs], tw.label
+    whole = [_form_outcome(_ref_form_count, tw, w, found)
+             for w, found in jobs]
+    assert [g if isinstance(g[0], int) else None for g in got] == [
+        h if isinstance(h[0], int) else None for h in whole], tw.label
     return got
 
 
@@ -1037,6 +1110,9 @@ _SEAMED = diamond_paths([iterate_path(rotation_path(1.5), 2),
                  _ROOTS + [np.exp(2.0j)], id="second factor crosses alone"),
     pytest.param(lambda: [_SEAMED], _ROOTS + [np.exp(1.5j), np.exp(0.7j)],
                  id="seam"),
+    pytest.param(lambda: [diamond_paths(_mixed_sizes())],
+                 _ROOTS + [np.exp(0.9j), np.exp(0.2j)],
+                 id="factors of two sizes"),
 ])
 def test_factor_form_count_equals_the_whole_matrix_reference(paths, omegas):
     # the candidate lists of all omegas of a case, counted as one batch per
@@ -1107,13 +1183,15 @@ def test_a_failing_read_is_charged_to_its_own_rows():
     got = _assert_batch_equals_one_job_reference(tw, jobs)
     assert got[0][0] == got[2][0] == "LinAlgError"
     assert got[1] == (1, (0.5,)) and got[3] == (1, ())
-    # candidate by candidate: a degenerate form at an earlier candidate
-    # comes before a failing kernel at a later one
+    # the kernels of every candidate come before any form: a failing
+    # kernel at a later candidate wins over a degenerate form at an
+    # earlier one, as in a count of its own
     tw = diamond_paths([shear_path(0.8),
                         _unreadable(rotation_path(2.0), [0.75])])
     got = _assert_batch_equals_one_job_reference(
-        tw, [(1.0 + 0j, [0.5, 0.75]), (1.0 + 0j, [0.75])])
-    assert [g[0] for g in got] == ["_Degenerate", "LinAlgError"]
+        tw, [(1.0 + 0j, [0.5, 0.75]), (1.0 + 0j, [0.5]),
+             (np.exp(1.0j), [0.5])])
+    assert [g[0] for g in got] == ["LinAlgError", "_Degenerate", 1]
 
 
 def test_kernel_basis_of_a_stack_equals_one_matrix_at_a_time():
