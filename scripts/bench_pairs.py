@@ -24,7 +24,8 @@ The verdict applies the acceptance rule of a claimed gain:
                 the pairs do not confirm, or a loss within the bound.
 
 One line per workload and metric prints the verdict.  Each run's exit
-code and the last lines of its stderr go into the file too.  A run that
+code, the last lines of its stderr and its set-up seconds, split into
+the import and each input repeat, go into the file too.  A run that
 exits non-zero without printing a result line gets the verdict
 `run_failed`, apart from a run with a wrong output; it counts no
 operations.  The exit status is 1 when the change's share of failed
@@ -51,6 +52,9 @@ WORKLOADS = ("verify-pinched", "index-degenerate", "dual-form-integrated")
 
 
 STDERR_LINES = 20
+# what `summarize` keeps of each run; the set-up split only when printed
+RUN_KEYS = ("exit_code", "stderr_tail", "verdict", "setup_import_s",
+            "setup_inputs_s")
 
 
 def parse_run(stdout: str, exit_code: int = 0, stderr: str = "") -> dict:
@@ -58,7 +62,9 @@ def parse_run(stdout: str, exit_code: int = 0, stderr: str = "") -> dict:
     last line, the machine line, the exit code and the last STDERR_LINES
     lines of stderr.  `verdict` is "ok", "wrong_output" (the result says
     so, or a run that exited 0 printed none; one failed operation) or
-    "run_failed" (a non-zero exit and no result; no operations)."""
+    "run_failed" (a non-zero exit and no result; no operations).  When
+    the run printed its set-up line, `setup_import_s` holds the import
+    seconds and `setup_inputs_s` the seconds of each set-up repeat."""
     lines = stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
@@ -73,6 +79,12 @@ def parse_run(stdout: str, exit_code: int = 0, stderr: str = "") -> dict:
     for line in lines:
         if line.startswith("machine "):
             result["machine"] = json.loads(line[len("machine "):])
+        elif line.startswith("set-up: import "):
+            # set-up: import 0.483 s, inputs 0.003 0.002 0.002 s; 9 ops ...
+            imp, inputs = line[len("set-up: import "):].split(" s, inputs ")
+            result["setup_import_s"] = float(imp)
+            result["setup_inputs_s"] = [
+                float(x) for x in inputs.split(" s;")[0].split()]
     result.update(exit_code=exit_code, verdict=verdict,
                   stderr_tail=stderr.splitlines()[-STDERR_LINES:])
     return result
@@ -135,8 +147,7 @@ def summarize(pairs: list, better: dict, bounds: dict | None = None) -> dict:
     out["run_failed"] = {side: sum(run[i]["verdict"] == "run_failed"
                                    for run in pairs)
                          for i, side in enumerate(sides)}
-    out["runs"] = [{side: {k: run[i][k] for k in ("exit_code", "stderr_tail",
-                                                   "verdict")}
+    out["runs"] = [{side: {k: run[i][k] for k in RUN_KEYS if k in run[i]}
                     for i, side in enumerate(sides)} for run in pairs]
     share = {side: out["failed"][side] / max(out["attempted"][side], 1)
              for side in sides}

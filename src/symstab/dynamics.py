@@ -43,7 +43,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import FlowError, GaugeError, OrbitSearchError
 from .paths import (SymplecticPath, diamond_paths, lower_shear_path,
@@ -200,6 +199,7 @@ def integrate_flow(spec: SurfaceSpec, alpha: float, x0: np.ndarray, T: float,
     """Integrate x' = J grad H_alpha, optionally with W' = J H'' W (the
     independent route the algebraic orbit check of `find_orbits` and the
     closed-form `monodromy_path` are tested against)."""
+    from scipy.integrate import solve_ivp
     ham = AlphaHamiltonian(spec, alpha)
     d = 2 * spec.n
     J = standard_J(spec.n)

@@ -26,7 +26,6 @@ the spectra of its factors.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import DimensionError, NumericalConsistencyError, SymplecticityError
 from .sympl import expJ, standard_J, sympl_dim
@@ -432,7 +431,7 @@ def normal_form_path(M: np.ndarray, tau: float = 1.0) -> SymplecticPath:
         raise NumericalConsistencyError(
             "could not rotate the spectrum away from the branch cut")
 
-    from scipy.linalg import logm
+    from scipy.linalg import expm, logm
     L = logm(A)
     L = np.real(L)
     # project the generator onto the Hamiltonian algebra and verify

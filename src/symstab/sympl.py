@@ -11,7 +11,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import DimensionError
 
@@ -139,6 +138,7 @@ def resymplectify(W: np.ndarray) -> np.ndarray:
 def random_symplectic(n: int, rng: np.random.Generator) -> np.ndarray:
     """Product of two exp(J S_i) with random symmetric S_i, scaled by 0.7
     to stay well-conditioned."""
+    from scipy.linalg import expm
     J = standard_J(n)
     M = np.eye(2 * n)
     for _ in range(2):

@@ -117,3 +117,14 @@ def test_surface_just_above_the_pinching_bound_is_not_gated():
     failed = {c.name for c in rep.checks if not c.passed}
     assert failed == {"pinch-gate", "index-interlacing",
                       "second-iterate-window"}
+
+
+def test_n3_surface_fails_action_index_bounds_only():
+    # ROADMAP item 2: the bound reads r and R from `enclosing_radii`, not
+    # curvature radii; at plane 0 and m = 4 it demands 18 where both index
+    # routes give 16.  Any other failing check, or a silent fix, shows here
+    rep = verify_surface(SurfaceSpec((1.0, 1.08, 1.15), (0.2, -0.1, 0.15),
+                                     0.1), m_max=4)
+    assert rep.gate_passed and rep.theorems_apply and not rep.passed
+    failed = {c.name for c in rep.checks if not c.passed}
+    assert failed == {"action-index-bounds"}

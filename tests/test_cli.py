@@ -143,19 +143,53 @@ def test_verify_smoke(files, capsys):
         assert od["galerkin"]["nullity"] == od["indices_path"][0][1] + 1
 
 
-def test_python_dash_m_runs_the_cli(files, capsys):
-    # `python -m symstab` is the console script: same exit code, same bytes
-    argv = ["verify", str(files / "ball1.json")]
-    assert main(argv) == 0
-    want = capsys.readouterr().out
+def _run_module(argv):
+    """`python -X importtime -m symstab argv`: the process and the scipy
+    modules it imported (the log names every module that enters
+    sys.modules)."""
     src = str(Path(symstab.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "symstab", *argv],
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m",
+                           "symstab", *argv],
                           capture_output=True, text=True, env=env, timeout=300)
+    imported = [line.rsplit("|", 1)[1].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "symstab.cli" in imported
+    return proc, [m for m in imported if m.split(".")[0] == "scipy"]
+
+
+def test_python_dash_m_runs_the_cli(files, capsys):
+    # `python -m symstab` is the console script: same exit code, same bytes;
+    # scipy is imported only by the routines that call it, and verify
+    # calls none of them
+    argv = ["verify", str(files / "ball1.json")]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    proc, scipy = _run_module(argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == want
     assert json.loads(proc.stdout)["passed"] is True
+    assert scipy == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbits-find", "{ball}"],
+    ["matrix-analyze", "{id4}"],
+    ["path-index", "rotation:1", "--m-max", "2"],
+    ["path-index", "shear:0.5", "--m-max", "2"],
+    ["path-index", "orbit:{ball}:0", "--m-max", "2"],
+])
+def test_built_in_sources_load_no_scipy(files, argv, capsys):
+    argv = [a.format(ball=files / "ball1.json", id4=files / "id4.txt")
+            for a in argv]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    proc, scipy = _run_module(argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == want
+    assert scipy == []
 
 
 _NOT_STAR_SHAPED = {"radii": [1.0, 1.1], "perturbation": {

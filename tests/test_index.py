@@ -676,6 +676,22 @@ def test_errors_keep_type_and_message():
         assert new == ref and new[0] == kind, (new, ref)
 
 
+# ROADMAP item 10: near a Jordan block at 1 the direct count reads a kernel
+# where omega is no eigenvalue; at 2e-3 rad it is clear of the block
+def test_jordan_block_at_one_counts_nothing_off_its_reach():
+    shear = normal_form_path(N1_block(1.0, 1.0))
+    r = index_nu(shear, np.exp(2e-3j))
+    assert (r.index, r.nullity) == (0, 0)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 10: false nullity "
+                   "next to a Jordan block at 1, (-1, 1) at 9e-4 rad")
+def test_jordan_block_at_one_has_no_false_nullity():
+    shear = normal_form_path(N1_block(1.0, 1.0))
+    r = index_nu(shear, np.exp(9e-4j))
+    assert (r.index, r.nullity) == (0, 0)
+
+
 class _LoopArcRule(ix._ArcRule):
     """The arc rule with each query classified on its own, in Python: the
     reference for the batched classification of `_ArcRule.__call__`."""

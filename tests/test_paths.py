@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
@@ -121,7 +122,8 @@ def test_defective_exp_path_makes_no_scipy_call(monkeypatch):
         calls.append(np.shape(A))
         return expm(A)
 
-    monkeypatch.setattr(paths_mod, "expm", counted)
+    # `paths` imports expm from scipy.linalg inside the function calling it
+    monkeypatch.setattr(scipy.linalg, "expm", counted)
     assert p.values(np.linspace(0.0, 2.0, 200)).shape == (200, 4, 4)
     assert calls == []
 

@@ -115,6 +115,8 @@ def _canned(pass_s, setup_s, attempted=60, failed=0, correct=True):
     return "\n".join([
         "workload verify-pinched seed 41 seconds 30 trace 0",
         'machine {"cores": 2}',
+        f"set-up: import {setup_s - 0.004:.3f} s, inputs 0.004 0.003 0.005 s;"
+        " 12 ops per pass",
         f"pass 1: wall {pass_s:.4f} s, reference {pass_s:.4f} s",
         f"operations: {attempted} attempted, {failed} failed",
         json.dumps({"correct": correct, "attempted": attempted,
@@ -164,8 +166,11 @@ def test_bench_pairs_summary_of_canned_runs():
     assert s["failed"] == {"parent": 0, "change": 0}
     assert s["runs"][1]["change"] == {"exit_code": 1, "verdict": "run_failed",
                                       "stderr_tail": crashed["stderr_tail"]}
+    # the set-up line splits setup_s into the import and the inputs
     assert s["runs"][0]["parent"] == {"exit_code": 0, "verdict": "ok",
-                                      "stderr_tail": []}
+                                      "stderr_tail": [],
+                                      "setup_import_s": 0.496,
+                                      "setup_inputs_s": [0.004, 0.003, 0.005]}
     assert bp.problems({"w": s}) == [
         "w: run_failed: 1 run(s) of the change exited non-zero without a "
         "result"]
