@@ -23,7 +23,9 @@ The verdict applies the acceptance rule of a claimed gain:
     unresolved  anything else: a gap wider than the parent's spread that
                 the pairs do not confirm, or a loss within the bound.
 
-One line per workload and metric prints the verdict.  Each run's exit
+One line per workload and metric prints the verdict.  The file also
+records `src_lines`, the line count of src/symstab/*.py in each tree.
+Each run's exit
 code, the last lines of its stderr and its set-up seconds, split into
 the import and each input repeat, go into the file too.  A run that
 exits non-zero without printing a result line gets the verdict
@@ -178,6 +180,12 @@ def summary_line(workload: str, name: str, entry: dict, pairs: int) -> str:
             + f", change won {entry['change_wins']}/{pairs}")
 
 
+def src_lines(tree: pathlib.Path) -> int:
+    """Lines of the package sources src/symstab/*.py under tree."""
+    return sum(len(f.read_bytes().splitlines())
+               for f in (tree / "src" / "symstab").glob("*.py"))
+
+
 def _unpack_parent(rev: str, dest: pathlib.Path) -> None:
     archive = subprocess.run(["git", "archive", "--format=tar", rev],
                              cwd=ROOT, capture_output=True, check=True)
@@ -230,6 +238,8 @@ def main(argv=None) -> int:
                           for side in ("parent", "change"))
         _unpack_parent(rev, parent)
         _copy_worktree(change)
+        report["src_lines"] = {"parent": src_lines(parent),
+                               "change": src_lines(change)}
         for workload in args.workloads.split(","):
             pairs = []
             for i in range(args.pairs):

@@ -61,10 +61,12 @@ class IndexUnstableError(SymstabError, ArithmeticError):
 
 
 class GalerkinError(SymstabError, ArithmeticError):
-    """Galerkin index/nullity did not stabilize under mode doubling, or a
-    count is too close to the zero threshold for the coupling the class
-    split dropped.  `margin` is the signed distance of that count from
-    the threshold where one is measured, else None."""
+    """Galerkin index/nullity did not stabilize under mode doubling, a
+    callable G is not constant in t, or a count is too close to the zero
+    threshold for the coupling the per-mode form dropped.  `margin` is
+    negative where one is measured: the rounding floor minus the largest
+    harmonic norm of a varying G, or the signed distance of a count from
+    the threshold; else None."""
 
     def __init__(self, message: str, margin: float | None = None):
         super().__init__(message)

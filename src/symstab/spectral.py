@@ -44,12 +44,6 @@ class SplittingPair:
     plus: int
     minus: int
 
-    def conjugate(self) -> "SplittingPair":
-        return SplittingPair(self.minus, self.plus)
-
-    def __add__(self, other: "SplittingPair") -> "SplittingPair":
-        return SplittingPair(self.plus + other.plus, self.minus + other.minus)
-
     def as_tuple(self) -> tuple[int, int]:
         return (self.plus, self.minus)
 
@@ -80,10 +74,6 @@ class ClusterInfo:
     @property
     def is_real(self) -> bool:
         return abs(self.omega.imag) == 0.0
-
-    @property
-    def semisimple(self) -> bool:
-        return self.alg == self.geo
 
 
 @dataclass

@@ -1,10 +1,13 @@
 """Stability classes, iteration rules, and the combinatorial bounds."""
 
+import math
+
 import numpy as np
 import pytest
 
-from conftest import SURFACE_X
+from conftest import PERTURBED, SURFACE_X
 from symstab import (
+    dynamics,
     SurfaceSpec,
     diamond_all,
     spectral_summary,
@@ -128,3 +131,29 @@ def test_n3_surface_fails_action_index_bounds_only():
     assert rep.gate_passed and rep.theorems_apply and not rep.passed
     failed = {c.name for c in rep.checks if not c.passed}
     assert failed == {"action-index-bounds"}
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the resonance "
+                   "m * action = m pi r^2 is decided by rounding")
+def test_perturbed_action_bounds_survive_a_few_ulps_of_radius(monkeypatch):
+    # on PERTURBED the plane-0 circle gives both r and its own action
+    # pi r^2, so action / (pi r^2) is 1 by identity; the check reads it
+    # from floats, and nudging that radius by k ulps fails the check at
+    # k = -3, 2, 6 and 7
+    spec = SurfaceSpec(**PERTURBED)
+    exact = dynamics.plane_circle_radius
+
+    def nudged(spec, l, k):
+        r = exact(spec, l)
+        for _ in range(abs(k) if l == 0 else 0):
+            r = math.nextafter(r, math.copysign(math.inf, k))
+        return r
+
+    failed = []
+    for k in range(-3, 8):
+        monkeypatch.setattr(dynamics, "plane_circle_radius",
+                            lambda spec, l, k=k: nudged(spec, l, k))
+        rep = verify_surface(spec, m_max=4)
+        if not {c.name: c.passed for c in rep.checks}["action-index-bounds"]:
+            failed.append(k)
+    assert failed == []

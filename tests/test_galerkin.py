@@ -1,5 +1,7 @@
 """Dual-action quadratic form: mode blocks, Morse counts, stabilization."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,7 @@ from symstab import (
     stabilized_index,
 )
 from symstab import galerkin
-from symstab.galerkin import (DualForm, assemble_dual_form, constant_form_index,
+from symstab.galerkin import (assemble_dual_form, constant_form_index,
                               mode_frequencies, morse_index_nullity)
 from symstab.errors import GalerkinError, ResonantFormError
 from symstab.sympl import standard_J
@@ -135,13 +137,17 @@ def _loop_G(n, seed):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_callable_assembly_equals_block_loop(n):
+def test_varying_callable_is_refused(n):
+    # G carries harmonics 1, 3 and 7 (and is not even 5.3-periodic): it
+    # does not read as constant, and the margin says by how much
     G = _loop_G(n, seed=n)
     for K in (1, 2, 9, 40, 70):
-        form = assemble_dual_form(G, 5.3, n, K)
-        got = form.blocks   # G carries harmonics 1, 2, ...: one dense block
-        assert got.shape[0] == 1 and form.delta == 0.0
-        assert np.array_equal(got[0], _loop_dual_form(G, 5.3, n, K))
+        with pytest.raises(GalerkinError, match="not constant") as err:
+            assemble_dual_form(G, 5.3, n, K)
+        assert err.value.margin is not None and err.value.margin < 0
+    with pytest.raises(GalerkinError) as err:
+        stabilized_index(G, 5.3, n)
+    assert err.value.margin < 0
 
 
 def _periodic_G(n, g, seed):
@@ -159,24 +165,22 @@ def _periodic_G(n, g, seed):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("g", [1, 2, 3, 0])
-def test_class_split_equals_dense_form(n, g):
+def test_per_mode_form_equals_loop_form(n, g):
     G = _periodic_G(n, g, seed=10 * n + g)
     for K in (7, 24):
+        if g:
+            # harmonics g, 2g, ... are carried: G is refused, not truncated
+            with pytest.raises(GalerkinError, match="not constant") as err:
+                assemble_dual_form(G, 5.3, n, K)
+            assert err.value.margin < 0
+            continue
         form = assemble_dual_form(G, 5.3, n, K)
-        dense = DualForm(5.3, n, K, blocks=_loop_dual_form(G, 5.3, n, K)[None])
         got = morse_index_nullity(form)
-        assert got == morse_index_nullity(dense) and got[0] > 0
-        # the class-split reference: harmonics off the multiples of g read
-        # as zero (g = 0, a constant G: every mode its own class)
-        split = _loop_dual_form(G, 5.3, n, K, g=g or 2 * K + 1)
+        assert got[0] > 0
+        # the loop reference with every harmonic but 0 read as zero
+        split = _loop_dual_form(G, 5.3, n, K, g=2 * K + 1)
         assert np.allclose(form.eigenvalues(), np.linalg.eigvalsh(split),
                            rtol=0.0, atol=1e-12)
-        if g:
-            # harmonics g, 2g, ... are carried (g = 1: all of them): one dense
-            # block, nothing dropped
-            assert form.blocks.shape == (1, 4 * n * K, 4 * n * K)
-            assert form.delta == 0.0
-            continue
         # harmonic 0 alone, sampled or given as a matrix: one block per mode
         assert form.blocks.shape == (K, 4 * n, 4 * n)
         assert 0.0 <= form.delta < 1e-13
@@ -190,8 +194,9 @@ def test_dropping_a_carried_harmonic_is_refused(monkeypatch):
     # eigenvalue 0.25 - 1/w_3 = -0.031; dropping harmonic 2 (delta = 0.14)
     # could move it across the threshold
     G = lambda t: (0.25 + 0.1 * np.cos(4 * PI * t / 5.3)) * np.eye(2)
-    form = assemble_dual_form(G, 5.3, 1, 8)
-    assert len(form.blocks) == 1 and form.delta == 0.0
+    with pytest.raises(GalerkinError, match="not constant") as err:
+        assemble_dual_form(G, 5.3, 1, 8)
+    assert err.value.margin < 0
     monkeypatch.setattr(galerkin, "_drop_floor", lambda c0, Nt: 1.0)
     form = assemble_dual_form(G, 5.3, 1, 8)
     assert len(form.blocks) == 8
@@ -199,28 +204,6 @@ def test_dropping_a_carried_harmonic_is_refused(monkeypatch):
     with pytest.raises(GalerkinError) as err:
         morse_index_nullity(form)
     assert err.value.margin is not None and err.value.margin < 0
-
-
-def test_stabilized_index_samples_each_grid_point_once():
-    base = _loop_G(2, seed=7)
-    for s in (3.1, 20.0):   # 512 points for every K; 512 then 1024 points
-        calls = []
-
-        def G(t):
-            calls.append(float(t))
-            return base(t)
-        got = stabilized_index(G, s, 2)
-        Nt = max(512, 1 << int(np.ceil(np.log2(8 * got[2] + 8))))
-        assert len(calls) == len(set(calls)) == Nt
-
-        K0 = K = max(8, int(np.ceil(2.0 * s)))
-        prev = None
-        while True:
-            cur = morse_index_nullity(assemble_dual_form(base, s, 2, K))
-            if cur == prev:
-                break
-            prev, K = cur, 2 * K
-        assert got == (*cur, K) and K > K0
 
 
 def _counting(G):
@@ -238,7 +221,7 @@ def test_constant_callable_is_sampled_at_32_points(s):
     G0 = diamond_all([np.eye(2) * 0.5, np.eye(2) * 0.605])
     G, calls = _counting(lambda t: G0)
     assert stabilized_index(G, s, 2) == stabilized_index(G0, s, 2)
-    assert len(calls) == len(set(calls)) == galerkin._NT_START == 32
+    assert len(calls) == len(set(calls)) == galerkin._SAMPLES == 32
 
 
 def _trig_G(n, top, s, seed):
@@ -254,27 +237,15 @@ def _trig_G(n, top, s, seed):
     return G
 
 
-def test_high_harmonic_escalates_to_the_points_it_needs():
-    # harmonic 20 stays in the band 8..16 or 16..32 of the 32- and 64-point
-    # transforms (aliased to 12 on 32 points), and leaves it at 128 points
+def test_high_harmonic_is_refused_after_32_samples():
+    # harmonic 20 aliases to 12 on 32 points, in the band 8..16 that must
+    # lie at rounding: G is refused before any form is built
     s, n = 6.1, 2
-    base = _trig_G(n, 20, s, seed=4)
-    G, calls = _counting(base)
-    got = stabilized_index(G, s, n)
-    assert len(calls) == len(set(calls)) == 128
-    # the same eigenvalues and counts as the 512-point form
-    K = max(8, int(np.ceil(2.0 * s)))
-    prev = None
-    while True:
-        dense = _loop_dual_form(base, s, n, K)
-        form = assemble_dual_form(base, s, n, K)
-        assert np.allclose(form.eigenvalues(), np.linalg.eigvalsh(dense),
-                           rtol=0.0, atol=1e-12)
-        cur = morse_index_nullity(DualForm(s, n, K, blocks=dense[None]))
-        if cur == prev:
-            break
-        prev, K = cur, 2 * K
-    assert got == (*cur, K) and cur[0] > 0
+    G, calls = _counting(_trig_G(n, 20, s, seed=4))
+    with pytest.raises(GalerkinError, match=re.escape("8 <= |h| <= 16")) as err:
+        stabilized_index(G, s, n)
+    assert err.value.margin < 0
+    assert len(calls) == len(set(calls)) == 32
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -123,6 +123,19 @@ def _canned(pass_s, setup_s, attempted=60, failed=0, correct=True):
                     "failed": failed, "metrics": metrics})])
 
 
+def test_bench_pairs_counts_source_lines(tmp_path):
+    # the package's *.py files count; other files and directories do not
+    bp = _load("script_bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    pkg = tmp_path / "src" / "symstab"
+    (pkg / "sub").mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\n\ny = 2\n")
+    (pkg / "b.py").write_text("z = 3")
+    (pkg / "notes.txt").write_text("1\n2\n")
+    (pkg / "sub" / "c.py").write_text("w = 4\n")
+    (tmp_path / "setup.py").write_text("v = 5\n")
+    assert bp.src_lines(tmp_path) == 4
+
+
 def test_bench_pairs_summary_of_canned_runs():
     bp = _load("script_bench_pairs", ROOT / "scripts" / "bench_pairs.py")
     runs = [(_canned(0.16, 0.50), _canned(0.12, 0.52)),
