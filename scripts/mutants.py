@@ -1,0 +1,108 @@
+#!/usr/bin/env python3
+"""Mutation check of the test suite: each mutant must fail its tests.
+
+Each row of MUTANTS is (name, file, old text, new text, tests).  For each
+row the script copies src/, tests/ and pyproject.toml into a temporary
+directory, replaces the old text in the file (it must occur there exactly
+once) with the new text, and runs each named test on its own with
+`pytest -x -q`.  A mutant survives when one of its tests passes.  Every
+survivor is printed, and the exit status is 1 if any survived; a named
+test that pytest cannot find stops the script.  The test suite checks
+that every old text still occurs exactly once, so a change that moves
+the mutated code has to update its row.
+
+    python3 scripts/mutants.py
+"""
+
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+INDEX = "src/symstab/index.py"
+T = "tests/test_index.py::"
+
+MUTANTS = [
+    ("bc -> -bc in _eigvals", INDEX,
+     "r = np.sqrt(h * h + b * c + 0j)",
+     "r = np.sqrt(h * h - b * c + 0j)",
+     [T + "test_factor_spectra_give_the_determinant_function_on_orbit_paths",
+      T + "test_orbit_path_integers_equal_the_lapack_reference"]),
+    ("no arc-0 read of the refused band", INDEX,
+     "near &= ~((J == 0)",
+     "near &= ~((J == -1)",
+     [T + "test_mean_index_reads_the_refused_band_from_arc_zero"]),
+    ("only the first factor's crossing forms", INDEX,
+     "hits = [fi for fi, ker in enumerate(kers) if ker[r][0]]",
+     "hits = [fi for fi, ker in enumerate(kers[:1]) if ker[r][0]]",
+     [T + "test_factor_form_count_equals_the_whole_matrix_reference",
+      T + "test_one_batch_gives_every_job_its_own_count",
+      T + "test_diamond_additivity"]),
+    ("all forms in one eigvalsh stack whatever their size", INDEX,
+     "forms.setdefault(Si.shape, [])",
+     "forms.setdefault(0, [])",
+     [T + "test_factor_form_count_equals_the_whole_matrix_reference",
+      T + "test_diamond_additivity"]),
+    ("one batch per job", INDEX,
+     "        return _form_batch(tw, jobs)\n",
+     "        return [r for job in jobs for r in _form_batch(tw, [job])]\n",
+     [T + "test_form_count_reads_only_the_plane_factors"]),
+    ("a failed batch charges its error to every job", INDEX,
+     "    except _FAILURES:\n        pass\n",
+     "    except _FAILURES as exc:\n        return [exc] * len(jobs)\n",
+     [T + "test_a_failing_read_is_charged_to_its_own_rows",
+      T + "test_a_failing_form_read_fails_only_the_jobs_crossing_there"]),
+]
+
+
+def mutate(tree: pathlib.Path, file: str, old: str, new: str) -> None:
+    path = tree / file
+    text = path.read_text()
+    if text.count(old) != 1:
+        raise SystemExit(f"{file}: the old text occurs {text.count(old)} "
+                         f"times, not once: {old!r}")
+    path.write_text(text.replace(old, new))
+
+
+def passing(tree: pathlib.Path, tests: list) -> list:
+    """The tests that pass in the tree, each run on its own.  A test that
+    pytest cannot find stops the script, lest a typo read as a kill."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    alive = []
+    for test in tests:
+        code = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p",
+             "no:cacheprovider", test], cwd=tree, env=env,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+        if code in (4, 5):     # usage error, or no test collected
+            raise SystemExit(f"pytest found no test {test}")
+        if code == 0:
+            alive.append(test)
+    return alive
+
+
+def main() -> int:
+    survivors = 0
+    for name, file, old, new, tests in MUTANTS:
+        with tempfile.TemporaryDirectory() as tmp:
+            tree = pathlib.Path(tmp)
+            ignore = shutil.ignore_patterns("__pycache__")
+            for part in ("src", "tests"):
+                shutil.copytree(ROOT / part, tree / part, ignore=ignore)
+            shutil.copy(ROOT / "pyproject.toml", tree)
+            mutate(tree, file, old, new)
+            alive = passing(tree, tests)
+        print(f"{'SURVIVED' if alive else 'killed':8}  {name}", flush=True)
+        for test in alive:
+            print(f"          passes: {test}")
+        survivors += bool(alive)
+    print(f"{survivors} of {len(MUTANTS)} mutants survived")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -54,9 +54,10 @@ read is per factor and exact: the kernel and the form of a factor at a
 candidate depend only on the factor, the time and omega, so each factor
 is evaluated once at the candidates of all counts, with one batched SVD
 whose rows carry their own omega, and its coefficient is read once per
-side.  Each count keeps its own brackets and candidates, and the
-outcomes, errors included, are read in the order of one count at a
-time, so a sweep returns what separate counts would.
+side.  Each count keeps its own brackets and candidates.  If a read of
+that batch fails, each count is read again on its own and takes the
+error its own read raises, so a sweep returns what separate counts
+would.
 
 Mean indices, iterate tables and splitting numbers need i_omega at many
 points of the circle U.  By the Bott-type formula i_omega is constant on
@@ -376,26 +377,26 @@ def _sweep(samples: _Samples, sign: int, eps: float, jobs: list,
     return out
 
 
-def _outcomes(read, n: int):
-    """read(sel) for the rows sel = 0..n-1 in one call, indexed by row.
-    If that raises one of _FAILURES, every row is read on its own into a
-    list, and a row whose read fails holds its error."""
+def _form_counts(tw: SymplecticPath, jobs: list) -> list:
+    """Signature sums of the crossing forms of the jobs (omega, found) on
+    the twisted path: per job (total, crossings counted), or its error.
+    All jobs are read in one batch; if a read fails, each job is read
+    again on its own, so every job gets what a count of its own gives."""
     try:
-        return read(np.arange(n))
+        return _form_batch(tw, jobs)
     except _FAILURES:
         pass
-    out = []
-    for r in range(n):
+    out: list = []
+    for job in jobs:
         try:
-            out.append(read(np.array([r]))[0])
+            out += _form_batch(tw, [job])
         except _FAILURES as exc:
             out.append(exc)
     return out
 
 
-def _form_counts(tw: SymplecticPath, jobs: list) -> list:
-    """Signature sums of the crossing forms of the jobs (omega, found) on
-    the twisted path: per job (total, crossings counted), or its error.
+def _form_batch(tw: SymplecticPath, jobs: list) -> list:
+    """`_form_counts` from one batched read per factor; a failing read raises.
 
     In the plane-interleaved basis P(t) and S(t) of a diamond product are
     block diagonal, so ker(P - omega) is the direct sum of the factor
@@ -403,18 +404,13 @@ def _form_counts(tw: SymplecticPath, jobs: list) -> list:
     signature is the sum of the factors' (Long 2002, Ch. 8); the same
     holds for the start form.  A path that is no diamond product is its
     own single factor.  So each factor makes one `values` call at the
-    candidates of all jobs, one batched SVD of F(t) - omega I with each
-    row's own omega, and one `sforms` call per side where it has a kernel
-    (a seam reads both sides; the start form of omega = 1 rides on the
-    right side at t = 0, once for all jobs).  The forms go to one
-    `eigvalsh` per matrix size.
-
-    Every read keeps, per row, its result or the error it raised (a
-    batched read that fails is read again row by row).  Each job then
-    walks its own rows in the order of a count of its own: per factor the
-    values and then the kernels of all its candidates; per candidate with
-    a kernel in some factor, the forms of those factors; the start form.
-    The first error met is the job's outcome.
+    candidates of all jobs and one batched SVD of F(t) - omega I with each
+    row's own omega; then each factor makes one `sforms` call per side
+    where it has a kernel (a seam reads both sides; the start form of
+    omega = 1 rides on the right side at t = 0, once for all jobs).  The
+    forms go to one `eigvalsh` per matrix size.  Each job then signs its
+    candidates in order; a degenerate form or an odd signature is its
+    outcome.
     """
     tau = tw.tau
     # neighbouring brackets can close in on one crossing from both sides;
@@ -431,7 +427,6 @@ def _form_counts(tw: SymplecticPath, jobs: list) -> list:
                 crossings.append(t)
         rows_of.append(range(len(cands), len(cands) + len(crossings)))
         cands += crossings
-    R = len(cands)
     ts = np.array(cands, dtype=float)
     ws = np.repeat([w for w, _ in jobs], [len(rows) for rows in rows_of])
     # the seam a candidate sits on, where both one-sided forms are read
@@ -439,74 +434,43 @@ def _form_counts(tw: SymplecticPath, jobs: list) -> list:
             for t in cands]
     at_one = [abs(w - 1.0) < _AT_ONE for w, _ in jobs]
 
-    # per factor the values and kernels of every row; the signature of
-    # every form, keyed (row, factor, side), the start form by row None
-    reads: list = []
-    sigs: dict = {}
+    # the kernel test is the only acceptance test: near a Krein collision
+    # the eigenvalue distance to omega grows like sqrt|t - t_c|, while the
+    # smallest singular value of F - omega I grows linearly in t
+    kers = [_kernel_basis(f.values(ts), ws) if cands else []
+            for f in tw.factors]
     forms: dict = {}      # forms[shape]: the (key, form) pairs to sign
-    for fi, f in enumerate(tw.factors):
-        d = 2 * f.n
-        P = kers = []
-        if R:
-            P = _outcomes(lambda sel: f.values(ts[sel]), R)
-            # a row whose values failed is read as nan; its kernel is
-            # never asked for
-            M = P if isinstance(P, np.ndarray) else np.stack([
-                np.full((d, d), np.nan) if isinstance(p, Exception) else p
-                for p in P])
-            kers = _outcomes(lambda sel: _kernel_basis(M[sel], ws[sel]), R)
-        reads.append((P, kers))
-        # the kernel test is the only acceptance test: near a Krein
-        # collision the eigenvalue distance to omega grows like
-        # sqrt|t - t_c|, while the smallest singular value of F - omega I
-        # grows linearly in t
-        hits = [r for r in range(R)
-                if not isinstance(kers[r], Exception) and kers[r][0]]
+    for fi, (f, ker) in enumerate(zip(tw.factors, kers)):
+        hits = [r for r, (k, _) in enumerate(ker) if k]
         left = [(seam[r], r) for r in hits if seam[r] is not None]
         right = [(ts[r] if seam[r] is None else seam[r], r) for r in hits]
         right += [(0.0, None)] * any(at_one)
         for side, rows in ((-1, left), (1, right)):
             if not rows:
                 continue
-            at = np.array([t for t, _ in rows])
-            S = _outcomes(lambda sel: f.sforms(at[sel], side), len(rows))
+            S = f.sforms([t for t, _ in rows], side)
             for (_, r), Si in zip(rows, S):
-                if isinstance(Si, Exception):
-                    sigs[r, fi, side] = Si
-                    continue
                 if r is not None:
-                    B = kers[r][1]
+                    B = ker[r][1]
                     Si = B.conj().T @ Si @ B
                 forms.setdefault(Si.shape, []).append(((r, fi, side), Si))
 
+    # the signature of every form, keyed (row, factor, side); start: row None
+    sigs: dict = {}
     for entries in forms.values():
         F = np.stack([form for _, form in entries])
-        F = 0.5 * (F + F.conj().transpose(0, 2, 1))
-        vals = _outcomes(lambda sel: np.linalg.eigvalsh(F[sel]), len(F))
-        V = vals if isinstance(vals, np.ndarray) else np.stack([
-            np.full(F.shape[-1], np.nan) if isinstance(v, Exception) else v
-            for v in vals])
+        V = np.linalg.eigvalsh(0.5 * (F + F.conj().transpose(0, 2, 1)))
         thr = _FORM_TOL * np.maximum(1.0, np.abs(V).max(axis=1))
         degenerate = (np.abs(V) < thr[:, None]).any(axis=1)
         sig = (V > 0).sum(axis=1) - (V < 0).sum(axis=1)
-        for i, (key, _) in enumerate(entries):
-            if isinstance(vals[i], Exception):
-                sigs[key] = vals[i]
-            elif degenerate[i]:
-                sigs[key] = _Degenerate(f"crossing form eigenvalues {V[i]}")
-            else:
-                sigs[key] = int(sig[i])
+        for (key, _), v, bad, s in zip(entries, V, degenerate, sig):
+            sigs[key] = (_Degenerate(f"crossing form eigenvalues {v}")
+                         if bad else int(s))
 
     def count(k):
-        rows = rows_of[k]
-        for P, kers in reads:
-            for read in (P, kers):
-                for r in rows:
-                    if isinstance(read[r], Exception):
-                        raise read[r]
         total, counted = 0, []
-        for r in rows:
-            hits = [fi for fi, (_, kers) in enumerate(reads) if kers[r][0]]
+        for r in rows_of[k]:
+            hits = [fi for fi, ker in enumerate(kers) if ker[r][0]]
             if not hits:
                 continue  # a distance minimum that is no crossing
             for fi in hits:
@@ -521,7 +485,7 @@ def _form_counts(tw: SymplecticPath, jobs: list) -> list:
                 total += (f1 + f2) // 2
             counted.append(cands[r])
         if at_one[k]:
-            sig0 = sum(_value(sigs[None, fi, 1]) for fi in range(len(reads)))
+            sig0 = sum(_value(sigs[None, fi, 1]) for fi in range(len(kers)))
             if sig0 % 2:
                 raise NumericalConsistencyError("odd start-form signature")
             total += sig0 // 2

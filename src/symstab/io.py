@@ -52,16 +52,20 @@ def parse_real(token, what: str) -> float:
 
 
 def parse_angle(token: str) -> float:
-    """Angle in radians from tokens like '2pi', 'pi/2', '-2pi/3', or '0.7'."""
+    """Angle in radians from tokens like '2pi', 'pi/2', '-2pi/3', or '0.7';
+    a token that gives no finite angle raises ParseError."""
     tok = str(token).strip()
     m = _ANGLE_RE.match(tok)
     if m:
         sign = -1.0 if m.group(1) == "-" else 1.0
-        coef = float(m.group(2)) if m.group(2) else 1.0
-        div = float(m.group(3)) if m.group(3) else 1.0
+        coef = parse_real(m.group(2), "angle") if m.group(2) else 1.0
+        div = parse_real(m.group(3), "angle") if m.group(3) else 1.0
         if div == 0.0:
             raise ParseError(f"zero divisor in angle {token!r}")
-        return sign * coef * math.pi / div
+        angle = sign * coef * math.pi / div
+        if not math.isfinite(angle):
+            raise ParseError(f"angle {token!r} is not finite")
+        return angle
     return parse_real(tok, "angle")
 
 
@@ -80,6 +84,20 @@ def _rows_to_matrix(rows, n: int | None = None) -> np.ndarray:
     return M
 
 
+def _header(text: str, what: str) -> tuple[int, list[str]]:
+    """n of the 'n=<int>' first line of text and the lines after it,
+    blank and '#' comment lines dropped."""
+    lines = [ln for ln in text.strip().splitlines()
+             if ln.strip() and not ln.lstrip().startswith("#")]
+    if not lines or not lines[0].replace(" ", "").startswith("n="):
+        raise ParseError(f"{what} must start with an 'n=<int>' line")
+    try:
+        n = int(lines[0].split("=", 1)[1])
+    except ValueError:
+        raise ParseError(f"bad dimension line {lines[0]!r}") from None
+    return n, lines[1:]
+
+
 def parse_matrix_text(text: str) -> np.ndarray:
     """One matrix from header+rows text or a JSON array-of-arrays."""
     stripped = text.strip()
@@ -88,15 +106,8 @@ def parse_matrix_text(text: str) -> np.ndarray:
             return _rows_to_matrix(json.loads(stripped))
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON matrix: {exc}") from None
-    lines = [ln for ln in stripped.splitlines()
-             if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines or not lines[0].replace(" ", "").startswith("n="):
-        raise ParseError("matrix text must start with an 'n=<int>' line")
-    try:
-        n = int(lines[0].split("=", 1)[1])
-    except ValueError:
-        raise ParseError(f"bad dimension line {lines[0]!r}") from None
-    rows = [ln.split() for ln in lines[1:]]
+    n, lines = _header(stripped, "matrix text")
+    rows = [ln.split() for ln in lines]
     if len(rows) != 2 * n:
         raise ParseError(f"expected {2 * n} rows after the header, got {len(rows)}")
     return _rows_to_matrix(rows, n)
@@ -109,17 +120,10 @@ def load_matrix(path: str) -> np.ndarray:
 
 def parse_path_samples(text: str) -> tuple[np.ndarray, np.ndarray]:
     """(ts, Ws) from 'n=<int>' followed by 't=<float>' + 2n rows blocks."""
-    lines = [ln for ln in text.strip().splitlines()
-             if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines or not lines[0].replace(" ", "").startswith("n="):
-        raise ParseError("path samples must start with an 'n=<int>' line")
-    try:
-        n = int(lines[0].split("=", 1)[1])
-    except ValueError:
-        raise ParseError(f"bad dimension line {lines[0]!r}") from None
+    n, lines = _header(text, "path samples")
     d = 2 * n
     ts, Ws = [], []
-    i = 1
+    i = 0
     while i < len(lines):
         head = lines[i].replace(" ", "")
         if not head.startswith("t="):

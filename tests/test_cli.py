@@ -201,6 +201,8 @@ _NOT_STAR_SHAPED = {"radii": [1.0, 1.1], "perturbation": {
     (["path-index", "rotation:nan"], None),
     (["path-index", "lower-shear:inf"], None),
     (["path-index", "rotation:1", "--omega", "inf"], None),
+    (["path-index", "rotation:.pi"], None),
+    (["path-index", "rotation:1", "--omega", "9" * 400 + "pi"], None),
     (["verify", "{f}"], {"radii": [1.0, 1.1], "alpha": "fast"}),
     (["verify", "{f}"], {"radii": [1.0, 1.1], "perturbation": {"delta": "x"}}),
     (["verify", "{f}"], {"radii": [1.0, 1.1],

@@ -1210,6 +1210,42 @@ def test_a_failing_read_is_charged_to_its_own_rows():
     assert [g[0] for g in got] == ["LinAlgError", "_Degenerate", 1]
 
 
+def _asymmetric(path, bad_at):
+    """path whose coefficient is far from symmetric at the times in bad_at."""
+    def sforms(ts, side):
+        out = path.sforms(ts, side)
+        out[np.isin(ts, bad_at), 0, 1] += 10.0
+        return out
+
+    return SymplecticPath(path.n, path.tau, path.values, sform_fn=sforms,
+                          seams=path.seams)
+
+
+def test_a_failing_form_read_fails_only_the_jobs_crossing_there():
+    # the batched `sforms` read fails at t = 0.25; counted again one by
+    # one, only the jobs with a crossing there fail, and a job whose
+    # candidate at 0.25 has no kernel counts as before
+    tw = _asymmetric(rotation_path(2.0), [0.25])
+    jobs = [(np.exp(0.5j), [0.25]), (np.exp(1.0j), [0.5]),
+            (np.exp(1.5j), [0.25, 0.75]), (1.0 + 0j, []),
+            (np.exp(0.5j), [0.25, 0.5])]
+    got = _assert_batch_equals_one_job_reference(tw, jobs)
+    assert got[0] == got[4] == ("NumericalConsistencyError", str(
+        pytest.raises(NumericalConsistencyError, tw.sform, 0.25).value))
+    assert got[1:4] == [(1, (0.5,)), (1, (0.75,)), (1, ())]
+    # a job's reads all come before its signs: a failing form read at a
+    # later candidate wins over a degenerate form at an earlier one,
+    # where the one-job reference, which signs each candidate as it
+    # reads it, meets the degenerate form first
+    tw = diamond_paths([shear_path(0.8),
+                        _asymmetric(rotation_path(4 * PI), [0.5])])
+    job = (1.0 + 0j, [0.25, 0.5])
+    got = _batch_outcomes(tw, [job, (1.0 + 0j, [0.25])])
+    assert got[0][0] == "NumericalConsistencyError" and "t=0.5 " in got[0][1]
+    assert got[1][0] == "_Degenerate"
+    assert _form_outcome(_ref_factor_form_count, tw, *job)[0] == "_Degenerate"
+
+
 def test_kernel_basis_of_a_stack_equals_one_matrix_at_a_time():
     rng = np.random.default_rng(3)
     mats = np.stack([R_block(2.0), R_block(1.0), rng.standard_normal((2, 2)),

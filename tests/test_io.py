@@ -33,7 +33,10 @@ def test_parse_angle(text, value):
 
 
 @pytest.mark.parametrize("bad", ["", "pi/", "two pi", "1..2", "pi pi", "nan",
-                                 "-inf"])
+                                 "-inf", ".pi", "-.pi",
+                                 pytest.param("9" * 400 + "pi", id="1e400pi"),
+                                 pytest.param("9" * 308 + "pi", id="1e308pi"),
+                                 pytest.param("pi/" + "9" * 400, id="pi/1e400")])
 def test_parse_angle_rejects(bad):
     with pytest.raises(ParseError):
         parse_angle(bad)

@@ -224,3 +224,16 @@ def test_bench_pairs_summary_of_canned_runs():
                            s["metrics"]["pass_ref_s"], s["pairs"])
     assert line == ("verify-pinched pass_ref_s: gain, parent 0.16 (q1 0.155, "
                     "q3 0.16) change 0.12 (-25.0%), change won 3/3")
+
+
+def test_mutant_anchors_occur_once_in_the_source():
+    # `scripts/mutants.py` patches each old text where it occurs once; a
+    # change that moves the mutated code has to update the table
+    mutants = _load("script_mutants", ROOT / "scripts" / "mutants.py")
+    assert mutants.MUTANTS
+    for name, file, old, new, tests in mutants.MUTANTS:
+        assert file.startswith("src/") and old != new, name
+        assert (ROOT / file).read_text().count(old) == 1, name
+        for test in tests:
+            module, func = test.split("::")
+            assert f"\ndef {func}(" in (ROOT / module).read_text(), test
