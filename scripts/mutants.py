@@ -24,6 +24,7 @@ import tempfile
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 INDEX = "src/symstab/index.py"
 T = "tests/test_index.py::"
+A = "tests/test_acceptance.py::"
 
 MUTANTS = [
     ("bc -> -bc in _eigvals", INDEX,
@@ -55,6 +56,19 @@ MUTANTS = [
      "    except _FAILURES as exc:\n        return [exc] * len(jobs)\n",
      [T + "test_a_failing_read_is_charged_to_its_own_rows",
       T + "test_a_failing_form_read_fails_only_the_jobs_crossing_there"]),
+    ("splitting side arcs swapped", INDEX,
+     "rule([w], [min(j, last), max(j - 1, 0)])",
+     "rule([w], [max(j - 1, 0), min(j, last)])",
+     [T + "test_engine_bit_identical_to_reference_on_path_pool",
+      A + "test_splitting_tables_match_numeric_limits"]),
+    ("no off-cut return of the splitting numbers", INDEX,
+     "    if not near[0]:\n        return SplittingPair(0, 0)\n",
+     "",
+     [T + "test_no_eigenvalue_on_a_failing_arc_splits_by_zero"]),
+    ("no (0, 0) where +-1 is no eigenvalue", INDEX,
+     "    if nu0 == 0 and gap <= _RANK_TOL:\n",
+     "    if False:\n",
+     [A + "test_minus_one_off_the_spectrum_splits_by_zero"]),
 ]
 
 

@@ -15,7 +15,6 @@ import numpy as np
 
 from .dynamics import (SurfaceSpec, enclosing_radii, find_orbits,
                        monodromy_path)
-from .errors import DimensionError
 from .galerkin import stabilized_index
 from .index import IndexOptions, _positive_int, iterates_and_mean
 from .spectral import SpectralSummary, spectral_summary
@@ -211,7 +210,7 @@ def verify_surface(spec: SurfaceSpec, alpha: float = 1.5, m_max: int = 2,
     defective, so an endpoint residual r splits it by order sqrt(r): ~1e-7
     on the closed-form orbit paths, up to ~3e-5 on monodromies integrated
     to ~1e-9; both fit.
-    m_max below 1 and a mean_K that is no integer >= 1 raise DimensionError
+    An m_max or a mean_K that is no integer >= 1 raises DimensionError
     before the orbit search.
 
     On an exact ellipsoid the inverse Hessian G of the dual action form is
@@ -219,8 +218,7 @@ def verify_surface(spec: SurfaceSpec, alpha: float = 1.5, m_max: int = 2,
     and the required last check `dual-form-agreement` compares them with
     the crossing engine.
     """
-    if m_max < 1:
-        raise DimensionError(f"m_max must be at least 1, got {m_max}")
+    m_max = _positive_int(m_max, "iterate table needs an integer m_max")
     mean_K = _positive_int(mean_K, "mean index needs an integer K")
     opts = opts or IndexOptions()
     n = spec.n

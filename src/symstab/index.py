@@ -66,9 +66,11 @@ vanishes there, and i_conj(omega) = i_omega.  So these are read from one
 count per arc of the upper half circle cut at +-1 and at the endpoint
 eigenvalue angles, plus direct counts at points close to a cut.  The
 rule takes all queries of a call at once and counts every arc and direct
-point they need in one list, so the sweeps above hold all of them;
-`iterates_and_mean` reads an iterate table and a mean index from one
-call.
+point they need in one list, so the sweeps above hold all of them, and
+it keeps no outcome from one call to the next; `iterates_and_mean` reads
+an iterate table and a mean index from one call.  Splitting numbers
+vanish off the endpoint spectrum, so they make no count off every cut,
+and at a cut one call counts omega and the arcs on both sides of it.
 """
 
 from __future__ import annotations
@@ -87,7 +89,8 @@ from .errors import (
     TangencyError,
 )
 from .paths import SymplecticPath, twisted_path
-from .spectral import SplittingPair, _principal_angle
+from .spectral import (_ON_CIRCLE_TOL, SplittingPair, _as_complex,
+                       _normalize_omega, _principal_angle)
 
 __all__ = [
     "IndexOptions",
@@ -99,8 +102,6 @@ __all__ = [
     "splitting_numbers_numeric",
 ]
 
-# omega whose modulus is farther than _ON_CIRCLE_TOL from 1 is refused
-_ON_CIRCLE_TOL = 1e-6
 # omega closer to 1 than _AT_ONE is read as 1 (rounding of angle tokens
 # like 2pi); omega closer than _NEAR_ONE otherwise is refused, because its
 # crossings fall at the very start of the path
@@ -164,22 +165,6 @@ class _RetryEps(Exception):
 
 # what one count can raise; a batched count keeps it as that count's outcome
 _FAILURES = (SymstabError, _Degenerate, np.linalg.LinAlgError)
-
-
-def _as_complex(omega) -> complex:
-    try:
-        return complex(omega)
-    except (TypeError, ValueError):
-        raise DimensionError(
-            f"omega must be a complex number, got {omega!r}") from None
-
-
-def _normalize_omega(omega) -> complex:
-    w = _as_complex(omega)
-    r = abs(w)
-    if not abs(r - 1.0) <= _ON_CIRCLE_TOL:
-        raise DimensionError(f"omega must lie on the unit circle, got {omega}")
-    return w / r
 
 
 def _kernel_basis(M: np.ndarray, omega):
@@ -640,9 +625,9 @@ class _ArcRule:
     read from arc 0 when the cut at 1 ends more than _RANK_TOL below its
     angle.
     Lower half points are read through conjugate symmetry.  A call counts
-    every arc and direct point its queries need in one `_index_nus` list;
-    outcomes are cached, so a rule serves any number of calls on one path,
-    and all its counts share one sampling of the twisted grids.
+    every arc and direct point its queries need in one `_index_nus` list
+    and keeps no outcome for the next call; only the sampling of the
+    twisted grids is shared by all counts of a rule.
     """
 
     def __init__(self, path: SymplecticPath, opts: IndexOptions):
@@ -660,8 +645,6 @@ class _ArcRule:
                 self.cuts.append([a, a])
         lo, hi = np.array(self.cuts).T
         self._reach = lo - _CUT_TOL, hi + _CUT_TOL   # what `locate` calls near
-        self._arcs: dict[int, int | Exception] = {}
-        self._direct: dict[float, tuple[int, int] | Exception] = {}
 
     def locate(self, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(J, near) for angles A in [0, pi]: A[q] is near cut J[q] if
@@ -671,11 +654,12 @@ class _ArcRule:
         return J, A <= end[J]
 
     def __call__(self, omegas=(), arcs=()) -> tuple[list, list]:
-        """(i_omega, nu_omega) of each omega, and the index on the open arc
-        between cuts j and j + 1 for each j of arcs.
+        """(i_omega, nu_omega) of each omega, and for each j of arcs the
+        outcome of the count on the open arc between cuts j and j + 1:
+        its index or its error, for the caller to raise with `_value`.
 
-        Errors are raised in query order, omegas before arcs: the first
-        query whose count failed raises its error.
+        The first omega, in query order, whose count failed raises its
+        error.
         """
         omegas = list(omegas)
         W = np.fromiter(map(_as_complex, omegas), complex, len(omegas))
@@ -697,16 +681,15 @@ class _ArcRule:
         points: dict[float, complex] = {}
         for q in near.nonzero()[0].tolist():
             key = direct[q] = round(float(A[q]), 12)
-            if key not in self._direct:
-                w = complex(W[q])
-                points.setdefault(key, w if w.imag >= 0.0 else w.conjugate())
+            w = complex(W[q])
+            points.setdefault(key, w if w.imag >= 0.0 else w.conjugate())
         mids = {j: 0.5 * (self.cuts[j][1] + self.cuts[j + 1][0])
-                for j in dict.fromkeys(J[~near].tolist() + list(arcs))
-                if j not in self._arcs}
+                for j in dict.fromkeys(J[~near].tolist() + list(arcs))}
 
         res = _index_nus(self.samples, [np.exp(1j * mid) for mid in
                                         mids.values()] + list(points.values()),
                          self.opts)
+        found: dict = {}      # arc j -> its index or error
         for (j, mid), r in zip(mids.items(), res):
             if not isinstance(r, Exception) and r.nullity:
                 # nu vanishes on an open arc; a kernel at the midpoint means
@@ -714,21 +697,19 @@ class _ArcRule:
                 # splits by ~sqrt(eps)), so its index cannot be trusted
                 r = TangencyError(f"arc midpoint at angle {mid:.6g} reports "
                                   f"nullity {r.nullity}")
-            self._arcs[j] = r if isinstance(r, Exception) else r.index
-        for key, r in zip(points, res[len(mids):]):
-            self._direct[key] = r if isinstance(r, Exception) else r.as_tuple()
+            found[j] = r if isinstance(r, Exception) else r.index
+        at = {key: (r, 0) if isinstance(r, Exception) else r.as_tuple()
+              for key, r in zip(points, res[len(mids):])}
 
-        stored = [self._arcs.get(j) for j in range(len(self.cuts))]
+        stored = [found.get(j) for j in range(len(self.cuts))]
         pairs = [(v, 0) for v in map(stored.__getitem__, J.tolist())]
-        for q, key in direct.items():
-            pairs[q] = self._direct[key]
         failed = np.array([isinstance(v, Exception) for v in stored])[J]
-        for q in direct:
-            failed[q] = isinstance(pairs[q], Exception)
-        if failed.any():
-            first = pairs[failed.argmax()]   # an arc's is (error, 0)
-            raise first[0] if isinstance(first, tuple) else first
-        return pairs, [_value(self._arcs[j]) for j in arcs]
+        for q, key in direct.items():
+            pairs[q] = at[key]
+            failed[q] = isinstance(pairs[q][0], Exception)
+        if failed.any():      # a failed query's pair is (error, 0)
+            raise pairs[failed.argmax()][0]
+        return pairs, [found[j] for j in arcs]
 
 
 def _positive_int(value, need: str) -> int:
@@ -818,44 +799,41 @@ def splitting_numbers_numeric(path: SymplecticPath, omega,
     """Splitting numbers at omega by one-sided index limits.
 
     S+-(omega) = lim as delta -> 0+ of i at omega e^{+-i delta} minus
-    i at omega.  The index is constant on the arcs of the arc rule, so
-    each limit is the index at the midpoint of the arc next to omega on
-    that side, minus i_omega; omega counts as the cut it lies near.  At
-    +-1 both sides are the same arc by conjugate symmetry.
+    i at omega.  They vanish where omega is no endpoint eigenvalue (Long
+    2002, Ch. 9), so off every cut the pair is (0, 0) and nothing is
+    counted.  The index is constant on the arcs of the arc rule, so at a
+    cut each limit is the index at the midpoint of the arc next to omega
+    on that side, minus i_omega; one rule call counts omega and both
+    arcs.  At +-1 both sides are the same arc by conjugate symmetry.
 
     At omega within _RANK_TOL of +-1 with nullity 0, +-1 is no eigenvalue
-    and the pair is (0, 0).  Raises MergedCutError when omega is farther
-    than _RANK_TOL from +-1 but its cut merged with the cut at +-1: the arc
-    between omega and +-1 is then never counted.
+    and the pair is (0, 0), whatever the arc counts gave.  Raises
+    MergedCutError when omega is farther than _RANK_TOL from +-1 but its
+    cut merged with the cut at +-1: the arc between omega and +-1 is then
+    never counted.
     """
     w = _normalize_omega(omega)
     rule = _ArcRule(path, opts or IndexOptions())
     a = _principal_angle(w)
-    J, nears = rule.locate(np.array([a]))
-    j, near = int(J[0]), bool(nears[0])
-    last = len(rule.cuts) - 2
+    J, near = rule.locate(np.array([a]))
+    if not near[0]:
+        return SplittingPair(0, 0)
+    j, last = int(J[0]), len(rule.cuts) - 2
     lo, hi = rule.cuts[j]
     # within _RANK_TOL of +-1 the kernel test cannot tell omega from +-1
     gap = min(a, np.pi - a)
-    if near and j in (0, last + 1) and lo < hi and gap > _RANK_TOL:
+    if j in (0, last + 1) and lo < hi and gap > _RANK_TOL:
         raise MergedCutError(
             f"omega at angle {a:.9g} lies {gap:.2e} rad from "
             f"{'+1' if j == 0 else '-1'}, at the merged cut "
             f"[{lo:.9g}, {hi:.9g}]; the splitting numbers there are not "
             "resolved", gap)
-    # the arcs on both sides, counted in the sweeps of omega (one sweep set
-    # per call, not two) unless omega is +-1, where they are read only if
-    # +-1 turns out to be an eigenvalue
-    sides = [min(j, last), max(j - 1, 0)]
-    early = near and gap > _RANK_TOL
-    [(i0, nu0)], arcs = rule([w], sides if early else ())
-    if not near or (nu0 == 0 and gap <= _RANK_TOL):
-        # omega is no eigenvalue: the splitting numbers vanish there, so
-        # a cut at +-1 merged with a nearby eigenvalue is not read
+    [(i0, nu0)], arcs = rule([w], [min(j, last), max(j - 1, 0)])
+    if nu0 == 0 and gap <= _RANK_TOL:
+        # +-1 is no eigenvalue, so a cut at +-1 merged with a nearby
+        # eigenvalue is not read
         return SplittingPair(0, 0)
-    if not early:
-        arcs = rule((), sides)[1]
-    above, below = (i - i0 for i in arcs)
+    above, below = (_value(i) - i0 for i in arcs)
     if w.imag < 0.0:
         above, below = below, above
     return SplittingPair(above, below)

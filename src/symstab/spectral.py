@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalConsistencyError, UnsupportedNormalForm
+from .errors import (DimensionError, NumericalConsistencyError,
+                     UnsupportedNormalForm)
 from .sympl import standard_J, sympl_dim
 
 __all__ = [
@@ -37,6 +38,8 @@ _ANGLE_TOL = 1e-5
 _RANK_TOL = 1e-6
 # angular distance within which `cluster_at` reads omega as a cluster
 _CLUSTER_TOL = 1e-6
+# omega whose modulus is farther than _ON_CIRCLE_TOL from 1 is refused
+_ON_CIRCLE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -104,6 +107,24 @@ def _principal_angle(omega: complex) -> float:
     """Angle of omega folded into [0, pi]."""
     a = float(np.angle(omega)) % TWO_PI
     return a if a <= np.pi else TWO_PI - a
+
+
+def _as_complex(omega) -> complex:
+    try:
+        return complex(omega)
+    except (TypeError, ValueError):
+        raise DimensionError(
+            f"omega must be a complex number, got {omega!r}") from None
+
+
+def _normalize_omega(omega) -> complex:
+    """omega scaled onto the unit circle; DimensionError for what is no
+    complex number or lies farther than _ON_CIRCLE_TOL from the circle."""
+    w = _as_complex(omega)
+    r = abs(w)
+    if not abs(r - 1.0) <= _ON_CIRCLE_TOL:
+        raise DimensionError(f"omega must lie on the unit circle, got {omega}")
+    return w / r
 
 
 def _angle_dist(a: float, b: float) -> float:
@@ -300,11 +321,10 @@ def splitting_table(summary: SpectralSummary, omega: complex) -> SplittingPair:
     at +1, negative shears give (0,0); the mirror rule holds at -1;
     a rotation block contributes (0,1) at its own eigenvalue and (1,0)
     at the conjugate; nontrivial double-rotation blocks give (1,1) at
-    both, trivial ones (0,0).
+    both, trivial ones (0,0).  omega is refused and scaled onto the circle
+    as `splitting_numbers_numeric` does it.
     """
-    omega = complex(omega)
-    if abs(abs(omega) - 1.0) > 1e-9:
-        raise NumericalConsistencyError(f"splitting numbers need |omega| = 1, got {omega}")
+    omega = _normalize_omega(omega)
     c = summary.cluster_at(omega)
     if c is None:
         return SplittingPair(0, 0)

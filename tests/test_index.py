@@ -26,7 +26,9 @@ from symstab import (
     normal_form_path,
     rotation_path,
     shear_path,
+    spectral_summary,
     splitting_numbers_numeric,
+    splitting_table,
     verify_surface,
 )
 from symstab import classify
@@ -168,12 +170,15 @@ def test_mean_index_refuses_a_root_inside_the_cut_at_one():
         mean_index(rotation_path(2 * PI + 9.9e-5), 65536)
 
 
-@pytest.mark.parametrize("omega", [1.5, 0.5j, np.nan, complex(1.0, np.nan)])
+@pytest.mark.parametrize("omega", [1.5, 2.0, 0.5j, np.nan,
+                                   complex(1.0, np.nan)])
 def test_omega_off_the_unit_circle_is_refused(omega):
     # nan included: it used to reach the SVD, or read as no eigenvalue
     path = rotation_path(2.0)
     for call in (lambda: index_nu(path, omega),
                  lambda: splitting_numbers_numeric(path, omega),
+                 lambda: splitting_table(spectral_summary(path.endpoint),
+                                         omega),
                  lambda: ix._ArcRule(path, IndexOptions())([1j, omega])):
         with pytest.raises(DimensionError, match="unit circle"):
             call()
@@ -530,17 +535,19 @@ def _ref_splitting(path, omega, opts=IndexOptions()):
     rule = _RefArcRule(path, opts)
     a = _principal_angle(w)
     j, near = rule.locate(a)
+    if not near:
+        return SplittingPair(0, 0)
     last = len(rule.cuts) - 2
     lo, hi = rule.cuts[j]
     gap = min(a, PI - a)
-    if near and j in (0, last + 1) and lo < hi and gap > ix._RANK_TOL:
+    if j in (0, last + 1) and lo < hi and gap > ix._RANK_TOL:
         raise MergedCutError(
             f"omega at angle {a:.9g} lies {gap:.2e} rad from "
             f"{'+1' if j == 0 else '-1'}, at the merged cut "
             f"[{lo:.9g}, {hi:.9g}]; the splitting numbers there are not "
             "resolved", gap)
     i0, nu0 = rule(w)
-    if not near or (nu0 == 0 and gap <= ix._RANK_TOL):
+    if nu0 == 0 and gap <= ix._RANK_TOL:
         return SplittingPair(0, 0)
     above = rule.arc(min(j, last)) - i0
     below = rule.arc(max(j - 1, 0)) - i0
@@ -676,6 +683,20 @@ def test_errors_keep_type_and_message():
         assert new == ref and new[0] == kind, (new, ref)
 
 
+def test_no_eigenvalue_on_a_failing_arc_splits_by_zero():
+    # the arc between the cuts at pi - 0.0085 and pi fails its count, but
+    # omega on it is no eigenvalue, so it splits by zero and is not counted
+    path, _ = _arc_midpoint_case()
+    M = path.endpoint
+    for a in (3.13734, -3.13734):
+        w = np.exp(1j * a)
+        assert (splitting_numbers_numeric(path, w)
+                == splitting_table(spectral_summary(M), w)
+                == SplittingPair(0, 0))
+    with pytest.raises(TangencyError, match="arc midpoint"):
+        ix._ArcRule(path, IndexOptions())([np.exp(3.13734j)])
+
+
 # ROADMAP item 10: near a Jordan block at 1 the direct count reads a kernel
 # where omega is no eigenvalue; at 2e-3 rad it is clear of the block
 def test_jordan_block_at_one_counts_nothing_off_its_reach():
@@ -699,6 +720,7 @@ class _LoopArcRule(ix._ArcRule):
     locate = _RefArcRule.locate
 
     def __call__(self, omegas=(), arcs=()):
+        found, at = {}, {}    # the outcomes of this call's counts
         queries = []
         points = {}
         for omega in omegas:
@@ -709,16 +731,14 @@ class _LoopArcRule(ix._ArcRule):
                     and ix._AT_ONE <= abs(w - 1.0) < ix._NEAR_ONE):
                 near = False
             if not near:
-                queries.append((self._arcs, j))
+                queries.append((found, j))
                 continue
             key = round(a, 12)
-            if key not in self._direct:
-                points.setdefault(key, w if w.imag >= 0.0 else w.conjugate())
-            queries.append((self._direct, key))
-        queries += [(self._arcs, j) for j in arcs]
+            points.setdefault(key, w if w.imag >= 0.0 else w.conjugate())
+            queries.append((at, key))
         mids = {j: 0.5 * (self.cuts[j][1] + self.cuts[j + 1][0])
-                for store, j in queries
-                if store is self._arcs and j not in self._arcs}
+                for store, j in queries + [(found, j) for j in arcs]
+                if store is found}
         res = ix._index_nus(self.samples, [np.exp(1j * mid) for mid in
                                            mids.values()]
                             + list(points.values()), self.opts)
@@ -726,14 +746,20 @@ class _LoopArcRule(ix._ArcRule):
             if not isinstance(r, Exception) and r.nullity:
                 r = TangencyError(f"arc midpoint at angle {mid:.6g} reports "
                                   f"nullity {r.nullity}")
-            self._arcs[j] = r if isinstance(r, Exception) else r.index
+            found[j] = r if isinstance(r, Exception) else r.index
         for key, r in zip(points, res[len(mids):]):
-            self._direct[key] = r if isinstance(r, Exception) else r.as_tuple()
-        values = [ix._value(store[key]) for store, key in queries]
-        split = len(queries) - len(arcs)
-        return ([(v, 0) if store is self._arcs else v
-                 for (store, _), v in zip(queries[:split], values)],
-                values[split:])
+            at[key] = r if isinstance(r, Exception) else r.as_tuple()
+        return ([(ix._value(store[key]), 0) if store is found
+                 else ix._value(store[key]) for store, key in queries],
+                [found[j] for j in arcs])
+
+
+def _rule_outcome(rule, omegas, arcs=()):
+    """A rule call's pairs and arc outcomes, each arc error as its type
+    and message."""
+    pairs, found = rule(omegas, arcs)
+    return pairs, [(type(r).__name__, str(r)) if isinstance(r, Exception)
+                   else r for r in found]
 
 
 # angles inside the band 1e-12 < |omega - 1| < 1e-4 that a direct count
@@ -754,8 +780,9 @@ _BAND_ANGLES = (2e-12, -3e-10, 4e-7, -9e-7, 2e-6, 5e-5, -5e-5, 9.9e-5, 1.2e-4,
                  id="failing arc"),
 ])
 def test_batched_arc_rule_equals_per_query_loop(case, Ks):
-    # the same pairs, and the same first error in query order, as the rule
-    # that classifies one query at a time; a rule serves repeated calls
+    # the same pairs, the same first error in query order and the same
+    # arc outcomes as the rule that classifies one query at a time; a rule
+    # serves repeated calls
     path = case()
     band = [np.exp(1j * a) for a in _BAND_ANGLES]
     for K in Ks:
@@ -767,8 +794,8 @@ def test_batched_arc_rule_equals_per_query_loop(case, Ks):
         arcs = range(len(new.cuts) - 1)
         for omegas in (roots, band + roots[:9], roots + band,
                        [band[5], 1.5, band[0], 2j], [band[6]]):
-            got, want = _both(lambda: new(omegas, arcs),
-                              lambda: ref(omegas, arcs))
+            got, want = _both(lambda: _rule_outcome(new, omegas, arcs),
+                              lambda: _rule_outcome(ref, omegas, arcs))
             assert got == want, (path.label, K)
         for w in band:
             got, want = _both(lambda: new([w]), lambda: ref([w]))
@@ -835,7 +862,11 @@ def test_twisted_grids_are_sampled_once_per_count():
         assert (splitting_numbers_numeric(path, w)
                 == splitting_numbers_numeric(normal_form_path(M), w))
         n1, n2, n4 = _grid_reads(path, calls)
-        assert (n1, n2) == (1, 1) and n4 <= 1, (w, n1, n2, n4)
+        if w == np.exp(0.777j):
+            # no eigenvalue: the pair is (0, 0) without a count
+            assert (n1, n2, n4) == (0, 0, 0), (n1, n2, n4)
+        else:
+            assert (n1, n2) == (1, 1) and n4 <= 1, (w, n1, n2, n4)
 
 
 def _outcome(call):
@@ -957,6 +988,12 @@ def test_iterate_table_refuses_m_max_below_one(m_max):
     pytest.param(lambda p: index_nu(p, None), id="index_nu None"),
     pytest.param(lambda p: splitting_numbers_numeric(p, "x"),
                  id="splitting text"),
+    pytest.param(lambda p: splitting_numbers_numeric(p, None),
+                 id="splitting None"),
+    pytest.param(lambda p: splitting_table(spectral_summary(p.endpoint), "x"),
+                 id="splitting table text"),
+    pytest.param(lambda p: splitting_table(spectral_summary(p.endpoint),
+                                           None), id="splitting table None"),
     pytest.param(lambda p: ix._ArcRule(p, IndexOptions())(["x"]),
                  id="arc rule text"),
     pytest.param(lambda p: ix._ArcRule(p, IndexOptions())([1j, None]),
@@ -974,6 +1011,14 @@ def test_unusable_index_arguments_raise_dimension_error(call):
         call(rotation_path(2.0))
 
 
+def test_both_splitting_routes_scale_omega_onto_the_circle():
+    M = N1_block(1.0, 1.0)
+    w = 1.0 + 1e-7
+    assert (splitting_table(spectral_summary(M), w)
+            == splitting_numbers_numeric(normal_form_path(M), w)
+            == splitting_table(spectral_summary(M), 1.0))
+
+
 @pytest.mark.parametrize("K", [0, -4, 2.5, 4.0, "8"])
 def test_mean_index_refuses_K_that_is_no_positive_integer(K):
     with pytest.raises(DimensionError):
@@ -983,14 +1028,19 @@ def test_mean_index_refuses_K_that_is_no_positive_integer(K):
 
 
 def test_verify_surface_inherits_the_mean_K_refusal(monkeypatch):
-    # the refusal comes before the orbit search
+    # the refusal comes before the pinch data and the orbit search
     def no_search(*args):
-        raise AssertionError("orbit search ran before mean_K was checked")
+        raise AssertionError("surface read before m_max and mean_K were "
+                             "checked")
 
     monkeypatch.setattr(classify, "find_orbits", no_search)
+    monkeypatch.setattr(classify, "enclosing_radii", no_search)
     for K in (0, -4, 2.5):
         with pytest.raises(DimensionError):
             verify_surface(SurfaceSpec((0.9,)), m_max=1, mean_K=K)
+    for m_max in (0, 2.5, "2", None):
+        with pytest.raises(DimensionError, match="m_max"):
+            verify_surface(SurfaceSpec((0.9,)), m_max=m_max)
     assert mean_index(_GEN, 1) == (index_nu(_GEN, 1.0).index, 4.0 * _GEN.n)
 
 
