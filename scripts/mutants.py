@@ -69,6 +69,20 @@ MUTANTS = [
      "    if nu0 == 0 and gap <= _RANK_TOL:\n",
      "    if False:\n",
      [A + "test_minus_one_off_the_spectrum_splits_by_zero"]),
+    ("first twist 1e-2", INDEX,
+     "_EPS = 1e-4",
+     "_EPS = 1e-2",
+     [T + "test_shared_sampling_leaves_results_unchanged[eps ladder]",
+      T + "test_mean_index_refuses_a_root_inside_the_cut_at_one"]),
+    ("acceptance tolerance 1e-3", INDEX,
+     "_ACCEPT_TOL = 1e-6",
+     "_ACCEPT_TOL = 1e-3",
+     [T + "test_constant_path",
+      T + "test_full_rotation"]),
+    ("no retry of a twisted endpoint on omega", INDEX,
+     "stuck = dist[:, -1] < 3.0 * _ACCEPT_TOL",
+     "stuck = dist[:, -1] < 0.0 * _ACCEPT_TOL",
+     [T + "test_a_twisted_endpoint_on_omega_is_not_counted"]),
 ]
 
 

@@ -30,8 +30,6 @@ def main(argv=None):
     ap.add_argument("--alpha", type=float, default=1.5,
                     help="homogeneity degree of the gauge, in (1, 2)")
     ap.add_argument("--m-max", type=int, default=2)
-    ap.add_argument("--mean-K", type=int, default=256,
-                    help="roots of unity in the mean-index average")
     ap.add_argument("--out", default=None, help="write the JSON report here")
     args = ap.parse_args(argv)
 
@@ -41,8 +39,7 @@ def main(argv=None):
     spec = SurfaceSpec(radii, quartic, args.delta)
 
     t0 = time.time()
-    rep = verify_surface(spec, alpha=args.alpha, m_max=args.m_max,
-                         mean_K=args.mean_K)
+    rep = verify_surface(spec, alpha=args.alpha, m_max=args.m_max)
     dt = time.time() - t0
 
     print(f"surface radii={radii} quartic={quartic or '-'} "

@@ -25,7 +25,7 @@ from .paths import (
     iterate_path, normal_form_path,
 )
 from .index import (
-    IndexOptions, IndexResult, index_nu, iterate_indices, mean_index,
+    IndexResult, index_nu, iterate_indices, mean_index,
     splitting_numbers_numeric,
 )
 from .galerkin import stabilized_index
@@ -55,8 +55,8 @@ __all__ = [
     "SymplecticPath", "exp_path", "rotation_path", "shear_path",
     "lower_shear_path", "iterate_path", "normal_form_path",
     # index
-    "IndexOptions", "IndexResult", "index_nu", "iterate_indices",
-    "mean_index", "splitting_numbers_numeric",
+    "IndexResult", "index_nu", "iterate_indices", "mean_index",
+    "splitting_numbers_numeric",
     # galerkin
     "stabilized_index",
     # dynamics

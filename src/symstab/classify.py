@@ -16,14 +16,17 @@ import numpy as np
 from .dynamics import (SurfaceSpec, enclosing_radii, find_orbits,
                        monodromy_path)
 from .galerkin import stabilized_index
-from .index import IndexOptions, _positive_int, iterates_and_mean
+from .index import iterates_and_mean
 from .spectral import SpectralSummary, spectral_summary
-from .sympl import diamond_all
+from .sympl import _positive_int, diamond_all
 
 PINCH_RATIO = 1.5   # gate: R^2 < (3/2) r^2 for the sharpened multiplicity bounds
 # relative distance from |z| = 1 within which a monodromy eigenvalue is
 # snapped onto the circle (`spectral_summary`'s circle_tol)
 _CIRCLE_TOL = 1e-4
+# roots of unity in the discrete mean index of every orbit; its error
+# bound is 4n / _MEAN_K
+_MEAN_K = 256
 
 
 def nonhyperbolic_bound(n: int) -> int:
@@ -196,7 +199,6 @@ class StabilityReport:
 
 
 def verify_surface(spec: SurfaceSpec, alpha: float = 1.5, m_max: int = 2,
-                   mean_K: int = 256, opts: IndexOptions | None = None,
                    ) -> StabilityReport:
     """Compute all closed plane characteristics and check the stability laws.
 
@@ -210,8 +212,10 @@ def verify_surface(spec: SurfaceSpec, alpha: float = 1.5, m_max: int = 2,
     defective, so an endpoint residual r splits it by order sqrt(r): ~1e-7
     on the closed-form orbit paths, up to ~3e-5 on monodromies integrated
     to ~1e-9; both fit.
-    An m_max or a mean_K that is no integer >= 1 raises DimensionError
-    before the orbit search.
+    The mean index of each orbit is the discrete average over the
+    _MEAN_K-th roots of unity.  An m_max that is no integer >= 1 raises
+    DimensionError before the orbit search, and so does an alpha outside
+    (1, 2), from the search itself.
 
     On an exact ellipsoid the inverse Hessian G of the dual action form is
     constant, so each orbit also gets the Galerkin Morse counts of that form,
@@ -219,8 +223,6 @@ def verify_surface(spec: SurfaceSpec, alpha: float = 1.5, m_max: int = 2,
     the crossing engine.
     """
     m_max = _positive_int(m_max, "iterate table needs an integer m_max")
-    mean_K = _positive_int(mean_K, "mean index needs an integer K")
-    opts = opts or IndexOptions()
     n = spec.n
     lo, hi = enclosing_radii(spec)
     ratio = (hi / lo) ** 2
@@ -232,7 +234,7 @@ def verify_surface(spec: SurfaceSpec, alpha: float = 1.5, m_max: int = 2,
     orbit_reports: list[OrbitReport] = []
     for orb in find_orbits(spec, alpha):
         path = monodromy_path(spec, alpha, orb)
-        results, (mi, mb) = iterates_and_mean(path, m_max, mean_K, opts)
+        results, (mi, mb) = iterates_and_mean(path, m_max, _MEAN_K)
         summary = spectral_summary(path.endpoint, circle_tol=_CIRCLE_TOL)
         fc = floquet_classify(summary)
         case = None

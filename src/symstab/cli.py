@@ -17,7 +17,7 @@ from . import io as sio
 from .classify import verify_surface
 from .dynamics import SurfaceSpec, find_orbits, monodromy_path
 from .errors import ParseError, SymstabError
-from .index import IndexOptions, index_nu, iterate_indices
+from .index import index_nu, iterate_indices
 from .paths import (lower_shear_path, normal_form_path, rotation_path,
                     shear_path)
 from .spectral import spectral_summary, splitting_table
@@ -25,9 +25,6 @@ from .spectral import spectral_summary, splitting_table
 # shared options; each subcommand declares only the ones it reads, so an
 # option it would ignore is an argparse error (exit 2)
 _FLAGS = {
-    "--tol": dict(type=float, default=None,
-                  help="override the engine tolerance on the twisted "
-                       "endpoint's distance to omega"),
     "--alpha": dict(type=float, default=1.5,
                     help="Hamiltonian homogeneity degree in (1, 2)"),
     "--m-max": dict(type=int, default=None,
@@ -55,9 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("matrix-analyze",
                        help="spectral and stability analysis of one matrix")
     p.add_argument("file", help="matrix file (n=<int> header or JSON rows)")
-    p.add_argument("--tol", type=float, default=None,
-                   help=f"symplectic residual tolerance (default "
-                        f"{sio.SYMPL_TOL:g})")
     flags(p, "--seed", "--out")
 
     p = sub.add_parser("path-index",
@@ -69,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", default="",
                    help="comma list; '1'/'-1' are the real points, anything "
                         "else is an angle token like 2pi/3")
-    flags(p, "--tol", "--alpha", "--m-max", "--seed", "--out", "--format")
+    flags(p, "--alpha", "--m-max", "--seed", "--out", "--format")
 
     p = sub.add_parser("orbits-find",
                        help="closed characteristics of a surface file")
@@ -79,16 +73,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify",
                        help="full pipeline: orbits, indices, stability checks")
     p.add_argument("surface", help="surface JSON file")
-    flags(p, "--tol", "--alpha", "--m-max", "--seed", "--out")
+    flags(p, "--alpha", "--m-max", "--seed", "--out")
     return ap
-
-
-def _opts_from(args) -> IndexOptions:
-    if args.tol is not None:
-        if args.tol <= 0:
-            raise ParseError(f"--tol must be positive, got {args.tol}")
-        return IndexOptions(accept_tol=args.tol)
-    return IndexOptions()
 
 
 def _check_alpha(alpha: float) -> float:
@@ -151,8 +137,7 @@ def _resolve_source(token: str, alpha: float):
 
 def cmd_matrix_analyze(args) -> int:
     M = sio.load_matrix(args.file)
-    tol = args.tol if args.tol is not None else sio.SYMPL_TOL
-    res = sio.require_symplectic(M, "matrix", tol)
+    res = sio.require_symplectic(M, "matrix")
     summary = spectral_summary(M)
     clusters = []
     for c in summary.clusters:
@@ -189,7 +174,6 @@ def cmd_matrix_analyze(args) -> int:
 
 def cmd_path_index(args) -> int:
     alpha = _check_alpha(args.alpha)
-    opts = _opts_from(args)
     path = _resolve_source(args.source, alpha)
     tokens = [t for t in args.omega.split(",") if t.strip()]
     m_max = args.m_max if args.m_max is not None else 5
@@ -200,9 +184,9 @@ def cmd_path_index(args) -> int:
 
     rows = []
     for tok in tokens:
-        r = index_nu(path, _parse_omega(tok), opts)
+        r = index_nu(path, _parse_omega(tok))
         rows.append(("omega", tok, r.index, r.nullity))
-    table = iterate_indices(path, m_max, opts) if m_max >= 1 else []
+    table = iterate_indices(path, m_max) if m_max >= 1 else []
     for m, r in enumerate(table, start=1):
         rows.append(("iterate", m, r.index, r.nullity))
 
@@ -247,11 +231,10 @@ def cmd_orbits_find(args) -> int:
 def cmd_verify(args) -> int:
     spec, file_alpha = sio.load_surface_file(args.surface)
     alpha = _check_alpha(file_alpha if file_alpha is not None else args.alpha)
-    opts = _opts_from(args)
     m_max = args.m_max if args.m_max is not None else 2
     if m_max < 1:
         raise ParseError(f"--m-max must be at least 1, got {m_max}")
-    rep = verify_surface(spec, alpha=alpha, m_max=m_max, opts=opts)
+    rep = verify_surface(spec, alpha=alpha, m_max=m_max)
     doc = rep.to_dict()
     doc["seed"] = args.seed
     _emit(args, sio.canonical_json(doc))

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FlowError, GaugeError, OrbitSearchError
+from .errors import DimensionError, FlowError, GaugeError, OrbitSearchError
 from .paths import (SymplecticPath, diamond_paths, lower_shear_path,
                     product_path, rotation_path)
 from .sympl import resymplectify, standard_J, symplectic_residual
@@ -281,8 +281,11 @@ def find_orbits(spec: SurfaceSpec, alpha: float = 1.5) -> list[ClosedCharacteris
     turning each plane, and the condition at x0 holds on the whole circle.
     Each circle is confirmed by both residuals, relative, against
     _CLOSED_FORM_TOL; OrbitSearchError carries the larger one.  Orbits of
-    equal action (symmetric surfaces) are kept once per plane.
+    equal action (symmetric surfaces) are kept once per plane.  Raises
+    DimensionError unless 1 < alpha < 2, the degrees the theorems cover.
     """
+    if not 1.0 < alpha < 2.0:
+        raise DimensionError(f"alpha must lie in (1, 2), got {alpha!r}")
     orbits = []
     for l in range(spec.n):
         orb = plane_circle(spec, alpha, l)

@@ -75,7 +75,6 @@ and at a cut one call counts omega and the arcs on both sides of it.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +90,7 @@ from .errors import (
 from .paths import SymplecticPath, twisted_path
 from .spectral import (_ON_CIRCLE_TOL, SplittingPair, _as_complex,
                        _normalize_omega, _principal_angle)
+from .sympl import _positive_int
 
 __all__ = [
     "IndexOptions",
@@ -132,15 +132,19 @@ _TRIGGER = 0.05
 _REFINE_RTOL = 1e-12
 # crossing-form eigenvalues below _FORM_TOL (relative) are degenerate
 _FORM_TOL = 1e-7
+# _EPS is the first twist of the ladder; a twisted endpoint with an
+# eigenvalue within 3 _ACCEPT_TOL of omega asks for a smaller one
+_EPS = 1e-4
+_ACCEPT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class IndexOptions:
-    """eps is the first twist of the ladder; a twisted endpoint with an
-    eigenvalue within 3 accept_tol of omega asks for a smaller one."""
+    """The engine's first twist and acceptance tolerance, _EPS and
+    _ACCEPT_TOL, for code that reads them; no function takes them."""
 
-    eps: float = 1e-4
-    accept_tol: float = 1e-6
+    eps: float = _EPS
+    accept_tol: float = _ACCEPT_TOL
 
 
 @dataclass(frozen=True)
@@ -293,8 +297,7 @@ class _Samples:
         return self._grids[key]
 
 
-def _sweep(samples: _Samples, sign: int, eps: float, jobs: list,
-           opts: IndexOptions) -> list:
+def _sweep(samples: _Samples, sign: int, eps: float, jobs: list) -> list:
     """Crossing counts of the jobs (omega, N) on one twisted path.
 
     Each job counts on its own grid, but every refinement level of all the
@@ -318,7 +321,7 @@ def _sweep(samples: _Samples, sign: int, eps: float, jobs: list,
         Draw, dist = _measure(ev, omegas[ks, None], prefs[ks, None])
         skew = np.abs(Draw.imag).max(axis=1) > 1e-6 * np.maximum(
             np.abs(Draw).max(axis=1), 1e-12)
-        stuck = dist[:, -1] < 3.0 * opts.accept_tol
+        stuck = dist[:, -1] < 3.0 * _ACCEPT_TOL
         for k, bad, retry in zip(ks, skew, stuck):
             if bad:
                 out[k] = NumericalConsistencyError(
@@ -485,8 +488,7 @@ def _form_batch(tw: SymplecticPath, jobs: list) -> list:
     return out
 
 
-def _ladder_step(samples: _Samples, ws: list, nus: list, eps: float,
-                 opts: IndexOptions) -> list:
+def _ladder_step(samples: _Samples, ws: list, nus: list, eps: float) -> list:
     """One-sided counts of every omega in ws at one eps of the ladder.
 
     Per omega the outcome is (i_minus, crossings, i_plus) or an exception,
@@ -499,7 +501,7 @@ def _ladder_step(samples: _Samples, ws: list, nus: list, eps: float,
     """
     N = max(_GRID, samples.path.grid_hint)
     lower = _sweep(samples, -1, eps, [(w, N) for w in ws]
-                   + [(w, 2 * N) for w in ws], opts)
+                   + [(w, 2 * N) for w in ws])
     coarse, fine = lower[:len(ws)], lower[len(ws):]
     out: list = [None] * len(ws)
     settled = {}
@@ -512,7 +514,7 @@ def _ladder_step(samples: _Samples, ws: list, nus: list, eps: float,
         else:
             finest.append(k)
     for k, c4 in zip(finest, _sweep(samples, -1, eps,
-                                    [(ws[k], 4 * N) for k in finest], opts)):
+                                    [(ws[k], 4 * N) for k in finest])):
         if isinstance(c4, Exception) or c4[0] == fine[k][0]:
             out[k], settled[k] = c4, 4 * N
         else:
@@ -521,19 +523,17 @@ def _ladder_step(samples: _Samples, ws: list, nus: list, eps: float,
                 f"omega={ws[k]:.6g} ({coarse[k][0]}, {fine[k][0]}, {c4[0]})")
     done = [k for k in range(len(ws)) if not isinstance(out[k], Exception)]
     upper = dict(zip(done, _sweep(samples, 1, eps,
-                                  [(ws[k], N) for k in done], opts)))
+                                  [(ws[k], N) for k in done])))
     again = [k for k, up in upper.items() if not isinstance(up, Exception)
              and up[0] - out[k][0] != nus[k]]
     upper.update(zip(again, _sweep(samples, 1, eps,
-                                   [(ws[k], settled[k]) for k in again],
-                                   opts)))
+                                   [(ws[k], settled[k]) for k in again])))
     for k, up in upper.items():
         out[k] = up if isinstance(up, Exception) else (*out[k], up[0])
     return out
 
 
-def _index_nus(samples: _Samples, omegas: list,
-               opts: IndexOptions) -> list:
+def _index_nus(samples: _Samples, omegas: list) -> list:
     """`index_nu` at every omega on one path: an IndexResult or the error
     that `index_nu` raises there, per omega.  Each step of the eps ladder
     counts all omega still unresolved together."""
@@ -553,14 +553,14 @@ def _index_nus(samples: _Samples, omegas: list,
         ws[k], last[k] = w, "no attempt"
 
     active = list(ws)
-    eps = opts.eps
+    eps = _EPS
     for _ in range(_EPS_LADDER):
         if not active:
             break
         retry = []
         for k, res in zip(active, _ladder_step(
                 samples, [ws[k] for k in active], [nus[k] for k in active],
-                eps, opts)):
+                eps)):
             if isinstance(res, (_Degenerate, _RetryEps)):
                 last[k] = str(res)
                 retry.append(k)
@@ -598,16 +598,14 @@ def _value(outcome):
     return outcome
 
 
-def index_nu(path: SymplecticPath, omega=1.0, opts: IndexOptions | None = None,
-             ) -> IndexResult:
+def index_nu(path: SymplecticPath, omega=1.0) -> IndexResult:
     """Index and nullity of the path at the given unit-circle parameter.
 
     Raises DimensionError for omega off the unit circle, and for
     1e-12 < |omega - 1| < 1e-4.
     """
     _check_path(path)
-    return _value(_index_nus(_Samples(path), [omega],
-                              opts or IndexOptions())[0])
+    return _value(_index_nus(_Samples(path), [omega])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -630,9 +628,9 @@ class _ArcRule:
     twisted grids is shared by all counts of a rule.
     """
 
-    def __init__(self, path: SymplecticPath, opts: IndexOptions):
+    def __init__(self, path: SymplecticPath):
         _check_path(path)
-        self.path, self.opts = path, opts
+        self.path = path
         self.samples = _Samples(path)
         ev = np.linalg.eigvals(path.endpoint)
         angles = sorted([0.0, np.pi] + [_principal_angle(z) for z in ev
@@ -687,8 +685,7 @@ class _ArcRule:
                 for j in dict.fromkeys(J[~near].tolist() + list(arcs))}
 
         res = _index_nus(self.samples, [np.exp(1j * mid) for mid in
-                                        mids.values()] + list(points.values()),
-                         self.opts)
+                                        mids.values()] + list(points.values()))
         found: dict = {}      # arc j -> its index or error
         for (j, mid), r in zip(mids.items(), res):
             if not isinstance(r, Exception) and r.nullity:
@@ -710,16 +707,6 @@ class _ArcRule:
         if failed.any():      # a failed query's pair is (error, 0)
             raise pairs[failed.argmax()][0]
         return pairs, [found[j] for j in arcs]
-
-
-def _positive_int(value, need: str) -> int:
-    try:
-        k = operator.index(value)
-    except TypeError:
-        k = 0
-    if k < 1:
-        raise DimensionError(f"{need} >= 1, got {value!r}")
-    return k
 
 
 def _mean_roots(K: int) -> list:
@@ -751,8 +738,7 @@ def _iterates_and_mean(rule: _ArcRule, m_max: int, K: int | None):
     return table, (total / K, 4.0 * rule.path.n / K)
 
 
-def iterate_indices(path: SymplecticPath, m_max: int,
-                    opts: IndexOptions | None = None) -> list[IndexResult]:
+def iterate_indices(path: SymplecticPath, m_max: int) -> list[IndexResult]:
     """(i, nu) of the m-fold iterates, m = 1..m_max, via the root sum
 
         i(gamma, m) = sum over omega^m = 1 of i_omega(gamma),
@@ -761,12 +747,10 @@ def iterate_indices(path: SymplecticPath, m_max: int,
     unless m_max is an integer >= 1.
     """
     m_max = _positive_int(m_max, "iterate table needs an integer m_max")
-    return _iterates_and_mean(_ArcRule(path, opts or IndexOptions()),
-                              m_max, None)[0]
+    return _iterates_and_mean(_ArcRule(path), m_max, None)[0]
 
 
-def mean_index(path: SymplecticPath, K: int = 1024,
-               opts: IndexOptions | None = None) -> tuple[float, float]:
+def mean_index(path: SymplecticPath, K: int = 1024) -> tuple[float, float]:
     """K-th discrete average of the index, with an a priori error bound.
 
     Returns (i(gamma, K) / K, bound) where the first entry differs from
@@ -778,24 +762,20 @@ def mean_index(path: SymplecticPath, K: int = 1024,
     >= 1.
     """
     K = _positive_int(K, "mean index needs an integer K")
-    return _iterates_and_mean(_ArcRule(path, opts or IndexOptions()), 0, K)[1]
+    return _iterates_and_mean(_ArcRule(path), 0, K)[1]
 
 
 def iterates_and_mean(path: SymplecticPath, m_max: int, K: int = 1024,
-                      opts: IndexOptions | None = None,
                       ) -> tuple[list[IndexResult], tuple[float, float]]:
     """`iterate_indices(path, m_max)` and `mean_index(path, K)` from one
     arc rule, so the counts both need (omega = +-1, the arcs) run once.
     Raises DimensionError for m_max and K as those two do."""
     m_max = _positive_int(m_max, "iterate table needs an integer m_max")
     K = _positive_int(K, "mean index needs an integer K")
-    return _iterates_and_mean(_ArcRule(path, opts or IndexOptions()),
-                              m_max, K)
+    return _iterates_and_mean(_ArcRule(path), m_max, K)
 
 
-def splitting_numbers_numeric(path: SymplecticPath, omega,
-                              opts: IndexOptions | None = None,
-                              ) -> SplittingPair:
+def splitting_numbers_numeric(path: SymplecticPath, omega) -> SplittingPair:
     """Splitting numbers at omega by one-sided index limits.
 
     S+-(omega) = lim as delta -> 0+ of i at omega e^{+-i delta} minus
@@ -813,7 +793,7 @@ def splitting_numbers_numeric(path: SymplecticPath, omega,
     never counted.
     """
     w = _normalize_omega(omega)
-    rule = _ArcRule(path, opts or IndexOptions())
+    rule = _ArcRule(path)
     a = _principal_angle(w)
     J, near = rule.locate(np.array([a]))
     if not near[0]:

@@ -143,14 +143,13 @@ def parse_path_samples(text: str) -> tuple[np.ndarray, np.ndarray]:
 SYMPL_TOL = 1e-6
 
 
-def require_symplectic(M: np.ndarray, what: str,
-                       tol: float = SYMPL_TOL) -> float:
+def require_symplectic(M: np.ndarray, what: str) -> float:
     """Symplectic residual of M; ParseError naming ``what`` if it exceeds
-    tol."""
+    SYMPL_TOL."""
     res = symplectic_residual(M)
-    if res > tol:
+    if res > SYMPL_TOL:
         raise ParseError(f"{what} is not symplectic (residual {res:.3e} "
-                         f"> {tol:.1e})")
+                         f"> {SYMPL_TOL:.1e})")
     return res
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, NumericalConsistencyError, SymplecticityError
-from .sympl import expJ, standard_J, sympl_dim
+from .sympl import _positive_int, expJ, standard_J, sympl_dim
 
 __all__ = [
     "SymplecticPath",
@@ -43,6 +43,19 @@ __all__ = [
     "twisted_path",
     "path_from_samples",
 ]
+
+
+def _span(tau) -> float:
+    """tau as a float; DimensionError unless it is finite and positive."""
+    if not 0.0 < tau < np.inf:
+        raise DimensionError(f"path needs a finite tau > 0, got {tau}")
+    return float(tau)
+
+
+def _finite(x, what: str):
+    if not np.isfinite(x):
+        raise DimensionError(f"{what} must be finite, got {x}")
+    return x
 
 
 class SymplecticPath:
@@ -62,10 +75,8 @@ class SymplecticPath:
 
     def __init__(self, n, tau, values_fn, sform_fn, seams=(),
                  grid_hint=96, label="", factors=None):
-        if tau <= 0:
-            raise DimensionError(f"path needs tau > 0, got {tau}")
         self.n = int(n)
-        self.tau = float(tau)
+        self.tau = _span(tau)
         self._values = values_fn
         self._sform = sform_fn
         self.seams = tuple(sorted(s for s in seams if 0.0 < s < self.tau))
@@ -203,6 +214,7 @@ def exp_path(S_sym: np.ndarray, tau: float = 1.0, label="") -> SymplecticPath:
     `normal_form_path`) goes through the batched Pade evaluator
     `_pade_exp`, which serves a whole time stack from the powers of L.
     """
+    tau = _span(tau)
     S_sym = np.asarray(S_sym, dtype=float)
     n = sympl_dim(S_sym)
     J = standard_J(n)
@@ -231,7 +243,7 @@ def exp_path(S_sym: np.ndarray, tau: float = 1.0, label="") -> SymplecticPath:
 
 def rotation_path(theta: float, tau: float = 1.0) -> SymplecticPath:
     """R(theta t / tau) in one plane."""
-    rate = theta / tau
+    rate = _finite(theta, "rotation angle") / _span(tau)
 
     def values(ts):
         c, s = np.cos(rate * ts), np.sin(rate * ts)
@@ -257,7 +269,7 @@ def _shear_values(ts, beta, row, col):
 
 def shear_path(b: float, tau: float = 1.0) -> SymplecticPath:
     """[[1, b t/tau], [0, 1]], the straight upper shear."""
-    beta = b / tau
+    beta = _finite(b, "shear") / _span(tau)
     S = np.array([[0.0, 0.0], [0.0, -beta]])
     return SymplecticPath(1, tau, lambda ts: _shear_values(ts, beta, 0, 1),
                           sform_fn=_constant(S),
@@ -266,7 +278,7 @@ def shear_path(b: float, tau: float = 1.0) -> SymplecticPath:
 
 def lower_shear_path(b: float, tau: float = 1.0) -> SymplecticPath:
     """[[1, 0], [b t/tau, 1]], the straight lower shear."""
-    beta = b / tau
+    beta = _finite(b, "lower shear") / _span(tau)
     S = np.array([[beta, 0.0], [0.0, 0.0]])
     return SymplecticPath(1, tau, lambda ts: _shear_values(ts, beta, 1, 0),
                           sform_fn=_constant(S),
@@ -299,9 +311,9 @@ def product_path(p1: SymplecticPath, p2: SymplecticPath,
 
 
 def iterate_path(p: SymplecticPath, m: int) -> SymplecticPath:
-    """m-fold iteration: gamma(t - j tau) gamma(tau)^j on [0, m tau]."""
-    if m < 1:
-        raise DimensionError(f"iterate needs m >= 1, got {m}")
+    """m-fold iteration: gamma(t - j tau) gamma(tau)^j on [0, m tau].
+    Raises DimensionError unless m is an integer >= 1."""
+    m = _positive_int(m, "iterate needs an integer m")
     if m == 1:
         return p
     n, tau = p.n, p.tau
@@ -409,8 +421,8 @@ def twisted_path(p: SymplecticPath, eps: float, sign: int) -> SymplecticPath:
 _ROT_CANDIDATES = tuple(np.linspace(0.0, np.pi, 25))
 
 
-def normal_form_path(M: np.ndarray, tau: float = 1.0) -> SymplecticPath:
-    """A smooth symplectic path from I to M.
+def normal_form_path(M: np.ndarray) -> SymplecticPath:
+    """A smooth symplectic path on [0, 1] from I to M.
 
     Uses the principal logarithm when the spectrum avoids the negative
     reals; otherwise prepends a rigid rotation factor exp(theta J) chosen
@@ -442,11 +454,11 @@ def normal_form_path(M: np.ndarray, tau: float = 1.0) -> SymplecticPath:
         raise NumericalConsistencyError(
             f"logarithm reconstruction residual {resid:.2e}")
 
-    core = exp_path(S0, tau=tau, label="log")
+    core = exp_path(S0, label="log")
     if theta == 0.0:
         return core
-    # exp(t (theta/tau) J) solves x' = J S x with S = (theta/tau) I
-    rot = exp_path((theta / tau) * np.eye(2 * n), tau=tau, label="rotfac")
+    # exp(t theta J) solves x' = J S x with S = theta I
+    rot = exp_path(theta * np.eye(2 * n), label="rotfac")
     return product_path(rot, core, label=f"nf({theta:.3g})")
 
 

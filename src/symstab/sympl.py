@@ -10,6 +10,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import DimensionError
@@ -34,6 +36,18 @@ __all__ = [
 # Newton projection onto Sp(2n): step limit and the residual it stops at
 _NEWTON_STEPS = 8
 _NEWTON_TOL = 1e-13
+
+
+def _positive_int(value, need: str) -> int:
+    """value as an int; DimensionError unless it is an integer >= 1 (a
+    float or a string is no integer)."""
+    try:
+        k = operator.index(value)
+    except TypeError:
+        k = 0
+    if k < 1:
+        raise DimensionError(f"{need} >= 1, got {value!r}")
+    return k
 
 
 def standard_J(n: int) -> np.ndarray:

@@ -1,7 +1,10 @@
 """End-to-end runs of the command-line front end via main(argv)."""
 
+import argparse
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -88,9 +91,21 @@ def test_path_index_empty_omega_list(capsys):
     assert "empty omega" in capsys.readouterr().err
 
 
-def test_bad_tol(capsys):
-    assert main(["path-index", "rotation:2pi", "--tol", "-1"]) == 2
-    assert "--tol" in capsys.readouterr().err
+@pytest.mark.parametrize("argv", [
+    ["verify", "{e11}", "--tol", "1e-6"],
+    ["path-index", "rotation:2pi", "--tol", "1e-6"],
+    ["path-index", "rotation:2pi", "--omega", "1", "--tol", "nan"],
+    ["matrix-analyze", "{id4}", "--tol", "1e-6"],
+])
+def test_bad_tol(files, argv, capsys):
+    # no subcommand takes a tolerance: the certified integers do not
+    # depend on one
+    argv = [a.format(e11=files / "e11.json", id4=files / "id4.txt")
+            for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 def test_bad_alpha(files, capsys):
@@ -249,3 +264,22 @@ def test_unread_flags_are_rejected(files, argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_readme_option_table_matches_the_parser():
+    # each row of the README's `| subcommand | options |` table lists
+    # exactly the options that subcommand's parser declares
+    from symstab.cli import _build_parser
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = {}
+    table = readme.split("| subcommand | options |", 1)[1].splitlines()[2:]
+    for line in itertools.takewhile(lambda l: l.startswith("|"), table):
+        name, opts = line.strip("|").split("|")
+        rows[name.strip().strip("`")] = set(re.findall(r"`(--[a-z-]+)`", opts))
+    subs = next(a for a in _build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    declared = {name: {o for a in p._actions for o in a.option_strings
+                       if o not in ("-h", "--help")}
+                for name, p in subs.choices.items()}
+    assert rows == declared

@@ -20,7 +20,8 @@ from symstab import (
 from symstab import dynamics
 from symstab.dynamics import (AlphaHamiltonian, convexity_margin,
                               gauge_grad_hess, plane_circle_radius)
-from symstab.errors import FlowError, GaugeError, OrbitSearchError
+from symstab.errors import (DimensionError, FlowError, GaugeError,
+                            OrbitSearchError)
 from symstab.sympl import standard_J
 
 PI = np.pi
@@ -139,7 +140,7 @@ def test_verify_surface_integrates_nothing(monkeypatch):
 
     monkeypatch.setattr(dynamics, "integrate_flow", counted)
     for spec in _CLOSED_FORM_SPECS:
-        verify_surface(spec, alpha=ALPHA, m_max=1, mean_K=8)
+        verify_surface(spec, alpha=ALPHA, m_max=1)
     assert calls == []
 
 
@@ -428,3 +429,14 @@ def test_flow_evaluates_gauge_derivatives_once_per_step(monkeypatch):
         res = integrate_flow(spec, ALPHA, np.asarray(o.x0), o.period,
                              variational=False)
         assert calls == {True: 0, False: res.nfev}
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, float("nan"), float("inf")])
+def test_alpha_outside_one_two_is_refused(alpha):
+    # the theorems cover 1 < alpha < 2; verify_surface once certified
+    # alpha = 0.5, and alpha = nan gave an orbit of period nan
+    spec = SurfaceSpec((1.0, 1.1))
+    with pytest.raises(DimensionError, match="alpha"):
+        find_orbits(spec, alpha)
+    with pytest.raises(DimensionError, match="alpha"):
+        verify_surface(spec, alpha=alpha)

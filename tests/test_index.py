@@ -11,7 +11,6 @@ from conftest import (ALPHA, PERTURBED, _random_normal_form, bott_path_pool,
                       random_path_pool)
 
 from symstab import (
-    IndexOptions,
     SurfaceSpec,
     SymplecticPath,
     diamond_all,
@@ -34,6 +33,7 @@ from symstab import (
 from symstab import classify
 from symstab import index as ix
 from symstab import paths as paths_mod
+from symstab.index import IndexOptions
 from symstab.errors import (
     DimensionError,
     IndexUnstableError,
@@ -50,8 +50,8 @@ from symstab.sympl import (N1_block, N2_block, R_block, random_symplectic,
 PI = np.pi
 
 
-def tup(path, omega, **kw):
-    r = index_nu(path, omega, IndexOptions(**kw) if kw else None)
+def tup(path, omega):
+    r = index_nu(path, omega)
     return (r.index, r.nullity)
 
 
@@ -80,6 +80,18 @@ def test_partial_rotation_step(theta, own, below, above):
     assert tup(p, np.exp(-1j * theta)) == own
     assert tup(p, np.exp(1j * (theta - 0.3))) == below
     assert tup(p, np.exp(1j * (theta + 0.3))) == above
+
+
+@pytest.mark.parametrize("theta, want", [(1.0, (0, 1)), (4.0, (2, 1))])
+def test_a_twisted_endpoint_on_omega_is_not_counted(theta, want):
+    # R(theta) + R(theta - eps) at e^{i theta}: the upper twist moves the
+    # second plane's endpoint onto omega, so the first twist is refused
+    # and the count comes from the next step of the ladder
+    eps = IndexOptions().eps
+    path = diamond_paths([rotation_path(theta), rotation_path(theta - eps)])
+    r = index_nu(path, np.exp(1j * theta))
+    assert r.as_tuple() == want
+    assert r.eps == eps / 2
 
 
 def test_shears():
@@ -179,7 +191,7 @@ def test_omega_off_the_unit_circle_is_refused(omega):
                  lambda: splitting_numbers_numeric(path, omega),
                  lambda: splitting_table(spectral_summary(path.endpoint),
                                          omega),
-                 lambda: ix._ArcRule(path, IndexOptions())([1j, omega])):
+                 lambda: ix._ArcRule(path)([1j, omega])):
         with pytest.raises(DimensionError, match="unit circle"):
             call()
 
@@ -600,7 +612,7 @@ def test_shared_sampling_leaves_results_unchanged(path, omegas, ladder):
     def fresh():
         return _RefArcRule(path, samples=_FreshSamples)
 
-    rule, ref = ix._ArcRule(path, IndexOptions()), fresh()
+    rule, ref = ix._ArcRule(path), fresh()
     arcs = range(len(rule.cuts) - 1)
     assert rule(omegas, arcs) == ([ref(w) for w in omegas],
                                   [ref.arc(j) for j in arcs])
@@ -694,7 +706,7 @@ def test_no_eigenvalue_on_a_failing_arc_splits_by_zero():
                 == splitting_table(spectral_summary(M), w)
                 == SplittingPair(0, 0))
     with pytest.raises(TangencyError, match="arc midpoint"):
-        ix._ArcRule(path, IndexOptions())([np.exp(3.13734j)])
+        ix._ArcRule(path)([np.exp(3.13734j)])
 
 
 # ROADMAP item 10: near a Jordan block at 1 the direct count reads a kernel
@@ -741,7 +753,7 @@ class _LoopArcRule(ix._ArcRule):
                 if store is found}
         res = ix._index_nus(self.samples, [np.exp(1j * mid) for mid in
                                            mids.values()]
-                            + list(points.values()), self.opts)
+                            + list(points.values()))
         for (j, mid), r in zip(mids.items(), res):
             if not isinstance(r, Exception) and r.nullity:
                 r = TangencyError(f"arc midpoint at angle {mid:.6g} reports "
@@ -789,8 +801,7 @@ def test_batched_arc_rule_equals_per_query_loop(case, Ks):
         roots = ix._mean_roots(K)
         if K < 100001:
             roots = roots + [np.exp(-2j * PI * k / K) for k in range(1, K // 2)]
-        new, ref = ix._ArcRule(path, IndexOptions()), _LoopArcRule(
-            path, IndexOptions())
+        new, ref = ix._ArcRule(path), _LoopArcRule(path)
         arcs = range(len(new.cuts) - 1)
         for omegas in (roots, band + roots[:9], roots + band,
                        [band[5], 1.5, band[0], 2j], [band[6]]):
@@ -956,14 +967,14 @@ def test_verify_surface_counts_plus_minus_one_once_per_orbit(monkeypatch):
     seen = collections.Counter()
     sweep = ix._sweep
 
-    def recorded(samples, sign, eps, jobs, opts):
+    def recorded(samples, sign, eps, jobs):
         for omega, N in jobs:
             if abs(omega.imag) < 1e-9:  # +-1, up to rounding of e^{i pi}
                 seen[id(samples.path), round(omega.real), sign, eps, N] += 1
-        return sweep(samples, sign, eps, jobs, opts)
+        return sweep(samples, sign, eps, jobs)
 
     monkeypatch.setattr(ix, "_sweep", recorded)
-    rep = verify_surface(SurfaceSpec((1.0, 1.1)), m_max=2, mean_K=16)
+    rep = verify_surface(SurfaceSpec((1.0, 1.1)), m_max=2)
     assert len(rep.orbits) == 2
     assert {w for _, w, *_ in seen} == {1, -1}
     assert len({p for p, *_ in seen}) == 2
@@ -994,9 +1005,9 @@ def test_iterate_table_refuses_m_max_below_one(m_max):
                  id="splitting table text"),
     pytest.param(lambda p: splitting_table(spectral_summary(p.endpoint),
                                            None), id="splitting table None"),
-    pytest.param(lambda p: ix._ArcRule(p, IndexOptions())(["x"]),
+    pytest.param(lambda p: ix._ArcRule(p)(["x"]),
                  id="arc rule text"),
-    pytest.param(lambda p: ix._ArcRule(p, IndexOptions())([1j, None]),
+    pytest.param(lambda p: ix._ArcRule(p)([1j, None]),
                  id="arc rule None after a good omega"),
     pytest.param(lambda p: iterate_indices(p, 2.5), id="iterates float"),
     pytest.param(lambda p: ix.iterates_and_mean(p, 2.5, 8),
@@ -1027,17 +1038,13 @@ def test_mean_index_refuses_K_that_is_no_positive_integer(K):
         ix.iterates_and_mean(_GEN, 2, K)
 
 
-def test_verify_surface_inherits_the_mean_K_refusal(monkeypatch):
+def test_verify_surface_refuses_m_max_before_the_surface(monkeypatch):
     # the refusal comes before the pinch data and the orbit search
     def no_search(*args):
-        raise AssertionError("surface read before m_max and mean_K were "
-                             "checked")
+        raise AssertionError("surface read before m_max was checked")
 
     monkeypatch.setattr(classify, "find_orbits", no_search)
     monkeypatch.setattr(classify, "enclosing_radii", no_search)
-    for K in (0, -4, 2.5):
-        with pytest.raises(DimensionError):
-            verify_surface(SurfaceSpec((0.9,)), m_max=1, mean_K=K)
     for m_max in (0, 2.5, "2", None):
         with pytest.raises(DimensionError, match="m_max"):
             verify_surface(SurfaceSpec((0.9,)), m_max=m_max)
@@ -1129,7 +1136,7 @@ def _form_batches_of(path, omegas):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ix, "_form_counts", recorded)
-        ix._index_nus(ix._Samples(path), list(omegas), IndexOptions())
+        ix._index_nus(ix._Samples(path), list(omegas))
     return calls
 
 

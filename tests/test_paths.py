@@ -192,6 +192,41 @@ def test_iterate_path_composes():
     assert np.allclose(it.endpoint, rotation2(2.4))
 
 
+@pytest.mark.parametrize("m", [2.5, "2", 0, -1, None])
+def test_iterate_path_refuses_m_that_is_no_positive_integer(m):
+    with pytest.raises(DimensionError, match="integer m"):
+        iterate_path(rotation_path(0.8), m)
+
+
+_BAD = (float("nan"), float("inf"), -float("inf"))
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda x: rotation_path(1.0, tau=x), id="rotation tau"),
+    pytest.param(lambda x: shear_path(1.0, tau=x), id="shear tau"),
+    pytest.param(lambda x: lower_shear_path(1.0, tau=x), id="lshear tau"),
+    pytest.param(lambda x: exp_path(np.eye(2), tau=x), id="exp tau"),
+    pytest.param(lambda x: SymplecticPath(
+        1, x, lambda ts: np.tile(np.eye(2), (len(ts), 1, 1)),
+        lambda ts, side: np.zeros((len(ts), 2, 2))), id="path tau"),
+    pytest.param(rotation_path, id="rotation angle"),
+    pytest.param(shear_path, id="shear"),
+    pytest.param(lower_shear_path, id="lower shear"),
+])
+def test_paths_refuse_non_finite_parameters(make):
+    # nan passed `tau <= 0`, and a nan angle died in int(16 * nan)
+    for x in _BAD:
+        with pytest.raises(DimensionError, match="finite"):
+            make(x)
+
+
+@pytest.mark.parametrize("tau", [0.0, -1.0])
+def test_paths_refuse_tau_that_is_not_positive(tau):
+    for make in (rotation_path, shear_path, lower_shear_path):
+        with pytest.raises(DimensionError, match="tau > 0"):
+            make(1.0, tau)
+
+
 def test_diamond_paths_values():
     a, b = rotation_path(1.2), shear_path(0.4)
     d = diamond_paths([a, b])
