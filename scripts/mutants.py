@@ -83,6 +83,44 @@ MUTANTS = [
      "stuck = dist[:, -1] < 3.0 * _ACCEPT_TOL",
      "stuck = dist[:, -1] < 0.0 * _ACCEPT_TOL",
      [T + "test_a_twisted_endpoint_on_omega_is_not_counted"]),
+    # the 4x4 spectra: the fallback mutant is named only with the direct
+    # test, since without the fallback the brackets of D(2) ◇ N1(1, 1) at
+    # omega = 1 split into millions of rows
+    ("no LAPACK fallback in _eigvals4", INDEX,
+     "    if not ok.all():\n",
+     "    if False:\n",
+     [T + "test_quartic_spectra_equal_lapack_as_multisets"]),
+    ("no symplectic gate in _eigvals4", INDEX,
+     "(residual <= _SYMPL_TOL * np.maximum(1.0, fro2))",
+     "(residual <= np.inf)",
+     [T + "test_quartic_spectra_equal_lapack_as_multisets",
+      T + "test_a_path_that_is_not_symplectic_is_refused",
+      T + "test_spline_sampled_orbit_paths_equal_the_lapack_reference"]),
+    ("x2 = (b + 2)/x1 in _eigvals4", INDEX,
+     "(b - 2.0) / x1",
+     "(b + 2.0) / x1",
+     [T + "test_quartic_spectra_equal_lapack_as_multisets"]),
+    ("no sign-change cells in the brackets", INDEX,
+     "cover = (D[:, :-1] * D[:, 1:] < 0.0) | mins[:, :-1]",
+     "cover = mins[:, :-1]",
+     [T + "test_bracket_rows_equal_reference_brackets_row_by_row",
+      A + "test_second_iterate_splits_at_plus_and_minus_one"]),
+    ("every minimum for one level fewer", INDEX,
+     "level <= _ALL_MINIMA)",
+     "level < _ALL_MINIMA)",
+     [T + "test_shared_sampling_leaves_results_unchanged[seams]"]),
+    ("the last lowest minimum instead of the first", INDEX,
+     "best = np.argmin(np.where(mins, dist, np.inf), axis=1)",
+     "best = dist.shape[1] - 1 - np.argmin(\n"
+     "            np.where(mins, dist, np.inf)[:, ::-1], axis=1)",
+     [T + "test_bracket_rows_equal_reference_brackets_row_by_row"]),
+    ("the N grid read one sample right of its 2N twin", INDEX,
+     "ev = fine[1][np.searchsorted(fine[0], ts)]",
+     "ev = fine[1][np.minimum(np.searchsorted(fine[0], ts) + 1,\n"
+     "                                       len(fine[0]) - 1)]",
+     [T + "test_shared_sampling_leaves_results_unchanged"
+      "[crossings at the seams]",
+      T + "test_verify_surface_counts_plus_minus_one_once_per_orbit"]),
 ]
 
 

@@ -33,8 +33,11 @@ the grid size N, not on omega, so one `index_nu` call or one arc rule
 of the grid check is a subset of its 2N grid and is read from the 2N
 samples.  The twist turns each plane on its own, so the twist of a
 diamond product (every orbit path) is the diamond product of twisted
-factors, and its eigenvalues are read factor by factor: a 2x2 factor in
-closed form, larger ones by LAPACK (`_eigvals`).
+factors, and its eigenvalues are read factor by factor (`_eigvals`): a
+2x2 factor in closed form; a 4x4 factor from the quadratic its
+palindromic characteristic polynomial gives in l + 1/l, except at rows
+near a double root or not symplectic to rounding, which go to LAPACK;
+larger factors by LAPACK.  Endpoint spectra are always LAPACK's.
 
 Every run of grid cells that holds a sign change of the real function
 D_omega = (-1)^(n-1) conj(omega)^n det(P - omega I), or a local minimum
@@ -90,7 +93,7 @@ from .errors import (
 from .paths import SymplecticPath, twisted_path
 from .spectral import (_ON_CIRCLE_TOL, SplittingPair, _as_complex,
                        _normalize_omega, _principal_angle)
-from .sympl import _positive_int
+from .sympl import _positive_int, standard_J
 
 __all__ = [
     "IndexOptions",
@@ -132,6 +135,17 @@ _TRIGGER = 0.05
 _REFINE_RTOL = 1e-12
 # crossing-form eigenvalues below _FORM_TOL (relative) are degenerate
 _FORM_TOL = 1e-7
+# a 4x4 factor's spectrum is read in closed form (`_eigvals4`) where its
+# quadratic in l + 1/l has no root within _QUAD_TOL (relative) of a double
+# one, and where P^T J P - J stays within _SYMPL_TOL (relative to
+# ||P||_F^2) of 0: constructor-built paths stay below 1e-15, splines
+# through integrated samples reach 1e-12 to 5e-10.  Rounding in the
+# quadratic grows like 1/sqrt of that distance; at 1e-6 it moved the
+# sampled distance minima of a twisted Jordan block at 1 enough to open
+# extra brackets (the same integers, more evaluations)
+_QUAD_TOL = 1e-3
+_SYMPL_TOL = 1e-13
+_J4 = standard_J(2)
 # _EPS is the first twist of the ladder; a twisted endpoint with an
 # eigenvalue within 3 _ACCEPT_TOL of omega asks for a smaller one
 _EPS = 1e-4
@@ -201,8 +215,9 @@ def _eigvals(path: SymplecticPath, ts) -> np.ndarray:
     factors, so each factor is read on its own through its `values`.  A
     2x2 factor [[a, b], [c, d]] has (a + d)/2 +- sqrt(((a - d)/2)^2 + b c);
     in that form a small rotation angle keeps its relative accuracy, where
-    the trace and determinant form would cancel.  Larger factors go to
-    LAPACK.
+    the trace and determinant form would cancel.  A 4x4 factor is read
+    from its reciprocal-pair quadratic (`_eigvals4`), and larger factors
+    go to LAPACK.
     """
     parts = []
     for f in path.factors:
@@ -213,9 +228,51 @@ def _eigvals(path: SymplecticPath, ts) -> np.ndarray:
             r = np.sqrt(h * h + b * c + 0j)
             mid = 0.5 * (a + d)
             parts.append(np.stack([mid + r, mid - r], axis=-1))
+        elif f.n == 2:
+            parts.append(_eigvals4(P))
         else:
             parts.append(np.linalg.eigvals(P))
     return np.concatenate(parts, axis=-1)
+
+
+def _eigvals4(P: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a stack (m, 4, 4) of symplectic matrices, (m, 4).
+
+    The characteristic polynomial of a symplectic P is palindromic,
+    l^4 - a l^3 + b l^2 - a l + 1 with a = tr P and b = (a^2 - tr P^2)/2,
+    so x = l + 1/l solves x^2 - a x + (b - 2) = 0.  Its roots are taken in
+    the stable form x1 = (a + sgn(a) sqrt(d1))/2, x2 = (b - 2)/x1, with
+    d1 = 2 tr P^2 - a^2 + 8, and each x gives l = (x + r)/2 and 1/l, where
+    r = +-sqrt(x^2 - 4) is signed to add to x, so |l| >= 1.  Near a double
+    root (d1 or x^2 - 4 within _QUAD_TOL of zero: a Krein collision, or an
+    eigenvalue pair near +-1) rounding in the roots grows up to sqrt(eps),
+    and a row that is not symplectic to _SYMPL_TOL has no palindromic
+    polynomial.  Such rows, and non-finite ones, go to LAPACK, bit for bit
+    as a LAPACK call on the whole stack would read them.
+    """
+    a = np.trace(P, axis1=1, axis2=2)
+    tr2 = np.einsum("tij,tji->t", P, P)
+    fro2 = np.einsum("tij,tij->t", P, P)
+    b = 0.5 * (a * a - tr2)
+    d1 = 2.0 * tr2 - a * a + 8.0
+    with np.errstate(all="ignore"):    # rows that fail the tests below
+        x1 = 0.5 * (a + np.where(a < 0.0, -1.0, 1.0) * np.sqrt(d1 + 0j))
+        x = np.stack([x1, (b - 2.0) / x1], axis=-1)
+        q = x * x - 4.0
+        r = np.sqrt(q)
+        r = np.where((x.conj() * r).real < 0.0, -r, r)
+        lam = 0.5 * (x + r)
+        ev = np.concatenate([lam, 1.0 / lam], axis=-1)
+        PJP = P.transpose(0, 2, 1) @ _J4 @ P
+        residual = np.abs(PJP - _J4).max(axis=(1, 2))
+        # a comparison with nan is False, so a non-finite row is not ok;
+        # d1 away from 0 also keeps x1 away from 0
+        ok = ((np.abs(d1) >= _QUAD_TOL * (a * a + 2.0 * fro2 + 8.0))
+              & (np.abs(q) >= _QUAD_TOL * (np.abs(x) ** 2 + 4.0)).all(axis=1)
+              & (residual <= _SYMPL_TOL * np.maximum(1.0, fro2)))
+    if not ok.all():
+        ev[~ok] = np.linalg.eigvals(P[~ok])
+    return ev
 
 
 def _bracket_rows(xs, D, dist, trigger: float, all_minima: bool):

@@ -231,8 +231,11 @@ def exp_path(S_sym: np.ndarray, tau: float = 1.0, label="") -> SymplecticPath:
     if use_eig:
 
         def values(ts):
-            E = np.exp(np.multiply.outer(ts, evals))      # (m, 2n)
-            return np.einsum("ij,tj,jk->tik", V, E, Vinv).real
+            # an overflowing exponential leaves a non-finite value without
+            # a warning; the engine refuses a non-finite endpoint
+            with np.errstate(over="ignore", invalid="ignore"):
+                E = np.exp(np.multiply.outer(ts, evals))      # (m, 2n)
+                return np.einsum("tij,jk->tik", V * E[:, None, :], Vinv).real
     else:
         values = _pade_exp(L)
 

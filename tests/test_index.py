@@ -1,6 +1,7 @@
 """Crossing-count engine: anchor values, additivity, grid stability."""
 
 import collections
+import itertools
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from conftest import (ALPHA, PERTURBED, _random_normal_form, bott_path_pool,
-                      random_path_pool)
+                      orbit_path_pool, random_path_pool)
 
 from symstab import (
     SurfaceSpec,
@@ -44,8 +45,8 @@ from symstab.errors import (
 )
 from symstab.paths import diamond_paths, twisted_path
 from symstab.spectral import SplittingPair, _principal_angle
-from symstab.sympl import (N1_block, N2_block, R_block, random_symplectic,
-                           resymplectify)
+from symstab.sympl import (D_block, N1_block, N2_block, R_block,
+                           random_symplectic, resymplectify, standard_J)
 
 PI = np.pi
 
@@ -666,7 +667,6 @@ def _arc_midpoint_case():
     return normal_form_path(M), -1.0
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in exp")
 def test_non_finite_endpoint_is_a_typed_error():
     # exp(800 t) overflows: the endpoint is nan, which LAPACK would meet
     # as a raw LinAlgError
@@ -1122,6 +1122,129 @@ def test_orbit_path_integers_equal_the_lapack_reference():
         assert [r.as_tuple() for r in table] == [
             r.as_tuple() for r in _ref_table(rule, 4)], path.label
         assert mean == _ref_mean(rule, 256), path.label
+
+
+_PERMS = np.array(list(itertools.permutations(range(4))))
+
+
+def _quartic_cases():
+    """(name, P, lapack, closed): a stack of 4x4 matrices, the rows that
+    must go to LAPACK, and whether some rows must be read in closed form."""
+    rng = np.random.default_rng(7)
+
+    def conj(M):
+        g = random_symplectic(2, rng)
+        return resymplectify(g @ M @ np.linalg.inv(g))
+
+    def on_grid(name, path, lapack_at_end=False):
+        ts = ix._grid(path, 256)
+        lapack = np.zeros(len(ts), dtype=bool)
+        lapack[-1] = lapack_at_end
+        return name, path.values(ts), lapack, True
+
+    # geometric times tau 2^-k: within 2^-20 of the start P is the
+    # identity to 1e-6, a fourfold root of the quadratic's x = 2
+    twisted = twisted_path(normal_form_path(conj(N2_block(2.0, False))),
+                           1e-4, 1)
+    ks = np.arange(4, 44)
+    geo = ("twisted normal form near t = 0",
+           twisted.values(twisted.tau * np.power(2.0, -ks)), ks >= 20, False)
+    # the Jordan block N1(1, 1) keeps x = 2 a root along the whole path
+    jordan = normal_form_path(conj(diamond_all([N1_block(1.0, 1.0),
+                                                D_block(2.0)])))
+    ts = ix._grid(jordan, 256)
+    jordan_case = ("N1(1, 1) ◇ D(2)", jordan.values(ts),
+                   np.ones(len(ts), dtype=bool), False)
+    # the loxodromic quadruple of ROADMAP item 5's trial 76,
+    # 3.8e3 e^{+-0.356i} and its inverses, on a conjugated 4x4 generator
+    B = np.array([[np.log(3802.0), -0.356], [0.356, np.log(3802.0)]])
+    g = random_symplectic(2, rng)
+    L = g @ np.block([[B, np.zeros((2, 2))], [np.zeros((2, 2)), -B.T]]) \
+        @ np.linalg.inv(g)
+    # expm(t A) of a generator that is no Hamiltonian matrix: not
+    # symplectic once t leaves rounding
+    A = 0.8 * np.random.default_rng(1).standard_normal((4, 4))
+    ts = np.linspace(0.01, 1.0, 100)
+    return [
+        geo, jordan_case,
+        on_grid("N1(-1, 1) ◇ R(2)", normal_form_path(
+            conj(diamond_all([N1_block(-1.0, 1.0), R_block(2.0)]))), True),
+        # Krein collisions at the endpoint
+        on_grid("N2(2)", normal_form_path(conj(N2_block(2.0, True))), True),
+        on_grid("R(2) ◇ R(2)", normal_form_path(
+            conj(diamond_all([R_block(2.0), R_block(2.0)]))), True),
+        on_grid("loxodromic", exp_path(np.linalg.solve(standard_J(2), L))),
+        ("not symplectic", np.stack([expm(t * A) for t in ts]),
+         np.ones(len(ts), dtype=bool), False),
+    ]
+
+
+def test_quartic_spectra_equal_lapack_as_multisets():
+    # rows near a double root of the quadratic, and rows that are not
+    # symplectic, are LAPACK's bit for bit.  Elsewhere both routes err by
+    # about eps ||P|| over the distance to a double root, which the
+    # closed form keeps above sqrt(_QUAD_TOL) = 0.03 (relative) for the
+    # roots x and for l: about eps ||P||_F / _QUAD_TOL = 2e-13 ||P||_F.
+    # So they agree within 1e-12 ||P||_F, as a multiset (the best of the
+    # 24 pairings of the four eigenvalues)
+    for name, P, lapack, closed in _quartic_cases():
+        ev, ref = ix._eigvals4(P), np.linalg.eigvals(P)
+        same = (ev == ref).all(axis=1)
+        assert same[lapack].all(), name
+        gap = np.abs(ev[:, None, :] - ref[:, _PERMS]).max(axis=2).min(axis=1)
+        bound = 1e-12 * np.maximum(1.0, np.linalg.norm(P, axis=(1, 2)))
+        assert (gap <= bound).all(), (name, (gap / bound).max())
+        assert (~same).any() or not closed, name
+
+
+def test_a_path_that_is_not_symplectic_is_refused():
+    # the determinant function of a path that is not symplectic is not
+    # real.  The closed form would hide that: it pairs every l with 1/l.
+    # The symplectic gate of `_eigvals4` leaves such rows to LAPACK,
+    # whose eigenvalues show it.  The first path, through expm(t A) with
+    # A no Hamiltonian matrix, leaves the group at once, where its rows
+    # near the identity go to LAPACK anyway; the second leaves it only
+    # after t = 1/2, on rows the closed form would read
+    ts = np.linspace(0.0, 1.0, 200)
+    A = 0.8 * np.random.default_rng(1).standard_normal((4, 4))
+    E = 0.1 * np.random.default_rng(1).standard_normal((4, 4))
+    L = standard_J(2) @ np.diag([2.0, 3.0, 2.0, 3.0])
+    for Ws in (np.stack([expm(t * A) for t in ts]),
+               np.stack([expm(t * L) @ (np.eye(4) + max(t - 0.5, 0.0) ** 2 * E)
+                         for t in ts])):
+        path = paths_mod.path_from_samples(ts, Ws)
+        with pytest.raises(NumericalConsistencyError,
+                           match="determinant function not real"):
+            index_nu(path, np.exp(0.777j))
+
+
+def test_spline_sampled_orbit_paths_equal_the_lapack_reference():
+    # splines through integrated samples are symplectic only to 1e-12 ..
+    # 5e-10, so their 4x4 rows go to LAPACK; crossing times included
+    sampled = [p for p in orbit_path_pool() if p.label == "sampled monodromy"]
+    assert [p.n for p in sampled] == [1, 2, 2]
+    for path in sampled:
+        for w in (1.0, -1.0, np.exp(0.777j), np.exp(2.3j)):
+            new, ref = _both(lambda: index_nu(path, w),
+                             lambda: _ref_index(path, w))
+            assert new == ref, (path.label, w)
+
+
+def test_quartic_paths_equal_the_lapack_reference():
+    # every n = 2 path of the random pool, one 4x4 factor each: the
+    # engine with closed-form spectra against the reference, which reads
+    # every spectrum by LAPACK
+    paths = [p for p in random_path_pool() if p.n == 2]
+    assert len(paths) == 60
+    for path in paths:
+        assert [f.n for f in path.factors] == [2]
+        for w in (1.0, -1.0, np.exp(0.777j), np.exp(2.3j)):
+            new, ref = _both(lambda: index_nu(path, w),
+                             lambda: _ref_index(path, w))
+            assert new == ref, (path.label, w)
+        new, ref = _both(lambda: iterate_indices(path, 4),
+                         lambda: _ref_table(_RefArcRule(path), 4))
+        assert new == ref, path.label
 
 
 def _form_batches_of(path, omegas):
