@@ -119,7 +119,7 @@ def _resolve_source(token: str, alpha: float):
         if not fname:
             raise ParseError("orbit source needs orbit:<surface file>:<plane>")
         spec, file_alpha = sio.load_surface_file(fname)
-        alpha = file_alpha if file_alpha is not None else alpha
+        alpha = _check_alpha(file_alpha if file_alpha is not None else alpha)
         try:
             plane = int(plane_s)
         except ValueError:
@@ -173,8 +173,7 @@ def cmd_matrix_analyze(args) -> int:
 
 
 def cmd_path_index(args) -> int:
-    alpha = _check_alpha(args.alpha)
-    path = _resolve_source(args.source, alpha)
+    path = _resolve_source(args.source, args.alpha)
     tokens = [t for t in args.omega.split(",") if t.strip()]
     m_max = args.m_max if args.m_max is not None else 5
     if not tokens and m_max < 1:

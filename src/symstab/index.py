@@ -17,8 +17,11 @@ gamma(t) exp(+-eps t J / tau) are counted; the lower one is the index
 (lower semicontinuous convention) and their difference must equal the
 endpoint nullity, which is asserted on every call; where it does not,
 the upper twist is counted again on the finer grid where the lower
-count settled before the twist is halved.  Degenerate crossing
-forms trigger an eps ladder; persistent degeneracy raises TangencyError.
+count settled before the twist is halved.  A twisted endpoint that
+lands on omega is no candidate (no crossing at t = tau is counted);
+where that leaves a count short, the nullity test halves the twist.
+Degenerate crossing forms trigger an eps ladder; persistent degeneracy
+raises TangencyError.
 Points within 1e-4 of omega = 1, other than 1 itself up to 1e-12
 rounding, are refused: their crossings sit at the very start of the
 path, where the count cannot resolve them.  The arc rule (below) reads
@@ -146,19 +149,16 @@ _FORM_TOL = 1e-7
 _QUAD_TOL = 1e-3
 _SYMPL_TOL = 1e-13
 _J4 = standard_J(2)
-# _EPS is the first twist of the ladder; a twisted endpoint with an
-# eigenvalue within 3 _ACCEPT_TOL of omega asks for a smaller one
+# _EPS is the first twist of the ladder; each further step halves it
 _EPS = 1e-4
-_ACCEPT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class IndexOptions:
-    """The engine's first twist and acceptance tolerance, _EPS and
-    _ACCEPT_TOL, for code that reads them; no function takes them."""
+    """The engine's first twist, _EPS, for code that reads it; no
+    function takes it."""
 
     eps: float = _EPS
-    accept_tol: float = _ACCEPT_TOL
 
 
 @dataclass(frozen=True)
@@ -174,10 +174,6 @@ class IndexResult:
 
 
 class _Degenerate(Exception):
-    pass
-
-
-class _RetryEps(Exception):
     pass
 
 
@@ -378,16 +374,11 @@ def _sweep(samples: _Samples, sign: int, eps: float, jobs: list) -> list:
         Draw, dist = _measure(ev, omegas[ks, None], prefs[ks, None])
         skew = np.abs(Draw.imag).max(axis=1) > 1e-6 * np.maximum(
             np.abs(Draw).max(axis=1), 1e-12)
-        stuck = dist[:, -1] < 3.0 * _ACCEPT_TOL
-        for k, bad, retry in zip(ks, skew, stuck):
-            if bad:
-                out[k] = NumericalConsistencyError(
-                    "determinant function not real; input path may not be "
-                    "symplectic")
-            elif retry:
-                out[k] = _RetryEps(
-                    f"twisted endpoint still degenerate (eps={eps:.1e})")
-        ok = ~(skew | stuck)
+        for k in ks[skew]:
+            out[k] = NumericalConsistencyError(
+                "determinant function not real; input path may not be "
+                "symplectic")
+        ok = ~skew
         br, rows = _bracket_rows(np.broadcast_to(ts, dist.shape)[ok],
                                  Draw.real[ok], dist[ok], _TRIGGER, True)
         live.append(br)
@@ -618,7 +609,7 @@ def _index_nus(samples: _Samples, omegas: list) -> list:
         for k, res in zip(active, _ladder_step(
                 samples, [ws[k] for k in active], [nus[k] for k in active],
                 eps)):
-            if isinstance(res, (_Degenerate, _RetryEps)):
+            if isinstance(res, _Degenerate):
                 last[k] = str(res)
                 retry.append(k)
             elif isinstance(res, Exception):

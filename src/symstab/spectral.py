@@ -132,12 +132,10 @@ def _angle_dist(a: float, b: float) -> float:
     return min(d, TWO_PI - d)
 
 
-def _right_null_basis(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis for the k most singular right directions of A."""
-    _, s, Vh = np.linalg.svd(A)
-    if k == 0:
-        return np.zeros((A.shape[1], 0), dtype=A.dtype), s[:0]
-    return Vh.conj().T[:, -k:], s[-k:]
+def _right_null_basis(Vh: np.ndarray, k: int) -> np.ndarray:
+    """Orthonormal basis for the k most singular right directions, in
+    columns, from the Vh of an SVD."""
+    return Vh.conj().T[:, Vh.shape[0] - k:]
 
 
 def krein_gram(B: np.ndarray, J: np.ndarray) -> np.ndarray:
@@ -209,7 +207,7 @@ def _generalized_basis(M: np.ndarray, omega: complex, alg: int, scale: float,
     """Basis of the order-two generalized eigenspace; rejects longer chains."""
     dim = M.shape[0]
     K = M - omega * np.eye(dim)
-    B, _ = _right_null_basis(K @ K, alg)
+    B = _right_null_basis(np.linalg.svd(K @ K)[2], alg)
     resid = np.linalg.norm(K @ (K @ B), 2)
     if resid > 1e3 * _RANK_TOL * scale * scale:
         raise UnsupportedNormalForm(
@@ -225,7 +223,7 @@ def _classify_real(M: np.ndarray, J: np.ndarray, lam: float, angle: float,
             f"odd algebraic multiplicity {alg} at eigenvalue {lam:+.0f}")
     dim = M.shape[0]
     K = M - lam * np.eye(dim)
-    _, s_all, _ = np.linalg.svd(K)
+    _, s_all, Vh = np.linalg.svd(K)
     geo = int(np.sum(s_all <= _RANK_TOL * scale))
 
     info = ClusterInfo(omega=complex(lam), angle=angle, alg=alg, geo=geo,
@@ -235,7 +233,7 @@ def _classify_real(M: np.ndarray, J: np.ndarray, lam: float, angle: float,
         return info
 
     Bg = _generalized_basis(M, lam, alg, scale)
-    Bk, _ = _right_null_basis(K, geo)
+    Bk = _right_null_basis(Vh, geo)
     # complement of the kernel inside the generalized eigenspace
     W = Bg - Bk @ (Bk.conj().T @ Bg)
     Q, sw, _ = np.linalg.svd(W, full_matrices=False)
@@ -265,14 +263,14 @@ def _classify_rotation(M: np.ndarray, J: np.ndarray, angle: float, alg: int,
     dim = M.shape[0]
     omega = complex(np.cos(angle), np.sin(angle))
     K = M - omega * np.eye(dim)
-    _, s_all, _ = np.linalg.svd(K)
+    _, s_all, Vh = np.linalg.svd(K)
     geo = int(np.sum(s_all <= _RANK_TOL * scale))
     if not 0 < geo <= alg:
         raise NumericalConsistencyError(
             f"kernel dimension {geo} vs multiplicity {alg} at angle {angle:.6f}")
 
     if geo == alg:
-        B, _ = _right_null_basis(K, geo)
+        B = _right_null_basis(Vh, geo)
         vals = np.linalg.eigvalsh(krein_gram(B, J))
         thr = 1e-6 * max(1.0, np.abs(vals).max())
         p, q, zero = _signature(vals, thr)

@@ -113,6 +113,22 @@ def test_bad_alpha(files, capsys):
     assert "--alpha" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["orbits-find", "{d}/ball1.json"], 0),
+    (["verify", "{d}/ball1.json", "--m-max", "1"], 0),
+    (["path-index", "orbit:{d}/ball1.json:0", "--m-max", "1"], 0),
+    (["path-index", "rotation:1", "--m-max", "1"], 0),
+    (["path-index", "orbit:{d}/e11.json:0", "--m-max", "1"], 2),
+], ids=["orbits-find", "verify", "orbit source", "rotation source",
+        "orbit source without a file alpha"])
+def test_alpha_is_checked_where_it_is_read(files, argv, code, capsys):
+    # the file's alpha overrides the flag, and a source that reads no
+    # alpha ignores it; only an alpha that is used must lie in (1, 2)
+    argv = [a.format(d=files) for a in argv] + ["--alpha", "3"]
+    assert main(argv) == code
+    assert ("--alpha" in capsys.readouterr().err) == bool(code)
+
+
 def test_bad_m_max(files, capsys):
     assert main(["verify", str(files / "e11.json"), "--m-max", "0"]) == 2
     assert "--m-max" in capsys.readouterr().err

@@ -83,16 +83,26 @@ def test_partial_rotation_step(theta, own, below, above):
     assert tup(p, np.exp(1j * (theta + 0.3))) == above
 
 
-@pytest.mark.parametrize("theta, want", [(1.0, (0, 1)), (4.0, (2, 1))])
-def test_a_twisted_endpoint_on_omega_is_not_counted(theta, want):
-    # R(theta) + R(theta - eps) at e^{i theta}: the upper twist moves the
-    # second plane's endpoint onto omega, so the first twist is refused
-    # and the count comes from the next step of the ladder
+@pytest.mark.parametrize("a, b, theta, want, step", [
+    (0, -1, 1.0, (0, 1), 1),
+    (0, -1, 4.0, (2, 1), 1),
+    (1, -1, 1.0, (1, 0), 2),
+    (1, -1, 4.0, (3, 0), 2),
+    (1, 0, 1.0, (1, 1), 2),
+    (1, 0, 4.0, (3, 1), 2),
+], ids=["upper 1", "upper 4", "both 1", "both 4", "lower 1", "lower 4"])
+def test_a_twisted_endpoint_on_omega_is_not_counted(a, b, theta, want, step):
+    # R(theta + a eps) + R(theta + b eps) at e^{i theta}: a twist by eps
+    # moves an endpoint onto omega, where no crossing is counted.  The
+    # upper twist (b = -1) loses nothing, since the lower twist at the
+    # endpoint is the index; the lower twist (a = 1) loses a crossing, so
+    # the one-sided counts miss the nullity and the ladder halves eps
     eps = IndexOptions().eps
-    path = diamond_paths([rotation_path(theta), rotation_path(theta - eps)])
+    path = diamond_paths([rotation_path(theta + a * eps),
+                          rotation_path(theta + b * eps)])
     r = index_nu(path, np.exp(1j * theta))
     assert r.as_tuple() == want
-    assert r.eps == eps / 2
+    assert r.eps == eps / step
 
 
 def test_shears():
@@ -294,7 +304,7 @@ class _FreshSamples(_RefSamples):
         return ts, np.linalg.eigvals(tw.values(ts))
 
 
-def _ref_count_once(samples, omega, sign, eps, opts, N):
+def _ref_count_once(samples, omega, sign, eps, N):
     tw = samples.twisted(sign, eps)
     tau, n = tw.tau, tw.n
     pref = (-1.0) ** (n - 1) * np.conj(omega) ** n
@@ -308,8 +318,6 @@ def _ref_count_once(samples, omega, sign, eps, opts, N):
     if np.abs(Draw.imag).max() > 1e-6 * max(np.abs(Draw).max(), 1e-12):
         raise NumericalConsistencyError(
             "determinant function not real; input path may not be symplectic")
-    if dist[-1] < 3.0 * opts.accept_tol:
-        raise ix._RetryEps(f"twisted endpoint still degenerate (eps={eps:.1e})")
 
     width = 64.0 * ix._REFINE_RTOL * tau
     live = np.reshape(_ref_brackets(ts, Draw.real, dist, ix._TRIGGER, True),
@@ -429,18 +437,18 @@ def _ref_factor_form_count(tw, omega, found):
     return total, tuple(counted)
 
 
-def _ref_count_total(samples, omega, sign, eps, opts, verify_grid):
+def _ref_count_total(samples, omega, sign, eps, verify_grid):
     # (total, crossings, the grid size where the total settled)
     N = max(ix._GRID, samples.path.grid_hint)
     if verify_grid and not isinstance(samples, _FreshSamples):
         samples.grid(sign, eps, 2 * N)
-    t1, c1 = _ref_count_once(samples, omega, sign, eps, opts, N)
+    t1, c1 = _ref_count_once(samples, omega, sign, eps, N)
     if not verify_grid:
         return t1, c1, N
-    t2, c2 = _ref_count_once(samples, omega, sign, eps, opts, 2 * N)
+    t2, c2 = _ref_count_once(samples, omega, sign, eps, 2 * N)
     if t2 == t1:
         return t2, c2, 2 * N
-    t4, c4 = _ref_count_once(samples, omega, sign, eps, opts, 4 * N)
+    t4, c4 = _ref_count_once(samples, omega, sign, eps, 4 * N)
     if t4 == t2:
         return t4, c4, 4 * N
     raise IndexUnstableError(
@@ -448,23 +456,23 @@ def _ref_count_total(samples, omega, sign, eps, opts, verify_grid):
         f"({t1}, {t2}, {t4})")
 
 
-def _ref_index_nu(samples, omega, opts):
+def _ref_index_nu(samples, omega):
     w = ix._normalize_omega(omega)
     if ix._AT_ONE <= abs(w - 1.0) < ix._NEAR_ONE:
         raise DimensionError(
             f"omega={w:.6g} lies within {ix._NEAR_ONE:g} of 1 but is not 1; "
             "the crossing count cannot resolve it")
     nu, _ = ix._kernel_basis(samples.path.endpoint, w)
-    eps = opts.eps
+    eps = IndexOptions().eps
     last = "no attempt"
     for _ in range(ix._EPS_LADDER):
         try:
-            i_minus, cr, N = _ref_count_total(samples, w, -1, eps, opts, True)
-            i_plus, _, _ = _ref_count_total(samples, w, 1, eps, opts, False)
+            i_minus, cr, N = _ref_count_total(samples, w, -1, eps, True)
+            i_plus, _, _ = _ref_count_total(samples, w, 1, eps, False)
             if i_plus - i_minus != nu:
                 # the upper twist again on the grid where the lower settled
-                i_plus, _ = _ref_count_once(samples, w, 1, eps, opts, N)
-        except (ix._Degenerate, ix._RetryEps) as e:
+                i_plus, _ = _ref_count_once(samples, w, 1, eps, N)
+        except ix._Degenerate as e:
             last = str(e)
             eps *= 0.5
             continue
@@ -480,9 +488,9 @@ def _ref_index_nu(samples, omega, opts):
 
 
 class _RefArcRule:
-    def __init__(self, path, opts=IndexOptions(), samples=_RefSamples):
+    def __init__(self, path, samples=_RefSamples):
         path.check_start()
-        self.path, self.opts = path, opts
+        self.path = path
         self.samples = samples(path)
         ev = np.linalg.eigvals(path.endpoint)
         angles = sorted([0.0, PI] + [_principal_angle(z) for z in ev
@@ -498,7 +506,7 @@ class _RefArcRule:
     def arc(self, j):
         if j not in self._arcs:
             mid = 0.5 * (self.cuts[j][1] + self.cuts[j + 1][0])
-            res = _ref_index_nu(self.samples, np.exp(1j * mid), self.opts)
+            res = _ref_index_nu(self.samples, np.exp(1j * mid))
             if res.nullity:
                 raise TangencyError(
                     f"arc midpoint at angle {mid:.6g} reports nullity "
@@ -519,8 +527,7 @@ class _RefArcRule:
         key = round(a, 12)
         if key not in self._direct:
             up = w if w.imag >= 0.0 else w.conjugate()
-            self._direct[key] = _ref_index_nu(self.samples, up,
-                                              self.opts).as_tuple()
+            self._direct[key] = _ref_index_nu(self.samples, up).as_tuple()
         return self._direct[key]
 
 
@@ -543,9 +550,9 @@ def _ref_mean(rule, K):
     return total / K, 4.0 * rule.path.n / K
 
 
-def _ref_splitting(path, omega, opts=IndexOptions()):
+def _ref_splitting(path, omega):
     w = ix._normalize_omega(omega)
-    rule = _RefArcRule(path, opts)
+    rule = _RefArcRule(path)
     a = _principal_angle(w)
     j, near = rule.locate(a)
     if not near:
@@ -571,7 +578,7 @@ def _ref_splitting(path, omega, opts=IndexOptions()):
 
 def _ref_index(path, omega, samples=_RefSamples):
     path.check_start()
-    return _ref_index_nu(samples(path), omega, IndexOptions())
+    return _ref_index_nu(samples(path), omega)
 
 
 def _both(call, ref):
