@@ -26,6 +26,7 @@ INDEX = "src/symstab/index.py"
 T = "tests/test_index.py::"
 A = "tests/test_acceptance.py::"
 C = "tests/test_classify.py::"
+P = "tests/test_paths.py::"
 
 MUTANTS = [
     ("bc -> -bc in _eigvals", INDEX,
@@ -120,12 +121,33 @@ MUTANTS = [
      "            np.where(mins, dist, np.inf)[:, ::-1], axis=1)",
      [T + "test_bracket_rows_equal_reference_brackets_row_by_row"]),
     ("the N grid read one sample right of its 2N twin", INDEX,
-     "ev = fine[1][np.searchsorted(fine[0], ts)]",
-     "ev = fine[1][np.minimum(np.searchsorted(fine[0], ts) + 1,\n"
-     "                                       len(fine[0]) - 1)]",
+     "at = np.searchsorted(fine[0], ts)",
+     "at = np.minimum(np.searchsorted(fine[0], ts) + 1,\n"
+     "                                len(fine[0]) - 1)",
+     [T + "test_counts_of_a_twisted_path_share_refinement_batches[16]",
+      T + "test_a_twisted_endpoint_on_omega_is_not_counted[lower 1]",
+      T + "test_verify_surface_counts_plus_minus_one_once_per_orbit"]),
+    ("the N grid's eigenvalues read one sample right of their 2N twins",
+     INDEX,
+     "ev = evs[2 * N, rate][np.searchsorted(samples.grid(2 * N)[0], ts)]",
+     "ev = evs[2 * N, rate][np.minimum(\n"
+     "                np.searchsorted(samples.grid(2 * N)[0], ts) + 1,\n"
+     "                len(ts) - 1)]",
      [T + "test_shared_sampling_leaves_results_unchanged"
       "[crossings at the seams]",
       T + "test_verify_surface_counts_plus_minus_one_once_per_orbit"]),
+    ("upper rows turned by the lower angle", INDEX,
+     "(rates[owner, None] * xs).ravel()",
+     "(-np.abs(rates[owner, None]) * xs).ravel()",
+     [T + "test_full_rotation",
+      T + "test_shared_sampling_leaves_results_unchanged"
+      "[lower and upper twist]"]),
+    ("twist turns the wrong way", "src/symstab/paths.py",
+     "c * hi - s * lo",
+     "c * hi + s * lo",
+     [P + "test_twist_turns_each_matrix_by_its_angle",
+      P + "test_twisted_path_endpoint",
+      T + "test_full_rotation"]),
 ]
 
 

@@ -29,18 +29,18 @@ such a point from the arc it lies on when no endpoint eigenvalue lies
 between it and 1, nor within _RANK_TOL of it.
 
 Crossings are located on a grid of the twisted path: N + 1 equal steps,
-geometric points towards both ends, and the seams.  The grid and the
-eigenvalues of the twisted path there depend on the twist sign, eps and
-the grid size N, not on omega, so one `index_nu` call or one arc rule
-(below) samples each grid once for all the omega it counts; the N grid
-of the grid check is a subset of its 2N grid and is read from the 2N
-samples.  The twist turns each plane on its own, so the twist of a
-diamond product (every orbit path) is the diamond product of twisted
-factors, and its eigenvalues are read factor by factor (`_eigvals`): a
-2x2 factor in closed form; a 4x4 factor from the quadratic its
-palindromic characteristic polynomial gives in l + 1/l, except at rows
-near a double root or not symplectic to rounding, which go to LAPACK;
-larger factors by LAPACK.  Endpoint spectra are always LAPACK's.
+geometric points towards both ends, and the seams.  The twist turns each
+plane on its own, so the twist of a diamond product (every orbit path)
+is the diamond product of the untwisted factors, each turned by the
+angle sign eps t / tau (`paths.twist`).  So one `index_nu` call or one
+arc rule (below) evaluates the factors on each grid once, untwisted, for
+both twists, every eps and every omega it counts; the N grid of the grid
+check is a subset of its 2N grid and is read from it.  The eigenvalues
+are read factor by factor (`_eigvals`): a 2x2 factor in closed form; a
+4x4 factor from the quadratic its palindromic characteristic polynomial
+gives in l + 1/l, except at rows near a double root or not symplectic to
+rounding, which go to LAPACK; larger factors by LAPACK.  Endpoint
+spectra are always LAPACK's.
 
 Every run of grid cells that holds a sign change of the real function
 D_omega = (-1)^(n-1) conj(omega)^n det(P - omega I), or a local minimum
@@ -52,18 +52,18 @@ factor, F(t) - omega I, has a numerical kernel (singular values below
 _RANK_TOL relative to its largest); each factor's crossing form is
 restricted to its own kernel, and the signatures add.
 
-The counts of one twisted path and one step of the eps ladder are swept
-together: all their omega, and the grid sizes N and 2N of the lower
-twist, share one batched evaluation and one bracket detection per
-level, and then one read of the crossing forms (`_form_counts`).  That
-read is per factor and exact: the kernel and the form of a factor at a
-candidate depend only on the factor, the time and omega, so each factor
-is evaluated once at the candidates of all counts, with one batched SVD
-whose rows carry their own omega, and its coefficient is read once per
-side.  Each count keeps its own brackets and candidates.  If a read of
-that batch fails, each count is read again on its own and takes the
-error its own read raises, so a sweep returns what separate counts
-would.
+The counts of one step of the eps ladder are searched together
+(`_search`): all their omega, the lower twist at N and 2N and the upper
+twist at N share one evaluation of the untwisted factors and one bracket
+detection per level, and each count keeps its own brackets.  Then each
+twist makes one read of the crossing forms (`_form_counts`), the lower
+first.  That read is per factor and exact: the kernel and the form of a
+factor at a candidate depend only on the factor, the time and omega, so
+each factor is evaluated once at the candidates of all counts, with one
+batched SVD whose rows carry their own omega, and its coefficient is
+read once per side.  If a read of that batch fails, each count is read
+again on its own and takes the error its own read raises, so a batch
+returns what separate counts would.
 
 Mean indices, iterate tables and splitting numbers need i_omega at many
 points of the circle U.  By the Bott-type formula i_omega is constant on
@@ -72,7 +72,7 @@ vanishes there, and i_conj(omega) = i_omega.  So these are read from one
 count per arc of the upper half circle cut at +-1 and at the endpoint
 eigenvalue angles, plus direct counts at points close to a cut.  The
 rule takes all queries of a call at once and counts every arc and direct
-point they need in one list, so the sweeps above hold all of them, and
+point they need in one list, so the searches above hold all of them, and
 it keeps no outcome from one call to the next; `iterates_and_mean` reads
 an iterate table and a mean index from one call.  Splitting numbers
 vanish off the endpoint spectrum, so they make no count off every cut,
@@ -93,7 +93,7 @@ from .errors import (
     SymstabError,
     TangencyError,
 )
-from .paths import SymplecticPath, twisted_path
+from .paths import SymplecticPath, twist, twisted_path
 from .spectral import (_ON_CIRCLE_TOL, SplittingPair, _as_complex,
                        _normalize_omega, _principal_angle)
 from .sympl import _positive_int, standard_J
@@ -204,31 +204,33 @@ def _grid(path: SymplecticPath, N: int) -> np.ndarray:
                                      tau - geo, path.seams]))
 
 
-def _eigvals(path: SymplecticPath, ts) -> np.ndarray:
-    """Eigenvalues of path at the times ts, stacked on the last axis.
+def _eigvals(parts: list, angles: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the twisted factors, stacked on the last axis: each
+    stack of parts (one factor's values, one row per time) turned row by
+    row by angles (`twist`).
 
     The spectrum of a diamond product is the union of those of its
-    factors, so each factor is read on its own through its `values`.  A
-    2x2 factor [[a, b], [c, d]] has (a + d)/2 +- sqrt(((a - d)/2)^2 + b c);
-    in that form a small rotation angle keeps its relative accuracy, where
-    the trace and determinant form would cancel.  A 4x4 factor is read
-    from its reciprocal-pair quadratic (`_eigvals4`), and larger factors
-    go to LAPACK.
+    factors, so each factor is read on its own.  A 2x2 factor [[a, b],
+    [c, d]] has (a + d)/2 +- sqrt(((a - d)/2)^2 + b c); in that form a
+    small rotation angle keeps its relative accuracy, where the trace and
+    determinant form would cancel.  A 4x4 factor is read from its
+    reciprocal-pair quadratic (`_eigvals4`), and larger factors go to
+    LAPACK.
     """
-    parts = []
-    for f in path.factors:
-        P = f.values(ts)
-        if f.n == 1:
+    out = []
+    for P in parts:
+        P = twist(P, angles)
+        if P.shape[-1] == 2:
             a, b, c, d = P[:, 0, 0], P[:, 0, 1], P[:, 1, 0], P[:, 1, 1]
             h = 0.5 * (a - d)
             r = np.sqrt(h * h + b * c + 0j)
             mid = 0.5 * (a + d)
-            parts.append(np.stack([mid + r, mid - r], axis=-1))
-        elif f.n == 2:
-            parts.append(_eigvals4(P))
+            out.append(np.stack([mid + r, mid - r], axis=-1))
+        elif P.shape[-1] == 4:
+            out.append(_eigvals4(P))
         else:
-            parts.append(np.linalg.eigvals(P))
-    return np.concatenate(parts, axis=-1)
+            out.append(np.linalg.eigvals(P))
+    return np.concatenate(out, axis=-1)
 
 
 def _eigvals4(P: np.ndarray) -> np.ndarray:
@@ -311,23 +313,23 @@ def _measure(ev, omega, pref):
 
 
 class _Samples:
-    """Eigenvalues of the twisted grids of one path, shared by every omega.
+    """The untwisted factor values on the grids of one path, for all counts.
 
-    The twisted path gamma(t) exp(sign eps t J / tau) and its eigenvalues on
-    `_grid(tw, N)` depend on (sign, eps, N) only, so each such grid is
-    sampled once however many omega are counted against it.  The points of
-    the N grid are all points of the 2N grid (the even half of its
-    linspace, the same geometric and seam points), so once the 2N grid is
-    sampled, the N grid is read from it.  One ladder step counts all its
-    omega on a twisted path in one sweep (`_sweep`).  One instance lives
-    for one `index_nu` call or one arc rule; nothing outlives a public
-    call.
+    A twist keeps tau and the seams, so `_grid(path, N)` depends on N
+    only, and the twisted path gamma(t) exp(sign eps t J / tau) is each
+    factor's values turned row by row by sign eps t / tau (`twist`).  So
+    each grid is sampled once, untwisted, however many omega, twists and
+    steps of the eps ladder are counted on it.  The points of the N grid
+    are all points of the 2N grid (the even half of its linspace, the same
+    geometric and seam points), so once the 2N grid is sampled, the N grid
+    is read from it.  One instance lives for one `index_nu` call or one
+    arc rule; nothing outlives a public call.
     """
 
     def __init__(self, path: SymplecticPath):
         self.path = path
         self._twisted: dict[tuple, SymplecticPath] = {}
-        self._grids: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        self._grids: dict[int, tuple[np.ndarray, list]] = {}
 
     def twisted(self, sign: int, eps: float) -> SymplecticPath:
         key = (sign, eps)
@@ -335,42 +337,47 @@ class _Samples:
             self._twisted[key] = twisted_path(self.path, eps, sign)
         return self._twisted[key]
 
-    def grid(self, sign: int, eps: float, N: int):
-        """Times of `_grid(tw, N)` and the eigenvalues of tw there."""
-        key = (sign, eps, N)
-        if key not in self._grids:
-            tw = self.twisted(sign, eps)
-            ts = _grid(tw, N)
-            fine = self._grids.get((sign, eps, 2 * N))
+    def grid(self, N: int):
+        """Times of `_grid(path, N)` and each factor's values there."""
+        if N not in self._grids:
+            ts = _grid(self.path, N)
+            fine = self._grids.get(2 * N)
             if fine is not None:
-                ev = fine[1][np.searchsorted(fine[0], ts)]
+                at = np.searchsorted(fine[0], ts)
+                parts = [P[at] for P in fine[1]]
             else:
-                ev = _eigvals(tw, ts)
-            self._grids[key] = ts, ev
-        return self._grids[key]
+                parts = [f.values(ts) for f in self.path.factors]
+            self._grids[N] = ts, parts
+        return self._grids[N]
 
 
-def _sweep(samples: _Samples, sign: int, eps: float, jobs: list) -> list:
-    """Crossing counts of the jobs (omega, N) on one twisted path.
+def _search(samples: _Samples, eps: float, jobs: list) -> list:
+    """Candidate crossings of the jobs (sign, omega, N) at one eps.
 
-    Each job counts on its own grid, but every refinement level of all the
-    jobs makes one batched evaluation, and the crossing forms at the
-    candidates of all the jobs are read together (`_form_counts`).  The
-    outcome of a job is (total, crossings) or the exception its count
-    raised.
+    Each job searches its own grid of its own twist and keeps its own
+    brackets, but the grids come from `samples` (a twist's N grid
+    spectrum from its 2N one), and every refinement level of all the
+    jobs, of both twists, evaluates the untwisted factors once; each row
+    is then turned by its job's angle sign eps t / tau.  The outcome of a
+    job is its list of candidate times, or the error of a determinant
+    function that is not real.
     """
-    if not jobs:
-        return []
-    tw = samples.twisted(sign, eps)
-    tau, n = tw.tau, tw.n
-    omegas = np.array([w for w, _ in jobs])
-    prefs = np.array([(-1.0) ** (n - 1) * np.conj(w) ** n for w, _ in jobs])
-    out: list = [None] * len(jobs)
+    tau, n = samples.path.tau, samples.path.n
+    rates = np.array([sign * eps / tau for sign, _, _ in jobs])
+    omegas = np.array([w for _, w, _ in jobs])
+    prefs = np.array([(-1.0) ** (n - 1) * np.conj(w) ** n for _, w, _ in jobs])
+    Ns = np.array([N for *_, N in jobs], dtype=int)
+    out: list = [[] for _ in jobs]
 
-    live, owner = [], []
-    for N in sorted({N for _, N in jobs}, reverse=True):  # 2N serves N
-        ts, ev = samples.grid(sign, eps, N)
-        ks = np.array([k for k, (_, M) in enumerate(jobs) if M == N])
+    live, owner, evs = [np.empty((0, 2))], [np.empty(0, dtype=int)], {}
+    for N, rate in sorted(set(zip(Ns, rates)), reverse=True):  # 2N serves N
+        ts, parts = samples.grid(N)
+        if (2 * N, rate) in evs:
+            ev = evs[2 * N, rate][np.searchsorted(samples.grid(2 * N)[0], ts)]
+        else:
+            ev = _eigvals(parts, rate * ts)
+        evs[N, rate] = ev
+        ks = np.flatnonzero((Ns == N) & (rates == rate))
         Draw, dist = _measure(ev, omegas[ks, None], prefs[ks, None])
         skew = np.abs(Draw.imag).max(axis=1) > 1e-6 * np.maximum(
             np.abs(Draw).max(axis=1), 1e-12)
@@ -389,28 +396,32 @@ def _sweep(samples: _Samples, sign: int, eps: float, jobs: list) -> list:
     # `width` becomes a candidate crossing at its midpoint
     width = 64.0 * _REFINE_RTOL * tau
     live, owner = np.concatenate(live), np.concatenate(owner)
-    found: list[list[float]] = [[] for _ in jobs]
     level = 0
     while True:
         narrow = live[:, 1] - live[:, 0] < width
         for k, t in zip(owner[narrow], live[narrow].mean(axis=1)):
-            found[k].append(t)
+            out[k].append(t)
         live, owner = live[~narrow], owner[~narrow]
         if not len(live):
-            break
+            return out
         level += 1
         xs = np.linspace(live[:, 0], live[:, 1], _SPLIT + 1, axis=1)
-        ev = _eigvals(tw, xs.ravel()).reshape(*xs.shape, -1)
-        Dv, dv = _measure(ev, omegas[owner, None], prefs[owner, None])
+        parts = [f.values(xs.ravel()) for f in samples.path.factors]
+        ev = _eigvals(parts, (rates[owner, None] * xs).ravel())
+        Dv, dv = _measure(ev.reshape(*xs.shape, -1), omegas[owner, None],
+                          prefs[owner, None])
         live, rows = _bracket_rows(xs, Dv.real, dv, _TRIGGER,
                                    level <= _ALL_MINIMA)
         owner = owner[rows]
 
-    todo = [k for k in range(len(jobs)) if out[k] is None]
-    for k, res in zip(todo, _form_counts(tw, [(jobs[k][0], found[k])
-                                              for k in todo])):
-        out[k] = res
-    return out
+
+def _counts(tw: SymplecticPath, ws: list, found: list) -> list:
+    """Counts on the twisted path tw of the omega ws from their outcomes
+    of `_search`: (total, crossings counted), or an error."""
+    todo = [k for k, f in enumerate(found) if not isinstance(f, Exception)]
+    read = iter(_form_counts(tw, [(ws[k], found[k]) for k in todo])
+                if todo else ())
+    return [f if isinstance(f, Exception) else next(read) for f in found]
 
 
 def _form_counts(tw: SymplecticPath, jobs: list) -> list:
@@ -542,16 +553,19 @@ def _ladder_step(samples: _Samples, ws: list, nus: list, eps: float) -> list:
     Per omega the outcome is (i_minus, crossings, i_plus) or an exception,
     taken in the order of one count at a time: the lower twist at N, then
     at 2N, at 4N only where those totals differ, and the upper twist at N
-    only where the lower count succeeded.  Where the upper minus the lower
-    count is not the nullity nus[k], the upper twist is counted again on
-    the grid where the lower count settled: two crossings of different
-    factors can share a cell of the N grid.
+    only where the lower count succeeded.  One search holds the lower
+    twist at N and 2N and the upper twist at N.  Where the upper minus the
+    lower count is not the nullity nus[k], the upper twist is counted
+    again on the grid where the lower count settled: two crossings of
+    different factors can share a cell of the N grid.
     """
     N = max(_GRID, samples.path.grid_hint)
-    lower = _sweep(samples, -1, eps, [(w, N) for w in ws]
-                   + [(w, 2 * N) for w in ws])
-    coarse, fine = lower[:len(ws)], lower[len(ws):]
-    out: list = [None] * len(ws)
+    m, minus, plus = len(ws), samples.twisted(-1, eps), samples.twisted(1, eps)
+    found = _search(samples, eps, [(-1, w, N) for w in ws]
+                    + [(-1, w, 2 * N) for w in ws] + [(1, w, N) for w in ws])
+    lower = _counts(minus, ws + ws, found[:2 * m])
+    coarse, fine = lower[:m], lower[m:]
+    out: list = [None] * m
     settled = {}
     finest = []
     for k, (c1, c2) in enumerate(zip(coarse, fine)):
@@ -561,21 +575,21 @@ def _ladder_step(samples: _Samples, ws: list, nus: list, eps: float) -> list:
             out[k], settled[k] = c2, 2 * N
         else:
             finest.append(k)
-    for k, c4 in zip(finest, _sweep(samples, -1, eps,
-                                    [(ws[k], 4 * N) for k in finest])):
+    for k, c4 in zip(finest, _counts(minus, [ws[k] for k in finest], _search(
+            samples, eps, [(-1, ws[k], 4 * N) for k in finest]))):
         if isinstance(c4, Exception) or c4[0] == fine[k][0]:
             out[k], settled[k] = c4, 4 * N
         else:
             out[k] = IndexUnstableError(
                 "crossing count kept changing under grid refinement at "
                 f"omega={ws[k]:.6g} ({coarse[k][0]}, {fine[k][0]}, {c4[0]})")
-    done = [k for k in range(len(ws)) if not isinstance(out[k], Exception)]
-    upper = dict(zip(done, _sweep(samples, 1, eps,
-                                  [(ws[k], N) for k in done])))
+    done = [k for k in range(m) if not isinstance(out[k], Exception)]
+    upper = dict(zip(done, _counts(plus, [ws[k] for k in done],
+                                   [found[2 * m + k] for k in done])))
     again = [k for k, up in upper.items() if not isinstance(up, Exception)
              and up[0] - out[k][0] != nus[k]]
-    upper.update(zip(again, _sweep(samples, 1, eps,
-                                   [(ws[k], settled[k]) for k in again])))
+    upper.update(zip(again, _counts(plus, [ws[k] for k in again], _search(
+        samples, eps, [(1, ws[k], settled[k]) for k in again]))))
     for k, up in upper.items():
         out[k] = up if isinstance(up, Exception) else (*out[k], up[0])
     return out
@@ -673,7 +687,7 @@ class _ArcRule:
     Lower half points are read through conjugate symmetry.  A call counts
     every arc and direct point its queries need in one `_index_nus` list
     and keeps no outcome for the next call; only the sampling of the
-    twisted grids is shared by all counts of a rule.
+    untwisted grids is shared by all counts of a rule.
     """
 
     def __init__(self, path: SymplecticPath):

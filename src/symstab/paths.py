@@ -41,6 +41,7 @@ __all__ = [
     "iterate_path",
     "diamond_paths",
     "twisted_path",
+    "twist",
     "path_from_samples",
 ]
 
@@ -189,8 +190,9 @@ def _pade_exp(L: np.ndarray):
         ratio = np.maximum(np.abs(ts) * norm / _THETA13, 1.0)
         s = np.ceil(np.log2(ratio)).astype(int)
         C = np.ldexp(ts, -s)[:, None] ** np.arange(14) * _PADE13
-        U = (C[:, 1::2] @ odd).reshape(-1, d, d)
-        V = (C[:, 0::2] @ even).reshape(-1, d, d)
+        # einsum, not matmul: a row rounds alike in any stack of times
+        U = np.einsum("tk,kj->tj", C[:, 1::2], odd).reshape(-1, d, d)
+        V = np.einsum("tk,kj->tj", C[:, 0::2], even).reshape(-1, d, d)
         R = np.linalg.solve(V - U, V + U)
         for level in range(1, int(s.max(initial=0)) + 1):
             sel = s >= level
@@ -387,6 +389,18 @@ def diamond_paths(paths) -> SymplecticPath:
                           factors=[f for q in paths for f in q.factors])
 
 
+def twist(P: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """P exp(a J) for each matrix P of the stack (m, 2n, 2n) and its angle a.
+
+    exp(a J) = cos(a) I + sin(a) J turns every plane by a, so columns k and
+    n + k of P mix as a rotation, without forming exp(a J).
+    """
+    n = P.shape[-1] // 2
+    c, s = np.cos(angles)[:, None, None], np.sin(angles)[:, None, None]
+    lo, hi = P[..., :n], P[..., n:]
+    return np.concatenate([c * lo + s * hi, c * hi - s * lo], axis=-1)
+
+
 def twisted_path(p: SymplecticPath, eps: float, sign: int) -> SymplecticPath:
     """gamma(t) exp(sign eps (t/tau) J), the rotational regularization.
 
@@ -400,10 +414,7 @@ def twisted_path(p: SymplecticPath, eps: float, sign: int) -> SymplecticPath:
     rate = sign * eps / tau
 
     def values(ts):
-        base = p.values(ts)
-        c, s = np.cos(rate * ts), np.sin(rate * ts)
-        tw = c[:, None, None] * np.eye(2 * n) + s[:, None, None] * J
-        return base @ tw
+        return twist(p.values(ts), rate * ts)
 
     def sform(ts, side):
         G = J @ p.values(ts)

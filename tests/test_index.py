@@ -592,6 +592,11 @@ def _both(call, ref):
     return outcome(call), outcome(ref)
 
 
+def _conjugated(M, seed):
+    g = random_symplectic(M.shape[0] // 2, np.random.default_rng(seed))
+    return resymplectify(g @ M @ np.linalg.inv(g))
+
+
 # a positive definite generator: an elliptic endpoint, several arcs
 _GEN = exp_path(np.array([[0.9, 0.2, 0.1, 0.0], [0.2, 1.3, 0.0, 0.3],
                           [0.1, 0.0, 2.1, 0.4], [0.0, 0.3, 0.4, 1.7]]))
@@ -606,10 +611,17 @@ _GEN = exp_path(np.array([[0.9, 0.2, 0.1, 0.0], [0.2, 1.3, 0.0, 0.3],
                  False, id="crossings at the seams"),
     pytest.param(random_path_pool()[179], [np.exp(0.777j)], True,
                  id="eps ladder"),
+    pytest.param(normal_form_path(_conjugated(
+        diamond_all([N1_block(1.0, 1.0), R_block(2.0)]), 4)),
+                 [1.0, -1.0, np.exp(2j), np.exp(0.777j)], False,
+                 id="jordan block at 1"),
+    pytest.param(normal_form_path(N2_block(2.0, False)),
+                 [1.0, -1.0, np.exp(2j), np.exp(0.777j)], False,
+                 id="krein collision"),
 ])
 def test_shared_sampling_leaves_results_unchanged(path, omegas, ladder):
-    # the engine, which samples each twisted grid once and sweeps all
-    # counts of a twisted path together, against the reference copy with
+    # the engine, which samples each untwisted grid once and searches all
+    # counts of a ladder step together, against the reference copy with
     # fresh samples: one omega at a time, each count on its own twisted
     # path and grid
     direct = [index_nu(path, w) for w in omegas]
@@ -870,10 +882,10 @@ def test_twisted_grids_are_sampled_once_per_count():
     for K in (64, 256):
         path, calls = _counting(_GEN)
         assert mean_index(path, K) == mean_index(_GEN, K)
-        # lower twist: the 2N grid, which also serves N; upper twist: N;
-        # so one read of each, however many omega the rule counts
+        # the untwisted 2N grid serves both twists and the N grid of each;
+        # so one read, however many omega the rule counts
         n1, n2, n4 = _grid_reads(path, calls)
-        assert (n1, n2) == (1, 1) and n4 <= 1, (K, n1, n2, n4)
+        assert (n1, n2) == (0, 1) and n4 <= 1, (K, n1, n2, n4)
     M = diamond_all([R_block(2.0), R_block(4.0)])
     for w in (np.exp(2j), np.exp(4j), np.exp(0.777j)):
         path, calls = _counting(normal_form_path(M))
@@ -884,7 +896,7 @@ def test_twisted_grids_are_sampled_once_per_count():
             # no eigenvalue: the pair is (0, 0) without a count
             assert (n1, n2, n4) == (0, 0, 0), (n1, n2, n4)
         else:
-            assert (n1, n2) == (1, 1) and n4 <= 1, (w, n1, n2, n4)
+            assert (n1, n2) == (0, 1) and n4 <= 1, (w, n1, n2, n4)
 
 
 def _outcome(call):
@@ -948,16 +960,21 @@ def test_counts_of_a_twisted_path_share_refinement_batches(K):
     rule = _RefArcRule(ref_path)
     assert got == (_ref_table(rule, 4), _ref_mean(rule, K))
     # the same matrices are evaluated, but the start form at omega = 1 is
-    # read once per sweep, not once for each of its counts at N and 2N
+    # read once per batch of form reads, not once for each of its counts at
+    # N and 2N, and the upper twist reads its N grid from the untwisted 2N
+    # grid, which the reference samples again, twisted
+    N = max(ix._GRID, _GEN.grid_hint)
     flat = np.sort(np.concatenate(calls))
     ref_flat = np.sort(np.concatenate(ref_calls))
-    assert np.array_equal(flat, np.delete(ref_flat, 0))
     assert ref_flat[0] == ref_flat[1] == 0.0
-    assert len(flat) == 2307
-    # but each refinement level of a sweep is one batch: one sweep per
-    # twisted path and ladder step holds the lower counts at N and 2N,
-    # one the lower counts at 4N, one the upper counts
-    N = max(ix._GRID, _GEN.grid_hint)
+    left = collections.Counter(ref_flat.tolist())
+    left.subtract([0.0] + ix._grid(_GEN, N).tolist())
+    assert min(left.values()) >= 0
+    assert np.array_equal(flat, np.sort(list(left.elements())))
+    assert len(flat) == 1980
+    # but each refinement level of a search is one batch: one search per
+    # ladder step holds the lower counts at N and 2N and the upper counts
+    # at N, so its levels are as many as its deepest count needs
     depth = collections.defaultdict(int)
     for sign, eps, n_grid, levels in rule.samples.levels:
         stage = (sign, eps, n_grid == 4 * N)
@@ -965,22 +982,28 @@ def test_counts_of_a_twisted_path_share_refinement_batches(K):
     batches = len(_refinement_batches(calls))
     ref_batches = len(_refinement_batches(ref_calls))
     assert ref_batches == sum(lv for *_, lv in rule.samples.levels)
-    assert batches <= sum(depth.values()) < ref_batches, (
+    assert batches <= max(depth.values()) < ref_batches, (
         batches, dict(depth), ref_batches)
     assert len(calls) < len(ref_calls)
 
 
 def test_verify_surface_counts_plus_minus_one_once_per_orbit(monkeypatch):
     seen = collections.Counter()
-    sweep = ix._sweep
+    stages = collections.defaultdict(list)    # per orbit, per search
+    search = ix._search
 
-    def recorded(samples, sign, eps, jobs):
-        for omega, N in jobs:
+    def recorded(samples, eps, jobs):
+        N = max(ix._GRID, samples.path.grid_hint)
+        ends = collections.Counter()
+        for sign, omega, M in jobs:
             if abs(omega.imag) < 1e-9:  # +-1, up to rounding of e^{i pi}
-                seen[id(samples.path), round(omega.real), sign, eps, N] += 1
-        return sweep(samples, sign, eps, jobs)
+                seen[id(samples.path), round(omega.real), sign, eps, M] += 1
+                ends[sign, M // N, round(omega.real)] += 1
+        if ends:
+            stages[id(samples.path)].append(ends)
+        return search(samples, eps, jobs)
 
-    monkeypatch.setattr(ix, "_sweep", recorded)
+    monkeypatch.setattr(ix, "_search", recorded)
     rep = verify_surface(SurfaceSpec((1.0, 1.1)), m_max=2)
     assert len(rep.orbits) == 2
     assert {w for _, w, *_ in seen} == {1, -1}
@@ -988,6 +1011,10 @@ def test_verify_surface_counts_plus_minus_one_once_per_orbit(monkeypatch):
     # per orbit and omega = +-1: the lower twist at N and 2N, the upper at N
     assert len(seen) == 2 * 2 * 3, seen
     assert set(seen.values()) == {1}, seen
+    # and one search per orbit holds all three
+    whole = collections.Counter({(s, k, w): 1 for s, k in
+                                 ((-1, 1), (-1, 2), (1, 1)) for w in (1, -1)})
+    assert list(stages.values()) == [[whole], [whole]], stages
 
 
 @pytest.mark.parametrize("m_max", (0, -3))
@@ -1110,7 +1137,8 @@ def test_factor_spectra_give_the_determinant_function_on_orbit_paths():
                 for k, f in enumerate(tw.factors):
                     plane = np.ix_(range(len(ts)), [k, n + k], [k, n + k])
                     assert np.abs(P[plane] - f.values(ts)).max() < 1e-15
-                ev = ix._eigvals(tw, ts)
+                ev = ix._eigvals([f.values(ts) for f in path.factors],
+                                 sign * opts.eps / path.tau * ts)
                 for w in (1.0, -1.0, np.exp(0.777j), np.exp(2.3j)):
                     got = (ev - w).prod(axis=-1)
                     want = np.linalg.det(P - w * np.eye(2 * n))
@@ -1450,8 +1478,8 @@ def test_kernel_basis_of_a_stack_equals_one_matrix_at_a_time():
 
 
 def test_form_count_reads_only_the_plane_factors(monkeypatch):
-    # on an orbit path the crossing forms of all the jobs of a sweep come
-    # from the 2x2 factors: per sweep, one `values` read of each factor and
+    # on an orbit path the crossing forms of all the jobs of a read come
+    # from the 2x2 factors: per read, one `values` read of each factor and
     # at most one `sforms` read per side, and no read of the whole twisted
     # diamond
     reads = None

@@ -19,7 +19,7 @@ from symstab import (
     symplectic_residual,
 )
 from symstab.paths import (diamond_paths, path_from_samples, product_path,
-                           twisted_path)
+                           twist, twisted_path)
 from symstab import paths as paths_mod
 from symstab.errors import DimensionError
 from symstab.sympl import (N1_block, N2_block, expJ, random_symplectic,
@@ -241,6 +241,27 @@ def test_twisted_path_endpoint():
     assert np.allclose(tw.endpoint, p.endpoint @ expJ(-1e-3, 1), atol=1e-14)
 
 
+def test_twist_turns_each_matrix_by_its_angle():
+    # angles up to 1/2: there scipy's expm of a J is exact to 1e-16
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3):
+        P = rng.standard_normal((40, 2 * n, 2 * n))
+        angles = rng.uniform(-0.5, 0.5, 40)
+        want = np.stack([M @ expm(a * standard_J(n))
+                         for M, a in zip(P, angles)])
+        assert np.abs(twist(P, angles) - want).max() <= 1e-15
+
+
+def test_twisted_path_values_are_the_twist_of_its_path():
+    # one twist formula: the path's and the crossing engine's
+    p = diamond_paths([exp_path(np.diag([0.0, 0.8, 1.0, 0.8]), tau=2.0),
+                       rotation_path(1.2, tau=2.0)])
+    ts = np.linspace(0.0, 2.0, 33)
+    for sign in (1, -1):
+        got = twisted_path(p, 1e-4, sign).values(ts)
+        assert np.array_equal(got, twist(p.values(ts), sign * 1e-4 / 2.0 * ts))
+
+
 def test_diamond_factors_flatten_and_twist_plane_by_plane():
     a, b = rotation_path(1.2), shear_path(0.4)
     c = product_path(rotation_path(2.0), lower_shear_path(0.7))
@@ -256,6 +277,22 @@ def test_diamond_factors_flatten_and_twist_plane_by_plane():
     # a single path stays its own factor under a twist
     tw = twisted_path(a, 1e-3, 1)
     assert tw.factors == (tw,)
+
+
+@pytest.mark.parametrize("count", [1, 8, 600])
+def test_a_time_reads_alike_alone_and_in_any_stack(count):
+    # the Pade evaluator of a defective generator rounds each time as it
+    # does alone, so a count's values do not depend on which times share
+    # its batch
+    paths = [normal_form_path(N1_block(1, 1)),
+             normal_form_path(N2_block(2.0, False)),
+             twisted_path(exp_path(np.diag([0.0, 0.8, 1.0, 0.8])), 0.3, -1)]
+    for p in paths:
+        ts = np.linspace(0.0, p.tau, count + 2)[1:-1]
+        values, forms = p.values(ts), p.sforms(ts, 1)
+        for t, P, S in zip(ts, values, forms):
+            assert np.array_equal(P, p.value(t)), (p.label, t)
+            assert np.array_equal(S, p.sform(t, 1)), (p.label, t)
 
 
 def _fd_sform(p, t, side):

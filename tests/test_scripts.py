@@ -3,6 +3,7 @@ benchmark's oracles pass their self-test."""
 
 import importlib.util
 import json
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -106,6 +107,19 @@ def test_benchmark_workloads_pass_their_checks(tmp_path, monkeypatch):
                 continue
             op.check(out)
     assert failed == []
+
+
+def test_op_digest_prints_one_repeatable_digest_per_operation():
+    # `scripts/op_digest.py` runs as a command and imports the program from
+    # its own tree; two runs of one workload and seed print the same lines
+    cmd = [sys.executable, str(ROOT / "scripts" / "op_digest.py"),
+           "--workload", "verify-pinched", "--seed", "3"]
+    outs = [subprocess.run(cmd, capture_output=True, text=True, check=True,
+                           timeout=300).stdout for _ in range(2)]
+    assert outs[0] == outs[1]
+    [(digest, label)] = [line.split(" ", 1) for line in outs[0].splitlines()]
+    assert label == "verify pinched n=2"
+    assert len(digest) == 64 and int(digest, 16) >= 0
 
 
 def _canned(pass_s, setup_s, attempted=60, failed=0, correct=True):
