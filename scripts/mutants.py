@@ -23,6 +23,7 @@ import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 INDEX = "src/symstab/index.py"
+SPECTRAL = "src/symstab/spectral.py"
 T = "tests/test_index.py::"
 A = "tests/test_acceptance.py::"
 C = "tests/test_classify.py::"
@@ -142,6 +143,25 @@ MUTANTS = [
      [T + "test_full_rotation",
       T + "test_shared_sampling_leaves_results_unchanged"
       "[lower and upper twist]"]),
+    ("whole-matrix read in _form_counts", INDEX,
+     "    tau = tw.tau\n    # neighbouring",
+     "    tw = SymplecticPath(tw.n, tw.tau, tw.values, tw.sforms, tw.seams)\n"
+     "    tau = tw.tau\n    # neighbouring",
+     [T + "test_form_count_reads_only_the_plane_factors"]),
+    # one endpoint spectrum: its cuts, its snap and its multipliers
+    ("cuts from the cluster means, not their member ranges", INDEX,
+     "for c in path.spectrum.clusters + ((np.pi,),):",
+     "for c in [(np.mean(m),) for m in path.spectrum.clusters] + [(np.pi,)]:",
+     [T + "test_engine_bit_identical_to_reference_on_path_pool",
+      T + "test_one_circle_tolerance_for_clusters_and_cuts"]),
+    ("an absolute 1e-2 snap onto the circle", SPECTRAL,
+     "<= _CIRCLE_TOL * np.abs(evals).clip(min=1.0))",
+     "<= 1e-2)",
+     [T + "test_one_circle_tolerance_for_clusters_and_cuts"]),
+    ("multipliers read from a sorted copy", "src/symstab/classify.py",
+     "multipliers=tuple(path.spectrum.eigvals)",
+     "multipliers=tuple(np.sort_complex(path.spectrum.eigvals))",
+     [C + "test_verify_reads_each_endpoint_once"]),
     ("twist turns the wrong way", "src/symstab/paths.py",
      "c * hi - s * lo",
      "c * hi + s * lo",

@@ -17,13 +17,10 @@ from .dynamics import (SurfaceSpec, enclosing_radii, find_orbits,
                        monodromy_path)
 from .galerkin import stabilized_index
 from .index import iterates_and_mean
-from .spectral import SpectralSummary, spectral_summary
+from .spectral import SpectralSummary, classify_spectrum
 from .sympl import _positive_int, diamond_all
 
 PINCH_RATIO = 1.5   # gate: R^2 < (3/2) r^2 for the sharpened multiplicity bounds
-# relative distance from |z| = 1 within which a monodromy eigenvalue is
-# snapped onto the circle (`spectral_summary`'s circle_tol)
-_CIRCLE_TOL = 1e-4
 # roots of unity in the discrete mean index of every orbit; its error
 # bound is 4n / _MEAN_K
 _MEAN_K = 256
@@ -207,11 +204,9 @@ def verify_surface(spec: SurfaceSpec, alpha: float = 1.5, m_max: int = 2,
     informational.  A failed required check marks the report as failed but
     never raises.
 
-    Monodromy eigenvalues within _CIRCLE_TOL of the unit circle are
-    snapped onto it before classification.  The trivial pair at 1 is
-    defective, so an endpoint residual r splits it by order sqrt(r): ~1e-7
-    on the closed-form orbit paths, up to ~3e-5 on monodromies integrated
-    to ~1e-9; both fit.
+    The spectrum of each monodromy is read once (`SymplecticPath.spectrum`)
+    for the arcs of the index counts, the Floquet class and the
+    multipliers, which keep LAPACK's order.
     The mean index of each orbit is the discrete average over the
     _MEAN_K-th roots of unity.  An m_max that is no integer >= 1 raises
     DimensionError before the orbit search, and so does an alpha outside
@@ -235,8 +230,7 @@ def verify_surface(spec: SurfaceSpec, alpha: float = 1.5, m_max: int = 2,
     for orb in find_orbits(spec, alpha):
         path = monodromy_path(spec, alpha, orb)
         results, (mi, mb) = iterates_and_mean(path, m_max, _MEAN_K)
-        summary = spectral_summary(path.endpoint, circle_tol=_CIRCLE_TOL)
-        fc = floquet_classify(summary)
+        fc = floquet_classify(classify_spectrum(path.spectrum))
         case = None
         if m_max >= 2:
             (i1, nu1), (i2, nu2) = results[0].as_tuple(), results[1].as_tuple()
@@ -252,7 +246,7 @@ def verify_surface(spec: SurfaceSpec, alpha: float = 1.5, m_max: int = 2,
             mean_index_bound=mb,
             floquet=fc,
             iteration_case_label=case,
-            multipliers=tuple(np.linalg.eigvals(path.endpoint)),
+            multipliers=tuple(path.spectrum.eigvals),
             galerkin=(None if G is None
                       else stabilized_index(G, orb.action, n)),
         ))

@@ -39,8 +39,9 @@ check is a subset of its 2N grid and is read from it.  The eigenvalues
 are read factor by factor (`_eigvals`): a 2x2 factor in closed form; a
 4x4 factor from the quadratic its palindromic characteristic polynomial
 gives in l + 1/l, except at rows near a double root or not symplectic to
-rounding, which go to LAPACK; larger factors by LAPACK.  Endpoint
-spectra are always LAPACK's.
+rounding, which go to LAPACK; larger factors by LAPACK.  The endpoint
+spectrum is read once per path (`SymplecticPath.spectrum`, one LAPACK
+call); the arc rule below cuts U at its clusters.
 
 Every run of grid cells that holds a sign change of the real function
 D_omega = (-1)^(n-1) conj(omega)^n det(P - omega I), or a local minimum
@@ -70,7 +71,7 @@ points of the circle U.  By the Bott-type formula i_omega is constant on
 each arc of U between unit eigenvalues of the endpoint gamma(tau), nu_omega
 vanishes there, and i_conj(omega) = i_omega.  So these are read from one
 count per arc of the upper half circle cut at +-1 and at the endpoint
-eigenvalue angles, plus direct counts at points close to a cut.  The
+clusters on U, plus direct counts at points close to a cut.  The
 rule takes all queries of a call at once and counts every arc and direct
 point they need in one list, so the searches above hold all of them, and
 it keeps no outcome from one call to the next; `iterates_and_mean` reads
@@ -94,8 +95,8 @@ from .errors import (
     TangencyError,
 )
 from .paths import SymplecticPath, twist, twisted_path
-from .spectral import (_ON_CIRCLE_TOL, SplittingPair, _as_complex,
-                       _normalize_omega, _principal_angle)
+from .spectral import (_ON_CIRCLE_TOL, _RANK_TOL, SplittingPair,
+                       _as_complex, _normalize_omega, _principal_angle)
 from .sympl import _positive_int, standard_J
 
 __all__ = [
@@ -113,10 +114,8 @@ __all__ = [
 # crossings fall at the very start of the path
 _AT_ONE = 1e-12
 _NEAR_ONE = 1e-4
-# endpoint eigenvalues within _CIRCLE_TOL of |z| = 1 cut the circle, and
-# cuts closer than _CUT_TOL merge; both must exceed the sqrt(residual)
-# split of the defective trivial pair (~1e-7 closed form, ~3e-5 integrated)
-_CIRCLE_TOL = 1e-3
+# cuts closer than _CUT_TOL merge; it must exceed the sqrt(residual) split
+# of the defective trivial pair (~1e-7 closed form, ~5e-6 on a spline)
 _CUT_TOL = 1e-3
 # the crossing search cuts each bracket into _SPLIT cells per level: few
 # enough levels that the batched calls stay cheap, fine enough that nearby
@@ -130,8 +129,6 @@ _ALL_MINIMA = 3
 _GRID = 256
 # twist halvings tried after the first twist before a TangencyError
 _EPS_LADDER = 7
-# singular values below _RANK_TOL (relative) span the numerical kernel
-_RANK_TOL = 1e-6
 # eigenvalue distance to omega below which a sampled minimum is a bracket
 _TRIGGER = 0.05
 # brackets are refined until narrower than 64 _REFINE_RTOL tau
@@ -362,6 +359,8 @@ def _search(samples: _Samples, eps: float, jobs: list) -> list:
     job is its list of candidate times, or the error of a determinant
     function that is not real.
     """
+    if not jobs:
+        return []
     tau, n = samples.path.tau, samples.path.n
     rates = np.array([sign * eps / tau for sign, _, _ in jobs])
     omegas = np.array([w for _, w, _ in jobs])
@@ -677,13 +676,13 @@ def index_nu(path: SymplecticPath, omega=1.0) -> IndexResult:
 class _ArcRule:
     """(i_omega, nu_omega) anywhere on U from one count per arc.
 
-    The closed upper half circle is cut at 1, at -1 and at the clustered
-    angles of the endpoint eigenvalues near U; each cut is an angle range
-    [lo, hi].  Between cuts the index is that of the arc midpoint and the
-    nullity is 0.  Within _CUT_TOL of a cut, omega is counted directly,
-    except that a point of the band the direct count refuses near 1 is
-    read from arc 0 when the cut at 1 ends more than _RANK_TOL below its
-    angle.
+    The closed upper half circle is cut at 1, at -1 and at the clusters of
+    the endpoint spectrum on U (`SymplecticPath.spectrum`), merged within
+    _CUT_TOL; each cut is an angle range [lo, hi].  Between cuts the index
+    is that of the arc midpoint and the nullity is 0.  Within _CUT_TOL of
+    a cut, omega is counted directly, except that a point of the band the
+    direct count refuses near 1 is read from arc 0 when the cut at 1 ends
+    more than _RANK_TOL below its angle.
     Lower half points are read through conjugate symmetry.  A call counts
     every arc and direct point its queries need in one `_index_nus` list
     and keeps no outcome for the next call; only the sampling of the
@@ -694,15 +693,12 @@ class _ArcRule:
         _check_path(path)
         self.path = path
         self.samples = _Samples(path)
-        ev = np.linalg.eigvals(path.endpoint)
-        angles = sorted([0.0, np.pi] + [_principal_angle(z) for z in ev
-                                        if abs(abs(z) - 1.0) < _CIRCLE_TOL])
         self.cuts = [[0.0, 0.0]]
-        for a in angles[1:]:
-            if a - self.cuts[-1][1] <= _CUT_TOL:
-                self.cuts[-1][1] = a
+        for c in path.spectrum.clusters + ((np.pi,),):   # and -1
+            if c[0] - self.cuts[-1][1] <= _CUT_TOL:
+                self.cuts[-1][1] = c[-1]
             else:
-                self.cuts.append([a, a])
+                self.cuts.append([c[0], c[-1]])
         lo, hi = np.array(self.cuts).T
         self._reach = lo - _CUT_TOL, hi + _CUT_TOL   # what `locate` calls near
 

@@ -25,9 +25,12 @@ the spectra of its factors.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import DimensionError, NumericalConsistencyError, SymplecticityError
+from .spectral import cluster_spectrum
 from .sympl import _positive_int, expJ, standard_J, sympl_dim
 
 __all__ = [
@@ -84,7 +87,6 @@ class SymplecticPath:
         self.grid_hint = int(grid_hint)
         self.label = label
         self._factors = tuple(factors) if factors else None
-        self._endpoint = None
 
     @property
     def factors(self) -> tuple:
@@ -102,11 +104,14 @@ class SymplecticPath:
     def values(self, ts) -> np.ndarray:
         return self._values(np.asarray(ts, dtype=float))
 
-    @property
+    @functools.cached_property
     def endpoint(self) -> np.ndarray:
-        if self._endpoint is None:
-            self._endpoint = self.value(self.tau)
-        return self._endpoint
+        return self.value(self.tau)
+
+    @functools.cached_property
+    def spectrum(self):
+        """`cluster_spectrum` of the endpoint, read once per path."""
+        return cluster_spectrum(self.endpoint)
 
     def sforms(self, ts, side: int = 1) -> np.ndarray:
         """S(t) = J^{-1} P' P^{-1} at every time of ts, symmetrized, with

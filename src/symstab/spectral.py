@@ -1,7 +1,9 @@
 """Unit-circle spectral analysis of symplectic matrices.
 
-Clusters eigenvalues on the unit circle, measures algebraic/geometric
-multiplicities, computes Krein signatures, and identifies the block
+`cluster_spectrum` reads the eigenvalues once and clusters those on the
+unit circle; a path keeps its endpoint's as `SymplecticPath.spectrum`.
+`classify_spectrum` measures the algebraic/geometric multiplicities of
+each cluster, computes Krein signatures, and identifies the block
 structure (identity planes, shears, rotations, double-rotation blocks)
 needed for stability classification and splitting numbers.
 
@@ -23,14 +25,21 @@ from .sympl import standard_J, sympl_dim
 
 __all__ = [
     "SplittingPair",
+    "Spectrum",
     "ClusterInfo",
     "SpectralSummary",
+    "cluster_spectrum",
+    "classify_spectrum",
     "spectral_summary",
     "splitting_table",
     "krein_gram",
 ]
 
 TWO_PI = 2.0 * np.pi
+# z lies on the unit circle when ||z| - 1| <= _CIRCLE_TOL max(|z|, 1), as
+# 1/z does; a defective pair splits by O(sqrt(eps cond)) across the circle
+# as well as along it (~1e-7 at 1 on closed-form orbit paths)
+_CIRCLE_TOL = 1e-4
 # angular width that merges eigenvalues into one cluster; it must exceed
 # the O(sqrt(eps)) splitting of defective pairs
 _ANGLE_TOL = 1e-5
@@ -79,6 +88,18 @@ class ClusterInfo:
         return abs(self.omega.imag) == 0.0
 
 
+@dataclass(frozen=True)
+class Spectrum:
+    """The eigenvalues of matrix in LAPACK order; each cluster holds the
+    sorted angles in [0, pi] of its members on the unit circle, conjugates
+    included; the other eigenvalues are sorted by modulus."""
+
+    matrix: np.ndarray
+    eigvals: np.ndarray
+    clusters: tuple[tuple[float, ...], ...]
+    off_circle: tuple[complex, ...]
+
+
 @dataclass
 class SpectralSummary:
     n: int
@@ -90,17 +111,14 @@ class SpectralSummary:
         in the unit-circle spectrum."""
         a = _principal_angle(omega)
         for c in self.clusters:
-            if abs(_angle_dist(a, c.angle)) <= _CLUSTER_TOL:
+            if abs(a - c.angle) <= _CLUSTER_TOL:
                 return c
         return None
 
     @property
     def elliptic_height(self) -> int:
         """Total algebraic multiplicity on the unit circle."""
-        tot = 0
-        for c in self.clusters:
-            tot += c.alg if c.is_real else 2 * c.alg
-        return tot
+        return sum(c.alg if c.is_real else 2 * c.alg for c in self.clusters)
 
 
 def _principal_angle(omega: complex) -> float:
@@ -127,11 +145,6 @@ def _normalize_omega(omega) -> complex:
     return w / r
 
 
-def _angle_dist(a: float, b: float) -> float:
-    d = abs(a - b) % TWO_PI
-    return min(d, TWO_PI - d)
-
-
 def _right_null_basis(Vh: np.ndarray, k: int) -> np.ndarray:
     """Orthonormal basis for the k most singular right directions, in
     columns, from the Vh of an SVD."""
@@ -145,61 +158,59 @@ def krein_gram(B: np.ndarray, J: np.ndarray) -> np.ndarray:
     return 0.5 * (G + G.conj().T)
 
 
-def _signature(vals: np.ndarray, tol: float) -> tuple[int, int, int]:
+def _signature(vals: np.ndarray) -> tuple[int, int, int]:
+    """(positive, negative, zero) counts of vals, zero up to 1e-6 of the
+    largest |val| (and at least 1e-6)."""
+    tol = 1e-6 * max(1.0, np.abs(vals).max())
     pos = int(np.sum(vals > tol))
     neg = int(np.sum(vals < -tol))
     return pos, neg, len(vals) - pos - neg
 
 
-def spectral_summary(M: np.ndarray, circle_tol: float = 1e-7,
-                     ) -> SpectralSummary:
-    """Cluster and classify the unit-circle spectrum of M.
-
-    circle_tol: relative distance of |lambda| from 1 below which an
-        eigenvalue is snapped onto the circle.  The snap width used is
-        max(circle_tol, _ANGLE_TOL): a defective pair splits by
-        O(sqrt(eps cond)) across the circle as well as along it.
-    """
+def cluster_spectrum(M: np.ndarray) -> Spectrum:
+    """Stage 1: one LAPACK read of the eigenvalues of M; the angles of
+    those on the circle are grouped by single linkage within _ANGLE_TOL.
+    Raises only for a matrix of no 2n x 2n shape, or not finite."""
     M = np.asarray(M, dtype=float)
-    n = sympl_dim(M)
+    sympl_dim(M)
+    evals = np.linalg.eigvals(M)
+    on = (np.abs(np.abs(evals) - 1.0)
+          <= _CIRCLE_TOL * np.abs(evals).clip(min=1.0))
+    clusters: list[list[float]] = []
+    for a in sorted(_principal_angle(z) for z in evals[on]):
+        if clusters and a - clusters[-1][-1] <= _ANGLE_TOL:
+            clusters[-1].append(a)
+        else:
+            clusters.append([a])
+    off = sorted(map(complex, evals[~on]), key=lambda z: (abs(z), z.real, z.imag))
+    return Spectrum(M, evals, tuple(map(tuple, clusters)), tuple(off))
+
+
+def classify_spectrum(spectrum: Spectrum) -> SpectralSummary:
+    """Stage 2: the block structure of each cluster of `cluster_spectrum`;
+    raises where a cluster is outside the catalogue."""
+    M, n = spectrum.matrix, spectrum.matrix.shape[0] // 2
     J = standard_J(n)
     scale = max(1.0, float(np.linalg.norm(M, 2)))
-
-    evals = np.linalg.eigvals(M)
-    snap = max(circle_tol, _ANGLE_TOL)
-    on_mask = np.abs(np.abs(evals) - 1.0) <= snap * np.abs(evals).clip(min=1.0)
-    on = evals[on_mask]
-    off = [complex(z) for z in evals[~on_mask]]
-
-    summary = SpectralSummary(n=n, off_circle=sorted(off, key=lambda z: (abs(z), z.real, z.imag)))
-    if len(on) == 0:
-        return summary
-
-    # cluster folded angles
-    folded = np.array([_principal_angle(z) for z in on])
-    order = np.argsort(folded)
-    groups: list[list[int]] = [[order[0]]]
-    for i in order[1:]:
-        if folded[i] - folded[groups[-1][-1]] <= _ANGLE_TOL:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-
-    for grp in groups:
-        ang = float(np.mean(folded[grp]))
+    summary = SpectralSummary(n=n, off_circle=list(spectrum.off_circle))
+    for members in spectrum.clusters:
+        ang, count = float(np.mean(members)), len(members)
         if ang <= _ANGLE_TOL:
-            summary.clusters.append(_classify_real(M, J, 1.0, 0.0, len(grp), scale))
+            summary.clusters.append(_classify_real(M, J, 1.0, 0.0, count, scale))
         elif np.pi - ang <= _ANGLE_TOL:
-            summary.clusters.append(_classify_real(M, J, -1.0, np.pi, len(grp), scale))
+            summary.clusters.append(_classify_real(M, J, -1.0, np.pi, count, scale))
         else:
-            if len(grp) % 2:
+            if count % 2:
                 raise NumericalConsistencyError(
                     f"odd number of eigenvalues in conjugate cluster at angle {ang:.6f}")
-            alg = len(grp) // 2
-            summary.clusters.append(_classify_rotation(M, J, ang, alg, scale))
-
+            summary.clusters.append(_classify_rotation(M, J, ang, count // 2, scale))
     summary.clusters.sort(key=lambda c: c.angle)
     return summary
+
+
+def spectral_summary(M: np.ndarray) -> SpectralSummary:
+    """Cluster and classify the unit-circle spectrum of M."""
+    return classify_spectrum(cluster_spectrum(M))
 
 
 def _generalized_basis(M: np.ndarray, omega: complex, alg: int, scale: float,
@@ -243,9 +254,7 @@ def _classify_real(M: np.ndarray, J: np.ndarray, lam: float, angle: float,
     if asym > 1e-6 * max(1.0, np.abs(F).max()):
         raise NumericalConsistencyError(
             f"shear-sign form not symmetric at {lam:+.0f} (asym {asym:.2e})")
-    vals = np.linalg.eigvalsh(0.5 * (F + F.T))
-    thr = 1e-6 * max(1.0, np.abs(vals).max())
-    pos, neg, zero = _signature(vals, thr)
+    pos, neg, zero = _signature(np.linalg.eigvalsh(0.5 * (F + F.T)))
     if zero:
         raise UnsupportedNormalForm(
             f"degenerate shear-sign form at eigenvalue {lam:+.0f}")
@@ -271,9 +280,7 @@ def _classify_rotation(M: np.ndarray, J: np.ndarray, angle: float, alg: int,
 
     if geo == alg:
         B = _right_null_basis(Vh, geo)
-        vals = np.linalg.eigvalsh(krein_gram(B, J))
-        thr = 1e-6 * max(1.0, np.abs(vals).max())
-        p, q, zero = _signature(vals, thr)
+        p, q, zero = _signature(np.linalg.eigvalsh(krein_gram(B, J)))
         if zero:
             raise UnsupportedNormalForm(
                 f"degenerate Krein form at angle {angle:.6f}; distinct "
@@ -283,9 +290,7 @@ def _classify_rotation(M: np.ndarray, J: np.ndarray, angle: float, alg: int,
 
     n2 = alg - geo
     Bg = _generalized_basis(M, omega, alg, scale)
-    vals = np.linalg.eigvalsh(krein_gram(Bg, J))
-    thr = 1e-6 * max(1.0, np.abs(vals).max())
-    P, Q, zero = _signature(vals, thr)
+    P, Q, zero = _signature(np.linalg.eigvalsh(krein_gram(Bg, J)))
     if zero or P < n2 or Q < n2:
         raise UnsupportedNormalForm(
             f"Krein signature ({P},{Q}) incompatible with {n2} defective "
@@ -327,13 +332,9 @@ def splitting_table(summary: SpectralSummary, omega: complex) -> SplittingPair:
     if c is None:
         return SplittingPair(0, 0)
     if c.is_real:
-        if c.omega.real > 0:
-            s = c.planes_id + c.shear_pos
-        else:
-            s = c.planes_id + c.shear_neg
+        s = c.planes_id + (c.shear_pos if c.omega.real > 0 else c.shear_neg)
         return SplittingPair(s, s)
-    upper = (float(np.angle(omega)) % TWO_PI) <= np.pi
-    if upper:
+    if (float(np.angle(omega)) % TWO_PI) <= np.pi:
         return SplittingPair(c.rot_lower + c.n2_nontrivial,
                              c.rot_upper + c.n2_nontrivial)
     return SplittingPair(c.rot_upper + c.n2_nontrivial,

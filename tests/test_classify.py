@@ -13,6 +13,7 @@ from symstab import (
     spectral_summary,
     verify_surface,
 )
+from symstab import classify as classify_mod
 from symstab.classify import (PINCH_RATIO, action_index_bounds,
                               floquet_classify, hyperbolic_position_range,
                               iteration_case, nonhyperbolic_bound)
@@ -106,6 +107,36 @@ def test_pinch_ratio_constant():
 def test_verify_surface_rejects_no_iterates():
     with pytest.raises(DimensionError):
         verify_surface(SurfaceSpec((1.0, 1.1)), m_max=0)
+
+
+def test_verify_reads_each_endpoint_once(monkeypatch):
+    # one LAPACK call per orbit endpoint serves the arc rule, the Floquet
+    # class and the multipliers, which keep LAPACK's order
+    eigvals, calls, paths = np.linalg.eigvals, [], []
+
+    def recorded(M):
+        out = eigvals(M)
+        calls.append((np.array(M), out))
+        return out
+
+    def monodromy(*args):
+        paths.append(dynamics.monodromy_path(*args))
+        return paths[-1]
+
+    monkeypatch.setattr(np.linalg, "eigvals", recorded)
+    monkeypatch.setattr(classify_mod, "monodromy_path", monodromy)
+    rep = verify_surface(SurfaceSpec(**PERTURBED), m_max=2)
+    assert len(paths) == len(rep.orbits) == 2
+    lapack_order = []
+    for path in paths:
+        reads = [out for M, out in calls if M.shape == path.endpoint.shape
+                 and np.array_equal(M, path.endpoint)]
+        assert len(reads) == 1, path.label
+        lapack_order.append([complex(z) for z in reads[0]])
+    assert all([complex(z) for z in o.multipliers] in lapack_order
+               for o in rep.orbits)
+    assert any(order != sorted(order, key=lambda z: (z.real, z.imag))
+               for order in lapack_order)
 
 
 def test_surface_just_above_the_pinching_bound_is_not_gated():

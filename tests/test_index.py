@@ -42,9 +42,10 @@ from symstab.errors import (
     NumericalConsistencyError,
     SymstabError,
     TangencyError,
+    UnsupportedNormalForm,
 )
 from symstab.paths import diamond_paths, twisted_path
-from symstab.spectral import SplittingPair, _principal_angle
+from symstab.spectral import _CIRCLE_TOL, SplittingPair, _principal_angle
 from symstab.sympl import (D_block, N1_block, N2_block, R_block,
                            random_symplectic, resymplectify, standard_J)
 
@@ -493,8 +494,9 @@ class _RefArcRule:
         self.path = path
         self.samples = samples(path)
         ev = np.linalg.eigvals(path.endpoint)
-        angles = sorted([0.0, PI] + [_principal_angle(z) for z in ev
-                                     if abs(abs(z) - 1.0) < ix._CIRCLE_TOL])
+        angles = sorted([0.0, PI] + [
+            _principal_angle(z) for z in ev
+            if abs(abs(z) - 1.0) <= _CIRCLE_TOL * max(abs(z), 1.0)])
         self.cuts = [[0.0, 0.0]]
         for a in angles[1:]:
             if a - self.cuts[-1][1] <= ix._CUT_TOL:
@@ -643,11 +645,12 @@ def test_shared_sampling_leaves_results_unchanged(path, omegas, ladder):
 def test_engine_bit_identical_to_reference_on_path_pool():
     # every fifth path of the pool: generic exponentials (n = 1, 2),
     # normal forms with Jordan blocks, a closed-form orbit path and a
-    # spline through integrated samples
+    # spline through integrated samples; splitting numbers at +-1 and at
+    # each endpoint cluster on the circle and its conjugate
     for path in bott_path_pool()[::5]:
-        units = {complex(np.exp(1j * round(np.angle(z), 9)))
-                 for z in np.linalg.eigvals(path.endpoint)
-                 if abs(abs(z) - 1.0) < 1e-9}
+        assert ix._ArcRule(path).cuts == _RefArcRule(path).cuts, path.label
+        units = {complex(np.exp(s * 1j * np.mean(c)))
+                 for c in path.spectrum.clusters for s in (1, -1)}
         for w in (1.0, -1.0, np.exp(0.777j), np.exp(2.3j)):
             new, ref = _both(lambda: index_nu(path, w),
                              lambda: _ref_index(path, w))
@@ -726,6 +729,57 @@ def test_no_eigenvalue_on_a_failing_arc_splits_by_zero():
                 == SplittingPair(0, 0))
     with pytest.raises(TangencyError, match="arc midpoint"):
         ix._ArcRule(path)([np.exp(3.13734j)])
+
+
+def _loxodromic_path(log_r, theta):
+    """exp_path to diag(A, A^-T), A = e^{log_r} R(theta): the eigenvalues
+    e^{+-log_r} e^{+-i theta}, off the circle by about |log_r|."""
+    B = np.array([[log_r, -theta], [theta, log_r]])
+    Z = np.zeros((2, 2))
+    return exp_path(np.block([[Z, B.T], [B, Z]]))
+
+
+def _chain_at_one_path():
+    """exp_path of H = q2 p1 + p2^2 / 2: one Jordan chain of length 4 at 1."""
+    S = np.zeros((4, 4))
+    S[1, 2] = S[2, 1] = S[3, 3] = 1.0
+    return exp_path(S)
+
+
+@pytest.mark.parametrize("path, error, match, at_one", [
+    pytest.param(_chain_at_one_path(), UnsupportedNormalForm,
+                 "Jordan chain of length >= 3", (0, 1), id="jordan chain"),
+    pytest.param(_loxodromic_path(5e-5, 1.0), NumericalConsistencyError,
+                 "kernel dimension 0 vs multiplicity 2", (0, 0),
+                 id="loxodromic on the circle"),
+])
+def test_a_refused_endpoint_spectrum_still_cuts_and_counts(path, error,
+                                                           match, at_one):
+    # stage 1 of the spectrum never raises, so the arc rule cuts the circle
+    # where stage 2 refuses the endpoint; the integers are the ones the
+    # counts gave before the two stages were split
+    with pytest.raises(error, match=match):
+        spectral_summary(path.endpoint)
+    assert sum(map(len, path.spectrum.clusters)) == 4
+    assert ix._ArcRule(path).cuts == _RefArcRule(path).cuts
+    assert [index_nu(path, w).as_tuple()
+            for w in (1.0, -1.0, np.exp(0.777j))] == [at_one, (0, 0), (0, 0)]
+    assert mean_index(path, 64) == (0.0, 0.125)
+
+
+def test_one_circle_tolerance_for_clusters_and_cuts():
+    # the snap is relative, ||z| - 1| <= 1e-4 max(|z|, 1), the same for z
+    # and 1/z: a loxodromic quadruple 5e-5 off the circle is one cluster of
+    # four and cuts it, 5e-4 off it is neither, and cuts nothing
+    near, far = _loxodromic_path(5e-5, 1.0), _loxodromic_path(5e-4, 1.0)
+    [c] = near.spectrum.clusters
+    assert len(c) == 4 and c[0] <= 1.0 <= c[-1] and c[-1] - c[0] < 1e-12
+    assert ix._ArcRule(near).cuts == [[0.0, 0.0], [c[0], c[-1]], [PI, PI]]
+    assert far.spectrum.clusters == () and len(far.spectrum.off_circle) == 4
+    assert ix._ArcRule(far).cuts == _RefArcRule(far).cuts == [[0.0, 0.0],
+                                                              [PI, PI]]
+    assert len(spectral_summary(far.endpoint).off_circle) == 4
+    assert mean_index(far, 64) == (0.0, 0.125)
 
 
 # ROADMAP item 10: near a Jordan block at 1 the direct count reads a kernel

@@ -9,7 +9,7 @@ from symstab import (
     spectral_summary,
     splitting_table,
 )
-from symstab.spectral import krein_gram
+from symstab.spectral import cluster_spectrum, krein_gram
 from symstab.sympl import (D_block, N1_block, N2_block, R_block,
                            random_symplectic, resymplectify, standard_J)
 
@@ -56,6 +56,23 @@ def test_rotation_krein_definite():
     up = splitting_table(s, np.exp(1j * th)).as_tuple()
     dn = splitting_table(s, np.exp(-1j * th)).as_tuple()
     assert dn == (up[1], up[0])
+
+
+def test_cluster_spectrum_is_one_lapack_read():
+    # the eigenvalues in LAPACK's order, bit for bit; the unit-circle
+    # clusters by angle, each with its member range and count, and the
+    # classification over them is `spectral_summary`
+    M = conj(diamond_all([N1_block(1.0, 1.0), R_block(2.0), D_block(3.0)]), 7)
+    spec = cluster_spectrum(M)
+    assert np.array_equal(spec.eigvals, np.linalg.eigvals(M))
+    assert [(len(c), round(np.mean(c), 6)) for c in spec.clusters] == [
+        (2, 0.0), (2, 2.0)]
+    assert all(list(c) == sorted(c) for c in spec.clusters)
+    assert sorted(abs(z) for z in spec.off_circle) == pytest.approx(
+        [1.0 / 3.0, 3.0])
+    s = spectral_summary(M)
+    assert s.elliptic_height == sum(map(len, spec.clusters))
+    assert s.off_circle == list(spec.off_circle)
 
 
 def test_krein_gram_hermitian():
