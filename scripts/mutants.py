@@ -6,10 +6,12 @@ row the script copies src/, tests/ and pyproject.toml into a temporary
 directory, replaces the old text in the file (it must occur there exactly
 once) with the new text, and runs each named test on its own with
 `pytest -x -q`.  A mutant survives when one of its tests passes.  Every
-survivor is printed, and the exit status is 1 if any survived; a named
-test that pytest cannot find stops the script.  The test suite checks
-that every old text still occurs exactly once, so a change that moves
-the mutated code has to update its row.
+survivor is printed, and the exit status is 1 if any survived.  Every
+named test is first collected in the unmutated tree, and one that pytest
+cannot find there stops the script; in a mutated tree, a test that can
+no longer be collected (its module fails to import, say) fails.  The
+test suite checks that every old text still occurs exactly once, so a
+change that moves the mutated code has to update its row.
 
     python3 scripts/mutants.py
 """
@@ -24,6 +26,7 @@ import tempfile
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 INDEX = "src/symstab/index.py"
 SPECTRAL = "src/symstab/spectral.py"
+PATHS = "src/symstab/paths.py"
 T = "tests/test_index.py::"
 A = "tests/test_acceptance.py::"
 C = "tests/test_classify.py::"
@@ -162,7 +165,37 @@ MUTANTS = [
      "multipliers=tuple(path.spectrum.eigvals)",
      "multipliers=tuple(np.sort_complex(path.spectrum.eigvals))",
      [C + "test_verify_reads_each_endpoint_once"]),
-    ("twist turns the wrong way", "src/symstab/paths.py",
+    # ROADMAP item 10's second version of skipping the upper count
+    ("no upper count where the endpoint spectrum is 0.1 from omega", INDEX,
+     "    done = [k for k in range(m) if not isinstance(out[k], Exception)]\n",
+     "    far = [k for k in range(m) if not isinstance(out[k], Exception)\n"
+     "           and np.abs(samples.path.spectrum.eigvals - ws[k]).min() > 0.1]\n"
+     "    for k in far:\n"
+     "        out[k] = (*out[k], out[k][0])\n"
+     "    done = [k for k in range(m) if not isinstance(out[k], Exception)\n"
+     "            and k not in far]\n",
+     [T + "test_krein_collision_near_omega_counts_zero"]),
+    # normal_form_path: two logarithm routes and a closed-form rotation
+    ("eigenbasis logarithm without the conditioning test", PATHS,
+     "    basis = _eigenbasis(A)\n",
+     "    evals, V = np.linalg.eig(A)\n"
+     "    basis = evals, V, np.linalg.inv(V)\n",
+     [P + "test_defective_logarithm_calls_logm_once"]),
+    ("normal-form rotation turned by +theta t", PATHS,
+     "twist(P.transpose(0, 2, 1), -theta * ts)",
+     "twist(P.transpose(0, 2, 1), theta * ts)",
+     [P + "test_closed_form_rotation_equals_the_product_path[D(-2)]",
+      P + "test_sform_matches_finite_difference[normal-form-rotated]"]),
+    ("normal-form coefficient without theta I", PATHS,
+     "return theta * np.eye(2 * n) + turn(",
+     "return 0.0 * np.eye(2 * n) + turn(",
+     [P + "test_closed_form_rotation_equals_the_product_path[D(-2)]",
+      P + "test_sform_matches_finite_difference[normal-form-rotated]"]),
+    ("rotation candidates as cos M - sin J M", PATHS,
+     "(np.cos(a) * np.eye(2 * n) + np.sin(a) * standard_J(n)) @ M",
+     "np.cos(a) * M + np.sin(a) * (standard_J(n) @ M)",
+     [P + "test_rotation_candidates_are_the_per_angle_products"]),
+    ("twist turns the wrong way", PATHS,
      "c * hi - s * lo",
      "c * hi + s * lo",
      [P + "test_twist_turns_each_matrix_by_its_angle",
@@ -180,25 +213,27 @@ def mutate(tree: pathlib.Path, file: str, old: str, new: str) -> None:
     path.write_text(text.replace(old, new))
 
 
-def passing(tree: pathlib.Path, tests: list) -> list:
-    """The tests that pass in the tree, each run on its own.  A test that
-    pytest cannot find stops the script, lest a typo read as a kill."""
+def _pytest(tree: pathlib.Path, *args) -> int:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"),
                PYTHONDONTWRITEBYTECODE="1")
-    alive = []
-    for test in tests:
-        code = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p",
-             "no:cacheprovider", test], cwd=tree, env=env,
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
-        if code in (4, 5):     # usage error, or no test collected
-            raise SystemExit(f"pytest found no test {test}")
-        if code == 0:
-            alive.append(test)
-    return alive
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         *args], cwd=tree, env=env,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def passing(tree: pathlib.Path, tests: list) -> list:
+    """The tests that pass in the tree, each run on its own."""
+    return [test for test in tests if _pytest(tree, "-x", test) == 0]
 
 
 def main() -> int:
+    # a typo must stop the script, not read as a kill: every named test
+    # is collected in the unmutated tree
+    named = sorted({test for row in MUTANTS for test in row[4]})
+    if _pytest(ROOT, "--collect-only", *named) != 0:
+        missing = [t for t in named if _pytest(ROOT, "--collect-only", t)]
+        raise SystemExit(f"pytest found no test {', '.join(missing)}")
     survivors = 0
     for name, file, old, new, tests in MUTANTS:
         with tempfile.TemporaryDirectory() as tmp:

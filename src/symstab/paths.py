@@ -6,8 +6,12 @@ matrices.  `SymplecticPath.value(t)` reads that evaluator at one time, so
 each matrix formula is written once.  Constant generators L are evaluated
 through an eigenbasis of L or, when L is defective, through one batched
 degree-13 Pade scaling and squaring built from the powers of L; neither
-loops over the times in Python.  Besides values, the index machinery
-needs the symmetric coefficient
+loops over the times in Python.  `normal_form_path` reaches a matrix M
+as exp(theta t J) exp(t L).  L is the logarithm of A = exp(-theta J) M,
+read from an eigenbasis of A, or from scipy's logm when A is defective;
+the rigid rotation turns the rows of exp(t L) in closed form; and the
+residual against M is read from the path's own endpoint.  Besides
+values, the index machinery needs the symmetric coefficient
 
     S(t) = J^{-1} dgamma/dt gamma(t)^{-1},
 
@@ -31,7 +35,7 @@ import numpy as np
 
 from .errors import DimensionError, NumericalConsistencyError, SymplecticityError
 from .spectral import cluster_spectrum
-from .sympl import _positive_int, expJ, standard_J, sympl_dim
+from .sympl import _positive_int, standard_J, sympl_dim
 
 __all__ = [
     "SymplecticPath",
@@ -208,6 +212,20 @@ def _pade_exp(L: np.ndarray):
     return values
 
 
+def _eigenbasis(A: np.ndarray):
+    """(eigenvalues, V, V^{-1}) of A, or None when the eigenbasis is too
+    ill-conditioned to evaluate a function of A through it."""
+    evals, V = np.linalg.eig(A)
+    if not np.linalg.cond(V) < 1e6:
+        return None
+    Vinv = np.linalg.inv(V)
+    # defective matrices make the eigenbasis useless long before the
+    # condition number looks alarming; check the reconstruction itself
+    if not np.abs((V @ Vinv).real - np.eye(len(A))).max() < 1e-12:
+        return None
+    return evals, V, Vinv
+
+
 def _constant(S: np.ndarray):
     """Batched coefficient evaluator of a constant S."""
     return lambda ts, side: np.broadcast_to(S, (len(ts), *S.shape))
@@ -228,14 +246,9 @@ def exp_path(S_sym: np.ndarray, tau: float = 1.0, label="") -> SymplecticPath:
     S_sym = 0.5 * (S_sym + S_sym.T)
     L = J @ S_sym
 
-    evals, V = np.linalg.eig(L)
-    use_eig = np.linalg.cond(V) < 1e6
-    if use_eig:
-        Vinv = np.linalg.inv(V)
-        # defective generators make the eigenbasis useless long before the
-        # condition number looks alarming; check the reconstruction itself
-        use_eig = np.abs((V @ Vinv).real - np.eye(2 * n)).max() < 1e-12
-    if use_eig:
+    basis = _eigenbasis(L)
+    if basis is not None:
+        evals, V, Vinv = basis
 
         def values(ts):
             # an overflowing exponential leaves a non-finite value without
@@ -440,19 +453,35 @@ def twisted_path(p: SymplecticPath, eps: float, sign: int) -> SymplecticPath:
 _ROT_CANDIDATES = tuple(np.linspace(0.0, np.pi, 25))
 
 
+def _rotation_candidates(M: np.ndarray) -> np.ndarray:
+    """exp(-theta J) M for every theta of `_ROT_CANDIDATES`, in one stacked
+    product.  Each is rounded exactly as expJ(-theta, n) @ M: some
+    candidates' margins tie to rounding, so forming them another way (as
+    cos(theta) M - sin(theta) J M, say) changes the chosen angle."""
+    n = M.shape[0] // 2
+    a = -np.asarray(_ROT_CANDIDATES)[:, None, None]
+    return (np.cos(a) * np.eye(2 * n) + np.sin(a) * standard_J(n)) @ M
+
+
 def normal_form_path(M: np.ndarray) -> SymplecticPath:
     """A smooth symplectic path on [0, 1] from I to M.
 
-    Uses the principal logarithm when the spectrum avoids the negative
-    reals; otherwise prepends a rigid rotation factor exp(theta J) chosen
-    so that exp(-theta J) M has a safe spectrum, and takes the logarithm
-    of the remainder.
+    The path is exp(theta t J) exp(t L): the rotation angle theta is the
+    first of `_ROT_CANDIDATES` that keeps the spectrum of
+    A = exp(-theta J) M farthest from the negative reals, and L is the
+    logarithm of A, projected onto the Hamiltonian algebra.  L is
+    V log(Lambda) V^{-1} from a well-conditioned eigenbasis of A, and
+    scipy's logm only when A is defective (a Jordan block at 1, say).
+    exp(a J) = cos(a) I + sin(a) J turns every plane by a and is
+    orthogonal, so the rotation acts in closed form on the values of
+    exp(t L) and on its coefficient.  The path's own endpoint must
+    reproduce M, or NumericalConsistencyError is raised.
     """
     M = np.asarray(M, dtype=float)
     n = sympl_dim(M)
     J = standard_J(n)
 
-    cands = np.stack([expJ(-th, n) @ M for th in _ROT_CANDIDATES])
+    cands = _rotation_candidates(M)
     # distance of eigenvalue arguments from pi, guarding tiny moduli; the
     # first candidate with the largest margin wins
     margins = np.abs(np.abs(np.angle(np.linalg.eigvals(cands))) - np.pi)
@@ -462,23 +491,39 @@ def normal_form_path(M: np.ndarray) -> SymplecticPath:
         raise NumericalConsistencyError(
             "could not rotate the spectrum away from the branch cut")
 
-    from scipy.linalg import expm, logm
-    L = logm(A)
-    L = np.real(L)
-    # project the generator onto the Hamiltonian algebra and verify
+    basis = _eigenbasis(A)
+    if basis is None:
+        from scipy.linalg import logm
+        L = logm(A).real
+    else:
+        evals, V, Vinv = basis
+        L = ((V * np.log(evals)) @ Vinv).real
+    # project the generator onto the Hamiltonian algebra
     S0 = 0.5 * ((-J @ L) + (-J @ L).T)
-    L = J @ S0
-    resid = np.abs(expJ(theta, n) @ expm(L) - M).max()
+    path = core = exp_path(S0, label="log")
+    if theta != 0.0:
+
+        def turn(P, ts):
+            # exp(theta t J) P: the rows turn as `twist` turns columns
+            return twist(P.transpose(0, 2, 1), -theta * ts).transpose(0, 2, 1)
+
+        def values(ts):
+            return turn(core.values(ts), ts)
+
+        def sform(ts, side):
+            # theta I + R S0 R^T, as R = exp(theta t J) is orthogonal
+            RS = turn(np.broadcast_to(S0, (len(ts), 2 * n, 2 * n)), ts)
+            return theta * np.eye(2 * n) + turn(RS.transpose(0, 2, 1), ts)
+
+        hint = 96 + int(16 * min(np.linalg.norm(theta * J, 2), 400))
+        path = SymplecticPath(n, 1.0, values, sform_fn=sform,
+                              grid_hint=max(core.grid_hint, hint),
+                              label=f"nf({theta:.3g})")
+    resid = np.abs(path.endpoint - M).max()
     if resid > 1e-8 * (1.0 + np.abs(M).max()):
         raise NumericalConsistencyError(
             f"logarithm reconstruction residual {resid:.2e}")
-
-    core = exp_path(S0, label="log")
-    if theta == 0.0:
-        return core
-    # exp(t theta J) solves x' = J S x with S = theta I
-    rot = exp_path(theta * np.eye(2 * n), label="rotfac")
-    return product_path(rot, core, label=f"nf({theta:.3g})")
+    return path
 
 
 def path_from_samples(ts, mats, label="samples") -> SymplecticPath:

@@ -211,6 +211,8 @@ def test_python_dash_m_runs_the_cli(files, capsys):
     ["path-index", "rotation:1", "--m-max", "2"],
     ["path-index", "shear:0.5", "--m-max", "2"],
     ["path-index", "orbit:{ball}:0", "--m-max", "2"],
+    # a logarithm from the eigenbasis: normal_form_path leaves scipy alone
+    ["path-index", "normal-form:{id4}", "--m-max", "2"],
 ])
 def test_built_in_sources_load_no_scipy(files, argv, capsys):
     argv = [a.format(ball=files / "ball1.json", id4=files / "id4.txt")

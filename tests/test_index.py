@@ -798,6 +798,41 @@ def test_jordan_block_at_one_has_no_false_nullity():
     assert (r.index, r.nullity) == (0, 0)
 
 
+def _constant_corpus_path(trial):
+    """exp_path(S) of one trial of the constant-coefficient corpus: per
+    trial n in 1..3 and S = A + A^T of a standard normal A, scaled to a
+    2-norm drawn from U(0.5, 12)."""
+    rng = np.random.default_rng(3)
+    for _ in range(trial + 1):
+        n = rng.integers(1, 4)
+        A = rng.standard_normal((2 * n, 2 * n))
+        S = A + A.T
+        S *= rng.uniform(0.5, 12) / np.linalg.norm(S, 2)
+    return exp_path(S)
+
+
+def test_krein_collision_near_omega_counts_zero():
+    # trial 142 (n = 3): elliptic modes at 2.644 and 2.683 of opposite
+    # Krein sign, so the closed form gives 0 at every omega between them
+    # and 1.  At eps = 1e-4 the lower twist passes each omega 9.3e-4 away
+    # and counts a crossing that is not there; the upper count disagrees,
+    # and at 5e-5 the two true crossings of opposite sign cancel
+    p = _constant_corpus_path(142)
+    for phi in (0.777, 2.3, 4.0):
+        r = index_nu(p, np.exp(1j * phi))
+        assert (r.index, r.nullity) == (0, 0), phi
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 5: s_0 of about 300 "
+                   "widens the kernel window, so one crossing counts twice")
+def test_hyperbolic_growth_does_not_double_a_crossing():
+    # trial 18 (n = 3): one elliptic mode at 4.701 and two hyperbolic
+    # ones; the closed form gives i_{-1} = 2, the engine reads 4 from two
+    # candidates 6e-6 apart around the crossing at t = 0.668292
+    r = index_nu(_constant_corpus_path(18), -1.0)
+    assert (r.index, r.nullity) == (2, 0)
+
+
 class _LoopArcRule(ix._ArcRule):
     """The arc rule with each query classified on its own, in Python: the
     reference for the batched classification of `_ArcRule.__call__`."""

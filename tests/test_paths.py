@@ -22,8 +22,10 @@ from symstab.paths import (diamond_paths, path_from_samples, product_path,
                            twist, twisted_path)
 from symstab import paths as paths_mod
 from symstab.errors import DimensionError
-from symstab.sympl import (N1_block, N2_block, expJ, random_symplectic,
-                           rotation2, standard_J)
+from symstab.sympl import (D_block, N1_block, N2_block, expJ,
+                           random_symplectic, resymplectify, rotation2,
+                           standard_J)
+from conftest import splitting_cases
 
 
 def test_constructors_start_at_identity():
@@ -286,6 +288,7 @@ def test_a_time_reads_alike_alone_and_in_any_stack(count):
     # its batch
     paths = [normal_form_path(N1_block(1, 1)),
              normal_form_path(N2_block(2.0, False)),
+             _SFORM_PATHS["normal-form-rotated"](),
              twisted_path(exp_path(np.diag([0.0, 0.8, 1.0, 0.8])), 0.3, -1)]
     for p in paths:
         ts = np.linspace(0.0, p.tau, count + 2)[1:-1]
@@ -398,3 +401,76 @@ def test_normal_form_path_hits_target(seed):
     p.check_start()
     assert np.abs(p.endpoint - M).max() < 1e-8
     assert symplectic_residual(p.value(0.37)) < 1e-9
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("scipy call")
+
+
+@pytest.mark.parametrize("M", [D_block(-2.0), N2_block(2.0, False)],
+                         ids=["D(-2)", "N2(2, nontrivial)"])
+def test_diagonalizable_normal_form_makes_no_scipy_call(monkeypatch, M):
+    # a logarithm from the eigenbasis, a rotation in closed form and the
+    # residual from the path's own endpoint: scipy is never called
+    monkeypatch.setattr(scipy.linalg, "logm", _refuse)
+    monkeypatch.setattr(scipy.linalg, "expm", _refuse)
+    p = normal_form_path(M)
+    assert p.label.startswith("nf(")
+    assert np.abs(p.endpoint - M).max() < 1e-8
+
+
+def test_defective_logarithm_calls_logm_once(monkeypatch):
+    logm, calls = scipy.linalg.logm, []
+
+    def counted(A):
+        calls.append(np.shape(A))
+        return logm(A)
+
+    monkeypatch.setattr(scipy.linalg, "logm", counted)
+    M = N1_block(1.0, 1.0)
+    p = normal_form_path(M)
+    assert calls == [(2, 2)]
+    assert np.abs(p.endpoint - M).max() < 1e-8
+
+
+def _conjugate(M, seed):
+    g = random_symplectic(M.shape[0] // 2, np.random.default_rng(seed))
+    return resymplectify(g @ M @ np.linalg.inv(g))
+
+
+@pytest.mark.parametrize("M", [
+    diamond_all([N1_block(-1, 1), rotation2(2.0)]), D_block(-2.0),
+    N2_block(2.0, False), _conjugate(diamond_all(
+        [D_block(-2.0), N1_block(-1, 1), rotation2(1.0)]), seed=5)],
+    ids=["N1(-1, 1)+R(2)", "D(-2)", "N2(2, nontrivial)", "conjugate n=3"])
+def test_closed_form_rotation_equals_the_product_path(M):
+    # exp(theta t J) in front of the logarithm's path, in closed form, is
+    # the product of the rotation path and that path
+    p = normal_form_path(M)
+    theta = next(th for th in paths_mod._ROT_CANDIDATES
+                 if p.label == f"nf({th:.3g})")
+    core = exp_path(-standard_J(p.n) @ scipy.linalg.logm(
+        expJ(-theta, p.n) @ M).real)
+    ref = product_path(exp_path(theta * np.eye(2 * p.n)), core)
+    assert p.grid_hint == ref.grid_hint
+    ts = np.array([0.0, 0.37, 1.0])
+    for got, want in ((p.values(ts), ref.values(ts)),
+                      (p.sforms(ts, 1), ref.sforms(ts, 1))):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_rotation_candidates_are_the_per_angle_products():
+    # the candidates tie to rounding on some matrices (their margins agree
+    # to the last bit), so the chosen angle, and the path, change unless
+    # each candidate is rounded exactly as expJ(-theta) @ M
+    mats = [M for M, _ in splitting_cases()]
+    mats += [_conjugate(M, seed) for seed, M in enumerate(mats[:40])]
+    for M in mats:
+        n = M.shape[0] // 2
+        want = np.stack([expJ(-th, n) @ M
+                         for th in paths_mod._ROT_CANDIDATES])
+        assert np.array_equal(paths_mod._rotation_candidates(M), want)
+        margins = np.abs(np.abs(np.angle(np.linalg.eigvals(want))) - np.pi)
+        theta = paths_mod._ROT_CANDIDATES[int(np.argmax(margins.min(axis=1)))]
+        label = normal_form_path(M).label
+        assert label == (f"nf({theta:.3g})" if theta else "log"), label
